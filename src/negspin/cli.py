@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .fields import (
     RadialGrid,
     UniformBField,
     coulomb_radial_spectrum,
-    disc_spinor,
+    draw_reduction_trials,
     landau_hamiltonian_matrix,
     landau_levels_analytic,
     pauli_reduction_check,
@@ -43,9 +44,9 @@ from .fields import (
 from .matrix_core import hermitian_eig
 from .spectral import (
     PhysicalParams,
-    _hamiltonian,
     closed_form_energies,
     correspondence_check,
+    hamiltonian,
     lorentz_transform,
 )
 
@@ -62,9 +63,12 @@ class UsageError(Exception):
 
 def _cast_float(s: str) -> float:
     try:
-        return float(s)
+        value = float(s)
     except ValueError as err:
         raise UsageError(f"expected a number, got {s!r}") from err
+    if not math.isfinite(value):
+        raise UsageError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _cast_int(s: str) -> int:
@@ -297,16 +301,13 @@ def _cmd_dispersion(cfg: dict, params: PhysicalParams) -> dict:
     if not cfg["pmax"] > 0.0:
         raise UsageError("pmax must be positive")
     which = cfg["which"]
-    rows = []
-    worst = 0.0
-    for i in range(cfg["steps"]):
-        p_mag = cfg["pmax"] * i / (cfg["steps"] - 1)
-        e_minus, e_plus = closed_form_energies(p_mag, params, which)
-        eigenvalues = hermitian_eig(_hamiltonian((0.0, 0.0, p_mag), params, which)).eigenvalues
-        closed = (e_minus, e_minus, e_plus, e_plus)
-        for ev, ref in zip(eigenvalues, closed):
-            worst = max(worst, abs(ev - ref) / max(1.0, abs(ref)))
-        rows.append([p_mag, *map(float, eigenvalues), e_minus, e_plus])
+    p_mag = cfg["pmax"] * np.arange(cfg["steps"]) / (cfg["steps"] - 1)
+    momenta = np.outer(p_mag, (0.0, 0.0, 1.0))
+    e_minus, e_plus = closed_form_energies(p_mag, params, which)
+    eigenvalues = hermitian_eig(hamiltonian(momenta, params, which)).eigenvalues
+    closed = np.stack([e_minus, e_minus, e_plus, e_plus], axis=-1)
+    worst = np.max(np.abs(eigenvalues - closed) / np.maximum(1.0, np.abs(closed)))
+    rows = np.column_stack([p_mag, eigenvalues, e_minus, e_plus]).tolist()
     checks = [entry("max_relative_deviation", worst, 1e-12)]
     return {
         "results": {"which": which, "steps": cfg["steps"], "pmax": cfg["pmax"]},
@@ -440,17 +441,15 @@ def _cmd_zitter(cfg: dict, params: PhysicalParams) -> dict:
     }
 
 
-def _sweep_momenta(count: int, pmax: float) -> list[np.ndarray]:
+def _sweep_momenta(count: int, pmax: float) -> np.ndarray:
     """Deterministic directions on a golden-angle spiral, |p| = j pmax/count."""
     golden = np.pi * (3.0 - np.sqrt(5.0))
-    momenta = []
-    for j in range(1, count + 1):
-        cos_t = 1.0 - 2.0 * (j - 0.5) / count
-        sin_t = np.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-        phi = golden * j
-        direction = np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
-        momenta.append(j * pmax / count * direction)
-    return momenta
+    j = np.arange(1, count + 1)
+    cos_t = 1.0 - 2.0 * (j - 0.5) / count
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    phi = golden * j
+    direction = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
+    return (j * pmax / count)[:, None] * direction
 
 
 def _cmd_lorentz(cfg: dict, params: PhysicalParams) -> dict:
@@ -459,22 +458,22 @@ def _cmd_lorentz(cfg: dict, params: PhysicalParams) -> dict:
     if cfg["sweep"] > 0:
         if not cfg["pmax"] > 0.0:
             raise UsageError("pmax must be positive")
-        checks = []
-        rows = []
-        for j, p in enumerate(_sweep_momenta(cfg["sweep"], cfg["pmax"]), start=1):
-            for branch in (-1, 1):
-                report = correspondence_check(p, params, branch)
-                # one check per (momentum, branch): worst of the two labels
-                residual = max(e.residual for e in report.entries)
-                tolerance = report.entries[0].tolerance
-                agg = entry(f"p{j:03d}_branch{branch:+d}_correspondence",
-                            residual, tolerance)
-                checks.append(agg)
-                rows.append([agg.name, agg.residual, agg.tolerance, agg.passed])
+        branches = (-1, 1)
+        momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"])[:, None, :]
+        report = correspondence_check(momenta, params, np.array(branches))
+        # one check per (momentum, branch): worst of the two labels
+        worst = np.maximum(*(e.residual for e in report.entries))
+        tolerance = report.entries[0].tolerance
+        checks = [
+            entry(f"p{j:03d}_branch{branch:+d}_correspondence", residual, tolerance)
+            for j, row in enumerate(worst, start=1)
+            for branch, residual in zip(branches, row)
+        ]
+        header, rows = _checks_table(checks)
         return {
             "results": {"mode": "correspondence_sweep", "sweep": cfg["sweep"], "pmax": cfg["pmax"]},
             "checks": checks,
-            "csv_header": ["name", "residual", "tolerance", "pass"],
+            "csv_header": header,
             "csv_rows": rows,
         }
     e_out, p_out = lorentz_transform(cfg["e_prime"], cfg["p_prime"], cfg["v"], params)
@@ -503,30 +502,23 @@ def _cmd_reduction(cfg: dict, params: PhysicalParams) -> dict:
     if cfg["trials"] < 1:
         raise UsageError("trials must be at least 1")
     rng = np.random.default_rng(cfg["seed"])
-    worst: dict[str, CheckEntry] = {}
-    failed_trials = 0
     rest = params.m0 * params.c**2
-    for _ in range(cfg["trials"]):
-        p = rng.uniform(-2.0, 2.0, 3)
-        v0 = float(rng.uniform(-1.0, 1.0))
-        phi = disc_spinor(rng, 2)
-        e_trial = v0 + rest + float(p @ p) / (2.0 * params.m0)
-        if cfg["wrong_energy"]:
-            e_trial += 0.2 * rest
-        report = pauli_reduction_check(p, v0, e_trial, params, phi=phi)
-        if not report.overall_pass:
-            failed_trials += 1
-        for e in report.entries:
-            prev = worst.get(e.name)
-            if prev is None or e.residual > prev.residual:
-                worst[e.name] = e
-    checks = list(worst.values())
+    p, v0, phi = draw_reduction_trials(rng, cfg["trials"])
+    e_trial = v0 + rest + np.sum(p * p, axis=-1) / (2.0 * params.m0)
+    if cfg["wrong_energy"]:
+        e_trial += 0.2 * rest
+    report = pauli_reduction_check(p, v0, e_trial, params, phi=phi)
+    failed = np.zeros(cfg["trials"], dtype=bool)
+    for e in report.entries:
+        failed |= ~e.passed
+    # one check per entry: its worst trial
+    checks = [entry(e.name, np.max(e.residual), e.tolerance) for e in report.entries]
     header, rows = _checks_table(checks)
     return {
         "results": {
             "trials": cfg["trials"],
             "wrong_energy": cfg["wrong_energy"],
-            "failed_trials": failed_trials,
+            "failed_trials": int(np.sum(failed)),
         },
         "checks": checks,
         "csv_header": header,

@@ -48,12 +48,16 @@ for _m in (*PAULI, I2, I4):
 
 @dataclass(frozen=True, eq=False)
 class CheckEntry:
-    """One named residual check; passes when residual <= tolerance."""
+    """One named residual check; passes when residual <= tolerance.
+
+    A check run on stacked inputs holds one residual and one pass flag per
+    stacked entry (arrays of the stack's shape); otherwise a float and a bool.
+    """
 
     name: str
-    residual: float
+    residual: float | np.ndarray
     tolerance: float
-    passed: bool
+    passed: bool | np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -64,9 +68,11 @@ class CheckEntry:
         }
 
 
-def entry(name: str, residual: float, tolerance: float) -> CheckEntry:
-    residual = float(residual)
+def entry(name: str, residual, tolerance: float) -> CheckEntry:
+    residual = np.asarray(residual, dtype=float)
     tolerance = float(tolerance)
+    if residual.ndim == 0:
+        return CheckEntry(name, float(residual), tolerance, bool(residual <= tolerance))
     return CheckEntry(name, residual, tolerance, residual <= tolerance)
 
 
@@ -78,7 +84,7 @@ class CheckReport:
 
     @property
     def overall_pass(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return all(bool(np.all(e.passed)) for e in self.entries)
 
     def __getitem__(self, name: str) -> CheckEntry:
         for e in self.entries:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import residual_norm
+from .matrix_core import expect, residual_norm
 from .spectral import PhysicalParams, helicity_eigenstates
 
 __all__ = [
@@ -65,6 +65,8 @@ class Superposition:
         which: str = "nonrel",
     ) -> "Superposition":
         """Weights index the four labeled eigenstates sorted by (energy, label)."""
+        if np.shape(p) != (3,):
+            raise ValueError(f"a superposition has one momentum 3-vector, got shape {np.shape(p)}")
         w = np.asarray(weights, dtype=np.complex128)
         if w.shape != (4,):
             raise ValueError(f"need exactly 4 weights, got shape {w.shape}")
@@ -74,9 +76,11 @@ class Superposition:
         labeled = helicity_eigenstates(p, params, which)
         components = tuple(
             SuperpositionComponent(
-                coefficient=complex(wi / scale), energy=s.energy, spinor=s.spinor
+                coefficient=complex(wi / scale),
+                energy=labeled.energies[j],
+                spinor=labeled.spinors[:, j],
             )
-            for wi, s in zip(w, labeled.states)
+            for j, wi in enumerate(w)
             if wi != 0.0
         )
         return cls(momentum=np.asarray(p, dtype=float), components=components)
@@ -89,12 +93,16 @@ class Superposition:
         return sorted(found)
 
 
-def evolve(sup: Superposition, t: float, params: PhysicalParams = PhysicalParams()) -> np.ndarray:
-    """Phase evolution: sum of c_i psi_i exp(-i E_i t / hbar)."""
-    state = np.zeros(4, dtype=np.complex128)
-    for c in sup.components:
-        state += c.coefficient * c.spinor * np.exp(-1j * c.energy * t / params.hbar)
-    return state
+def evolve(sup: Superposition, t, params: PhysicalParams = PhysicalParams()) -> np.ndarray:
+    """Phase evolution: sum of c_i psi_i exp(-i E_i t / hbar).
+
+    ``t`` may be an array of times; the states come back stacked, (..., 4).
+    """
+    t = np.asarray(t, dtype=float)[..., None]
+    return sum(
+        c.coefficient * c.spinor * np.exp(-1j * c.energy * t / params.hbar)
+        for c in sup.components
+    )
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ def observable_series(
     Samples sit at t_k = k t_max / n_samples, k = 0..n_samples-1 (endpoint
     excluded), so an integer number of oscillation periods averages exactly.
     The expectation of a Hermitian operator is real; imaginary leakage beyond
-    1e-12 would mean a broken observable and raises.
+    1e-12 would mean a broken observable and raises (see ``expect``).
     """
     if n_samples < 16:
         raise ValueError("n_samples must be at least 16")
@@ -124,16 +132,9 @@ def observable_series(
     observable = np.asarray(observable, dtype=np.complex128)
     if residual_norm(observable, observable.conj().T) > 1e-12:
         raise ValueError("observable must be Hermitian")
-    samples = []
-    step = t_max / n_samples
-    for k in range(n_samples):
-        t = k * step
-        state = evolve(sup, t, params)
-        value = complex(state.conj() @ (observable @ state))
-        if abs(value.imag) > 1e-12:  # pragma: no cover - guarded by Hermiticity
-            raise ArithmeticError(f"imaginary leakage {value.imag} at t = {t}")
-        samples.append(TrajectorySample(t=t, value=value.real))
-    return samples
+    times = np.arange(n_samples) * (t_max / n_samples)
+    values = expect(evolve(sup, times, params), observable)
+    return [TrajectorySample(t=t, value=v) for t, v in zip(times.tolist(), values.tolist())]
 
 
 def dominant_frequency(series: list[TrajectorySample]) -> float | None:

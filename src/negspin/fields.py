@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .clifford import PAULI, CheckReport, I4, dirac_representation, entry
-from .matrix_core import kron, residual_norm
-from .spectral import PhysicalParams, _as_momentum, _alpha_dot
+from .matrix_core import matrix_dot, residual_norm
+from .spectral import PhysicalParams, hamiltonian
 
 __all__ = [
     "CoulombSpectrum",
@@ -35,9 +34,9 @@ __all__ = [
     "UniformBField",
     "coulomb_radial_spectrum",
     "disc_spinor",
+    "draw_reduction_trials",
     "landau_hamiltonian_matrix",
     "landau_levels_analytic",
-    "minimal_coupling_hamiltonian",
     "pauli_reduction_check",
     "spectrum_csv",
     "square_identity_check",
@@ -127,6 +126,18 @@ def _pi_matrices(field: UniformBField, n_max: int, params: PhysicalParams):
     return pi_x, pi_y
 
 
+def _alpha_pi(field: UniformBField, pz: float, n_max: int, params: PhysicalParams) -> np.ndarray:
+    """alpha.Pi on the truncated (oscillator level) x (4-spinor) basis."""
+    basis = dirac_representation()
+    pi_x, pi_y = _pi_matrices(field, n_max, params)
+    identity_osc = np.eye(n_max + 1, dtype=np.complex128)
+    return (
+        np.kron(pi_x, basis.alpha[0])
+        + np.kron(pi_y, basis.alpha[1])
+        + np.kron(pz * identity_osc, basis.alpha[2])
+    )
+
+
 def oscillator_level_index(n_max: int) -> np.ndarray:
     """Oscillator level n of every basis state of the (n_max+1)*4 space."""
     return np.repeat(np.arange(n_max + 1), 4)
@@ -151,30 +162,13 @@ def landau_hamiltonian_matrix(
             f"n_max = {n_max} is too coarse to trust any level; need >= {MIN_OSCILLATOR_LEVELS}"
         )
     basis = dirac_representation()
-    pi_x, pi_y = _pi_matrices(field, n_max, params)
+    alpha_pi = _alpha_pi(field, pz, n_max, params)
     identity_osc = np.eye(n_max + 1, dtype=np.complex128)
-    alpha_pi = (
-        kron(pi_x, basis.alpha[0])
-        + kron(pi_y, basis.alpha[1])
-        + kron(pz * identity_osc, basis.alpha[2])
-    )
     return (
         params.c * alpha_pi
-        + params.m0 * params.c**2 * kron(identity_osc, basis.beta)
-        + kron(identity_osc, basis.i_beta_gamma5) @ alpha_pi @ alpha_pi / (2.0 * params.m0)
+        + params.m0 * params.c**2 * np.kron(identity_osc, basis.beta)
+        + np.kron(identity_osc, basis.i_beta_gamma5) @ alpha_pi @ alpha_pi / (2.0 * params.m0)
     )
-
-
-def minimal_coupling_hamiltonian(
-    v0: float,
-    field: UniformBField,
-    pz: float,
-    n_max: int,
-    params: PhysicalParams = PhysicalParams(),
-) -> np.ndarray:
-    """Magnetic problem plus a constant potential energy v0 (shifts all levels)."""
-    h = landau_hamiltonian_matrix(field, pz, n_max, params)
-    return h + v0 * np.eye(h.shape[0], dtype=np.complex128)
 
 
 def landau_levels_analytic(
@@ -222,14 +216,7 @@ def square_identity_check(
     expected 2 levels x 4 components).
     """
     h = landau_hamiltonian_matrix(field, pz, n_max, params)
-    basis = dirac_representation()
-    pi_x, pi_y = _pi_matrices(field, n_max, params)
-    identity_osc = np.eye(n_max + 1, dtype=np.complex128)
-    alpha_pi = (
-        kron(pi_x, basis.alpha[0])
-        + kron(pi_y, basis.alpha[1])
-        + kron(pz * identity_osc, basis.alpha[2])
-    )
+    alpha_pi = _alpha_pi(field, pz, n_max, params)
     s = params.m0 * params.c**2 * np.eye(h.shape[0]) + alpha_pi @ alpha_pi / (2.0 * params.m0)
     interior = oscillator_level_index(n_max) <= n_max - 2
     n_excluded = int(np.sum(~interior))
@@ -270,6 +257,9 @@ def coulomb_radial_spectrum(
             f"grid too coarse: spacing*Z = {h * z:.4g} >= {GRID_GUARD}; "
             f"use n_points >= {needed} at r_max = {grid.r_max}"
         )
+    # imported here: scipy would dominate CLI start-up, and only this solver needs it
+    from scipy.linalg import eigh_tridiagonal
+
     r = grid.nodes
     kin = params.hbar**2 / (2.0 * params.m0 * h * h)
     diagonal = (
@@ -305,28 +295,40 @@ def spectrum_csv(spectrum) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _disc_spinor(u: np.ndarray) -> np.ndarray:
+    """Normalized spinors from uniforms u[..., k, :] = (radius^2, angle / 2 pi) of component k."""
+    comps = np.sqrt(u[..., 0]) * np.exp(1j * (2.0 * np.pi * u[..., 1]))
+    norm = np.linalg.norm(comps, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):  # pragma: no cover - measure-zero draw
+        comps = np.where(norm == 0.0, np.eye(comps.shape[-1])[0], comps)
+        norm = np.where(norm == 0.0, 1.0, norm)
+    return comps / norm
+
+
 def disc_spinor(rng: np.random.Generator, size: int) -> np.ndarray:
     """Normalized spinor with components uniform on the complex unit disc.
 
     Draw order per component: radius^2 then angle, both U[0, 1); the vector
     is normalized afterwards.  Documented so seeded runs are reproducible.
     """
-    comps = np.empty(size, dtype=np.complex128)
-    for i in range(size):
-        radius = np.sqrt(rng.uniform())
-        angle = 2.0 * np.pi * rng.uniform()
-        comps[i] = radius * np.exp(1j * angle)
-    norm = np.linalg.norm(comps)
-    if norm == 0.0:  # pragma: no cover - measure-zero draw
-        comps[0] = 1.0
-        norm = 1.0
-    return comps / norm
+    return _disc_spinor(rng.uniform(size=(size, 2)))
+
+
+def draw_reduction_trials(rng: np.random.Generator, trials: int):
+    """Seeded (momenta (trials, 3), potentials (trials,), spinors (trials, 2)).
+
+    Per trial and in order: the momentum (3 uniforms on [-2, 2]), the
+    potential constant (1 uniform on [-1, 1]), then a ``disc_spinor`` of two
+    components (4 uniforms).
+    """
+    u = rng.uniform(size=(trials, 8))
+    return -2.0 + 4.0 * u[:, :3], -1.0 + 2.0 * u[:, 3], _disc_spinor(u[:, 4:].reshape(trials, 2, 2))
 
 
 def pauli_reduction_check(
     p,
-    v0: float,
-    e_trial: float,
+    v0,
+    e_trial,
     params: PhysicalParams = PhysicalParams(),
     phi: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
@@ -355,10 +357,18 @@ def pauli_reduction_check(
     * ``kinetic_energy_relation``: the upper block row reduces to
       (E - v0 - m0 c^2 - p^2/2m0) phi = 0; its reported residual equals the
       trial-energy error for a normalized phi.
+
+    Broadcasts over stacked momenta (..., 3), v0, e_trial and phi (..., 2);
+    each residual then has the broadcast stack shape.  With an empty
+    nullspace, ``nullspace_maps_back`` is measured on the least-singular
+    right vector, so it stays finite and fails.
     """
-    p = _as_momentum(p)
+    v0 = np.asarray(v0, dtype=float)[..., None, None]
+    e_trial = np.asarray(e_trial, dtype=float)[..., None, None]
+    h_full = hamiltonian(p, params, "nonrel") + v0 * I4
+    p = np.asarray(p, dtype=float)
     basis = dirac_representation()
-    ap = _alpha_dot(p, basis)
+    ap = matrix_dot(p, basis.alpha)
     m0c2 = params.m0 * params.c**2
     g1, g2 = basis.gamma1_proj, basis.gamma2_op
 
@@ -384,30 +394,27 @@ def pauli_reduction_check(
               residual_norm(rearranged(e_minus), direct(e_minus)), 1e-12)
     )
 
-    h_full = (
-        params.c * ap
-        + m0c2 * basis.beta
-        + basis.i_beta_gamma5 @ ap @ ap / (2.0 * params.m0)
-        + v0 * I4
-    )
     eigenvalues, eigenvectors = np.linalg.eigh(h_full)
-    positive = eigenvectors[:, eigenvalues > 0.0]
+    positive = eigenvalues[..., None, :] > 0.0
+    if not np.all(np.any(positive, axis=-1)):
+        raise ValueError("the full Hamiltonian has no positive-branch eigenvector")
     op = rearranged(e_trial)
     entries.append(
         entry("eigenvector_satisfies_rearranged",
-              float(np.max(np.abs(op @ positive))), 1e-12)
+              np.max(np.where(positive, np.abs(op @ eigenvectors), 0.0), axis=(-2, -1)), 1e-12)
     )
 
-    svals = np.linalg.svd(op, compute_uv=False)
-    null_dim = int(np.sum(svals < 1e-8))
-    entries.append(entry("nullspace_dimension", float(abs(null_dim - 2)), 0.5))
-    if null_dim > 0:
-        _, _, vh = np.linalg.svd(op)
-        null_vecs = vh[4 - null_dim:, :].conj().T
-        resid = float(np.max(np.abs(h_full @ null_vecs - e_trial * null_vecs)))
-    else:
-        resid = float("inf")
-    entries.append(entry("nullspace_maps_back", resid, 1e-10))
+    _, svals, vh = np.linalg.svd(op)
+    null_dim = np.sum(svals < 1e-8, axis=-1)
+    entries.append(entry("nullspace_dimension", np.abs(null_dim - 2), 0.5))
+    # right vectors of the null_dim smallest singular values, at least one
+    kept = np.arange(4) >= 4 - np.maximum(null_dim, 1)[..., None]
+    vecs = np.swapaxes(vh, -1, -2).conj()
+    maps_back = np.abs(h_full @ vecs - e_trial * vecs)
+    entries.append(
+        entry("nullspace_maps_back",
+              np.max(np.where(kept[..., None, :], maps_back, 0.0), axis=(-2, -1)), 1e-10)
+    )
 
     transported = (e_trial - v0) * (I4 + basis.beta) + params.c * ap - m0c2 * g2
     entries.append(
@@ -416,20 +423,21 @@ def pauli_reduction_check(
     )
 
     if phi is None:
-        rng = rng or np.random.default_rng(0)
-        phi = disc_spinor(rng, 2)
+        phi = disc_spinor(rng or np.random.default_rng(0), 2)
     else:
         phi = np.asarray(phi, dtype=np.complex128)
-        if phi.shape != (2,):
-            raise ValueError(f"phi must be a 2-spinor, got shape {phi.shape}")
-        norm = np.linalg.norm(phi)
-        if norm == 0.0:
+        if phi.ndim < 1 or phi.shape[-1] != 2:
+            raise ValueError(f"phi must be a 2-spinor or a stack of them, got shape {phi.shape}")
+        norm = np.linalg.norm(phi, axis=-1, keepdims=True)
+        if np.any(norm == 0.0):
             raise ValueError("phi must be nonzero")
         phi = phi / norm
-    sigma_p = p[0] * PAULI[0] + p[1] * PAULI[1] + p[2] * PAULI[2]
-    chi = -(1j * m0c2 * np.eye(2) + params.c * sigma_p) @ phi / m0c2
-    psi = np.concatenate([phi, chi])
-    rows = transported @ psi
-    entries.append(entry("lower_row_elimination", float(np.max(np.abs(rows[2:]))), 1e-12))
-    entries.append(entry("kinetic_energy_relation", float(np.linalg.norm(rows[:2])) / 2.0, 1e-10))
+    sigma_p = matrix_dot(p, PAULI)
+    chi = (-(1j * m0c2 * np.eye(2) + params.c * sigma_p) @ phi[..., None])[..., 0] / m0c2
+    psi = np.concatenate(np.broadcast_arrays(phi, chi), axis=-1)
+    rows = (transported @ psi[..., None])[..., 0]
+    entries.append(entry("lower_row_elimination", np.max(np.abs(rows[..., 2:]), axis=-1), 1e-12))
+    entries.append(
+        entry("kinetic_energy_relation", np.linalg.norm(rows[..., :2], axis=-1) / 2.0, 1e-10)
+    )
     return CheckReport(entries=tuple(entries))

@@ -1,8 +1,12 @@
 """Dense complex linear algebra kernel shared by every operator module.
 
 All matrices are numpy ``complex128`` arrays.  Equality is always tested
-through an explicit elementwise tolerance (``residual_norm`` /
-``matrices_close``), never with exact float comparison.
+through an explicit elementwise tolerance (``residual_norm``), never with
+exact float comparison.
+
+Broadcasting convention: every function here accepts a stack of matrices
+``(..., n, n)`` (and of vectors ``(..., n)``) and returns one result per
+stacked entry, shape ``(...)``; a single matrix gives a scalar.
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "EigenDecomposition",
-    "adjoint",
+    "expect",
     "hermitian_eig",
-    "kron",
-    "mat_mul",
-    "matrices_close",
+    "matrix_dot",
     "residual_norm",
 ]
 
@@ -26,6 +28,8 @@ __all__ = [
 # orthonormality / reconstruction residuals of a returned decomposition.
 HERMITICITY_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-10
+# Largest imaginary part an expectation of a Hermitian operator may carry.
+LEAKAGE_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -34,39 +38,38 @@ class ConvergenceError(RuntimeError):
 
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     return m
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product, rejecting mismatched inner dimensions."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the left factor indexes the blocks."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def residual_norm(a, b) -> float:
-    """Max-abs elementwise difference of two same-shape matrices."""
+def residual_norm(a, b):
+    """Max-abs elementwise difference of two same-shape matrices, per stacked matrix."""
     a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))
+    return np.max(np.abs(a - b), axis=(-2, -1))
 
 
-def matrices_close(a, b, tol: float = 1e-12) -> bool:
-    return residual_norm(a, b) <= tol
+def matrix_dot(x, matrices) -> np.ndarray:
+    """sum_i x[..., i] matrices[i], e.g. alpha.p from momenta of shape (..., 3)."""
+    x = np.asarray(x)
+    return sum(x[..., i, None, None] * m for i, m in enumerate(matrices))
+
+
+def expect(psi, op):
+    """Expectation <psi| op |psi> of a Hermitian operator over the last axis of psi.
+
+    Broadcasts ``psi`` (..., n) against ``op`` (..., n, n) and returns the real
+    values, shape (...).  Imaginary leakage beyond 1e-12 would mean a broken
+    operator and raises.
+    """
+    psi = np.asarray(psi)
+    value = (psi.conj()[..., None, :] @ (op @ psi[..., None]))[..., 0, 0]
+    leak = np.max(np.abs(value.imag), initial=0.0)
+    if leak > LEAKAGE_TOL:  # pragma: no cover - callers pass Hermitian operators
+        raise ArithmeticError(f"imaginary leakage {leak} in an expectation value")
+    return value.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +81,12 @@ class EigenDecomposition:
 
 
 def hermitian_eig(h) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix.
+    """Diagonalize a Hermitian matrix, or each matrix of a stack (..., n, n).
 
-    Eigenvalues come back ascending; column ``j`` of ``eigenvectors`` belongs
-    to ``eigenvalues[j]``.  For degenerate clusters the individual columns are
-    basis-dependent, so downstream comparisons must use subspace projectors.
+    Eigenvalues come back ascending along the last axis; column ``j`` of
+    ``eigenvectors`` belongs to ``eigenvalues[..., j]``.  For degenerate
+    clusters the individual columns are basis-dependent, so downstream
+    comparisons must use subspace projectors.
 
     Raises
     ------
@@ -90,18 +94,22 @@ def hermitian_eig(h) -> EigenDecomposition:
         Non-square input, or input not Hermitian within 1e-10 max-abs.
     ConvergenceError
         Backend failure, or residuals ``V†V - I`` / ``HV - VΛ`` above 1e-10.
+
+    Each bound is checked on the maximum over the stack.
     """
     h = _as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if residual_norm(h, h.conj().T) >= HERMITICITY_TOL:
+    n = h.shape[-1]
+    if h.shape[-2] != n:
+        raise ValueError(f"expected square matrices, got shape {h.shape}")
+    if np.max(residual_norm(h, np.swapaxes(h, -1, -2).conj())) >= HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10 max-abs")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as err:  # pragma: no cover - backend failure
         raise ConvergenceError(f"eigensolver did not converge: {err}") from err
-    ortho = residual_norm(eigenvectors.conj().T @ eigenvectors, np.eye(h.shape[0]))
-    recon = residual_norm(h @ eigenvectors, eigenvectors * eigenvalues)
+    overlap = np.swapaxes(eigenvectors, -1, -2).conj() @ eigenvectors
+    ortho = np.max(residual_norm(overlap, np.broadcast_to(np.eye(n, dtype=np.complex128), overlap.shape)))
+    recon = np.max(residual_norm(h @ eigenvectors, eigenvectors * eigenvalues[..., None, :]))
     if ortho >= DECOMPOSITION_TOL or recon >= DECOMPOSITION_TOL:  # pragma: no cover
         raise ConvergenceError(
             f"decomposition residuals too large: ortho={ortho:.3e} recon={recon:.3e}"

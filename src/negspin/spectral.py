@@ -20,28 +20,25 @@ import numpy as np
 
 from .clifford import (
     CheckReport,
-    DiracBasis,
     I2,
     PAULI,
     dirac_representation,
     entry,
 )
-from .matrix_core import hermitian_eig, kron
+from .matrix_core import expect, hermitian_eig, matrix_dot
 
 __all__ = [
     "EigenSolution",
-    "EnergyEigenstate",
     "ExpectationReport",
     "LabeledEigenstates",
     "PhysicalParams",
     "closed_form_energies",
     "correspondence_check",
-    "dirac_hamiltonian",
     "expectation_report",
     "free_spectrum",
+    "hamiltonian",
     "helicity_eigenstates",
     "lorentz_transform",
-    "nonrel_hamiltonian",
 ]
 
 HAMILTONIANS = ("dirac", "nonrel")
@@ -65,48 +62,33 @@ class PhysicalParams:
             raise ValueError("m0, c and hbar must all be positive")
 
 
-def _as_momentum(p) -> np.ndarray:
+def _as_momenta(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"momentum must be a 3-vector, got shape {v.shape}")
+    if v.ndim < 1 or v.shape[-1] != 3:
+        raise ValueError(f"momentum must be a 3-vector or a stack of them, got shape {v.shape}")
     return v
 
 
-def _alpha_dot(p: np.ndarray, basis: DiracBasis) -> np.ndarray:
-    return p[0] * basis.alpha[0] + p[1] * basis.alpha[1] + p[2] * basis.alpha[2]
+def hamiltonian(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> np.ndarray:
+    """The chosen Hamiltonian at momenta p of shape (..., 3), as (..., 4, 4).
 
-
-def dirac_hamiltonian(p, params: PhysicalParams = PhysicalParams()) -> np.ndarray:
-    """c alpha.p + m0 c^2 beta at numeric momentum p."""
-    p = _as_momentum(p)
+    ``dirac``: c alpha.p + m0 c^2 beta;
+    ``nonrel``: c alpha.p + m0 c^2 beta + i beta gamma5 (alpha.p)^2 / (2 m0).
+    """
+    if which not in HAMILTONIANS:
+        raise ValueError(f"unknown hamiltonian {which!r}; expected one of {HAMILTONIANS}")
     b = dirac_representation()
-    return params.c * _alpha_dot(p, b) + params.m0 * params.c**2 * b.beta
-
-
-def nonrel_hamiltonian(p, params: PhysicalParams = PhysicalParams()) -> np.ndarray:
-    """c alpha.p + m0 c^2 beta + i beta gamma5 (alpha.p)^2 / (2 m0)."""
-    p = _as_momentum(p)
-    b = dirac_representation()
-    ap = _alpha_dot(p, b)
-    return (
-        params.c * ap
-        + params.m0 * params.c**2 * b.beta
-        + b.i_beta_gamma5 @ ap @ ap / (2.0 * params.m0)
-    )
-
-
-def _hamiltonian(p, params: PhysicalParams, which: str) -> np.ndarray:
-    if which == "dirac":
-        return dirac_hamiltonian(p, params)
+    ap = matrix_dot(_as_momenta(p), b.alpha)
+    h = params.c * ap + params.m0 * params.c**2 * b.beta
     if which == "nonrel":
-        return nonrel_hamiltonian(p, params)
-    raise ValueError(f"unknown hamiltonian {which!r}; expected one of {HAMILTONIANS}")
+        h = h + b.i_beta_gamma5 @ ap @ ap / (2.0 * params.m0)
+    return h
 
 
-def closed_form_energies(p_mag: float, params: PhysicalParams, which: str) -> tuple[float, float]:
-    """(negative, positive) branch energies at momentum magnitude |p|."""
+def closed_form_energies(p_mag, params: PhysicalParams, which: str):
+    """(negative, positive) branch energies at momentum magnitudes |p|."""
     if which == "dirac":
-        e = float(np.hypot(params.c * p_mag, params.m0 * params.c**2))
+        e = np.hypot(params.c * p_mag, params.m0 * params.c**2)
     elif which == "nonrel":
         e = params.m0 * params.c**2 + p_mag**2 / (2.0 * params.m0)
     else:
@@ -116,43 +98,45 @@ def closed_form_energies(p_mag: float, params: PhysicalParams, which: str) -> tu
 
 @dataclass(frozen=True, eq=False)
 class EigenSolution:
-    """Ascending eigenvalues, eigenvector columns, and branch signs."""
+    """Ascending eigenvalues, eigenvector columns, and branch signs (..., 4)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    branches: tuple[int, int, int, int]
+    branches: np.ndarray
     which: str
 
 
 def free_spectrum(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> EigenSolution:
     """Diagonalize the chosen Hamiltonian; branch = sign of eigenvalue."""
-    dec = hermitian_eig(_hamiltonian(p, params, which))
-    branches = tuple(1 if e > 0 else -1 for e in dec.eigenvalues)
+    dec = hermitian_eig(hamiltonian(p, params, which))
     return EigenSolution(
         eigenvalues=dec.eigenvalues,
         eigenvectors=dec.eigenvectors,
-        branches=branches,
+        branches=np.where(dec.eigenvalues > 0, 1, -1),
         which=which,
     )
 
 
 @dataclass(frozen=True, eq=False)
-class EnergyEigenstate:
-    energy: float
-    helicity: int
-    spinor: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class LabeledEigenstates:
-    """Four eigenstates sorted by (energy, label).
+    """Four eigenstates per momentum, ordered (negative branch, label -1),
+    (negative, +1), (positive, -1), (positive, +1).
 
-    ``label_kind`` is "helicity" for p != 0 and "spin_z" at p = 0, where
-    helicity is undefined and the spin projection on z labels the pair.
+    ``energies`` and ``helicities`` have shape (..., 4); column ``j`` of
+    ``spinors`` (..., 4, 4) is state ``j``.  ``label_kind`` (shape (...)) is
+    "helicity" for p != 0 and "spin_z" at p = 0, where helicity is undefined
+    and the spin projection on z labels the pair.
     """
 
-    states: tuple[EnergyEigenstate, ...]
-    label_kind: str
+    energies: np.ndarray
+    helicities: np.ndarray
+    spinors: np.ndarray
+    label_kind: np.ndarray
+
+
+def _state_index(branch, helicity):
+    """Position of the (branch, helicity) state in a LabeledEigenstates."""
+    return (branch + 1) + (helicity + 1) // 2
 
 
 def helicity_eigenstates(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> LabeledEigenstates:
@@ -161,42 +145,37 @@ def helicity_eigenstates(p, params: PhysicalParams = PhysicalParams(), which: st
     Within each doubly degenerate energy eigenspace the spin projector
     (Sigma.p_hat, or Sigma_z at p = 0) is diagonalized in the subspace, so
     the returned spinors never depend on how the backend oriented the
-    degenerate pair.
+    degenerate pair.  Broadcasts over momenta of shape (..., 3).
     """
-    p = _as_momentum(p)
+    p = _as_momenta(p)
     sol = free_spectrum(p, params, which)
-    p_mag = float(np.linalg.norm(p))
-    if p_mag > 0.0:
-        direction = p / p_mag
-        kind = "helicity"
-    else:
-        direction = np.array([0.0, 0.0, 1.0])
-        kind = "spin_z"
-    spin_op = kron(I2, sum(direction[i] * PAULI[i] for i in range(3)))
+    p_mag = np.linalg.norm(p, axis=-1)
+    moving = p_mag > 0.0
+    direction = np.where(
+        moving[..., None], p / np.where(moving, p_mag, 1.0)[..., None], (0.0, 0.0, 1.0)
+    )
+    spin_op = matrix_dot(direction, [np.kron(I2, s) for s in PAULI])
 
-    states = []
+    labels, rotated = [], []
     for lo, hi in ((0, 2), (2, 4)):
-        block = sol.eigenvectors[:, lo:hi]
-        proj = block.conj().T @ spin_op @ block
-        labels, rot = np.linalg.eigh(proj)
-        rotated = block @ rot
-        for j in range(hi - lo):
-            label = int(round(labels[j].real))
-            if abs(labels[j].real - label) > 1e-9 or label not in (-1, 1):
-                raise RuntimeError(
-                    f"spin label did not quantize to +-1: {labels[j]!r}"
-                )
-            spinor = rotated[:, j].copy()
-            spinor.setflags(write=False)
-            states.append(
-                EnergyEigenstate(
-                    energy=float(sol.eigenvalues[lo + j]),
-                    helicity=label,
-                    spinor=spinor,
-                )
-            )
-    states.sort(key=lambda s: (s.energy, s.helicity))
-    return LabeledEigenstates(states=tuple(states), label_kind=kind)
+        block = sol.eigenvectors[..., lo:hi]
+        proj = np.swapaxes(block, -1, -2).conj() @ spin_op @ block
+        block_labels, rot = np.linalg.eigh(proj)
+        labels.append(block_labels)
+        rotated.append(block @ rot)
+    labels = np.concatenate(labels, axis=-1)
+    if np.any(np.abs(labels - (-1.0, 1.0, -1.0, 1.0)) > 1e-9):
+        raise RuntimeError(f"spin labels did not quantize to -1, +1 per pair: {labels!r}")
+    spinors = np.concatenate(rotated, axis=-1)
+    helicities = np.rint(labels).astype(int)
+    for a in (spinors, helicities):
+        a.setflags(write=False)
+    return LabeledEigenstates(
+        energies=sol.eigenvalues,
+        helicities=helicities,
+        spinors=spinors,
+        label_kind=np.where(moving, "helicity", "spin_z"),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +188,6 @@ class ExpectationReport:
     mean_alpha: np.ndarray
     mean_beta: float
     mean_i_beta_gamma5: float
-
-
-def _select_state(labeled: LabeledEigenstates, branch: int, helicity: int) -> EnergyEigenstate:
-    for s in labeled.states:
-        if (1 if s.energy > 0 else -1) == branch and s.helicity == helicity:
-            return s
-    raise ValueError(f"no state with branch {branch} and helicity {helicity}")
 
 
 def expectation_report(
@@ -236,20 +208,18 @@ def expectation_report(
     if branch not in (-1, 1) or helicity not in (-1, 1):
         raise ValueError("branch and helicity must each be +1 or -1")
     labeled = helicity_eigenstates(p, params, which)
-    state = _select_state(labeled, branch, helicity)
+    j = _state_index(branch, helicity)
     b = dirac_representation()
-    psi = state.spinor
-    mean_alpha = np.array(
-        [float((psi.conj() @ (b.alpha[i] @ psi)).real) for i in range(3)]
-    )
+    psi = labeled.spinors[..., j]
+    mean_alpha = np.stack([expect(psi, a) for a in b.alpha], axis=-1)
     mean_alpha.setflags(write=False)
     return ExpectationReport(
-        energy=state.energy,
+        energy=labeled.energies[..., j],
         branch=branch,
         helicity=helicity,
         mean_alpha=mean_alpha,
-        mean_beta=float((psi.conj() @ (b.beta @ psi)).real),
-        mean_i_beta_gamma5=float((psi.conj() @ (b.i_beta_gamma5 @ psi)).real),
+        mean_beta=expect(psi, b.beta),
+        mean_i_beta_gamma5=expect(psi, b.i_beta_gamma5),
     )
 
 
@@ -264,10 +234,12 @@ def lorentz_transform(
     The momentum line is applied first, then the energy line
     ``E = v.p + E' / gamma``; both hold for negative E' unchanged.
     """
-    p_prime = _as_momentum(p_prime)
+    p_prime = np.asarray(p_prime, dtype=float)
     v = np.asarray(velocity, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"velocity must be a 3-vector, got shape {v.shape}")
+    if p_prime.shape != (3,) or v.shape != (3,):
+        raise ValueError(
+            f"momentum and velocity must be 3-vectors, got shapes {p_prime.shape}, {v.shape}"
+        )
     v2 = float(v @ v)
     c2 = params.c**2
     if v2 >= c2:
@@ -285,26 +257,30 @@ def lorentz_transform(
 def correspondence_check(
     p,
     params: PhysicalParams = PhysicalParams(),
-    branch: int = 1,
+    branch=1,
 ) -> CheckReport:
     """E = v.p + m0 c^2 / gamma with v := <c alpha>, 1/gamma := <beta>.
 
     Both expectations come from explicit Dirac eigenstates of the requested
     branch (one check per helicity label), so the identity is exercised on
     the negative branch exactly as written, with no sign adjustments.
+    Broadcasts over momenta (..., 3) and branches; one diagonalization
+    serves both branches, e.g. momenta (n, 1, 3) with branch (-1, 1) give
+    residuals of shape (n, 2).
     """
-    p = _as_momentum(p)
+    p = _as_momenta(p)
+    branch = np.asarray(branch)
+    if not np.all(np.isin(branch, (-1, 1))):
+        raise ValueError("branch must be +1 or -1")
     labeled = helicity_eigenstates(p, params, which="dirac")
     b = dirac_representation()
+    psi = np.swapaxes(labeled.spinors, -1, -2)  # (..., state, component)
+    v = params.c * np.stack([expect(psi, a) for a in b.alpha], axis=-1)
+    rhs = np.sum(v * p[..., None, :], axis=-1) + params.m0 * params.c**2 * expect(psi, b.beta)
+    resid = np.abs(labeled.energies - rhs) / np.abs(labeled.energies)
     entries = []
     for hel in (-1, 1):
-        state = _select_state(labeled, branch, hel)
-        psi = state.spinor
-        v = np.array(
-            [params.c * float((psi.conj() @ (b.alpha[i] @ psi)).real) for i in range(3)]
-        )
-        inv_gamma = float((psi.conj() @ (b.beta @ psi)).real)
-        rhs = float(v @ p) + params.m0 * params.c**2 * inv_gamma
-        resid = abs(state.energy - rhs) / abs(state.energy)
-        entries.append(entry(f"correspondence_helicity_{hel:+d}", resid, 1e-10))
+        per_branch = np.where(branch > 0, resid[..., _state_index(1, hel)],
+                              resid[..., _state_index(-1, hel)])
+        entries.append(entry(f"correspondence_helicity_{hel:+d}", per_branch, 1e-10))
     return CheckReport(entries=tuple(entries))

@@ -32,9 +32,8 @@ from negspin.spectral import (
     PhysicalParams,
     closed_form_energies,
     correspondence_check,
-    dirac_hamiltonian,
     expectation_report,
-    nonrel_hamiltonian,
+    hamiltonian,
 )
 
 PARAMS = PhysicalParams()
@@ -77,9 +76,9 @@ def test_free_spectra_match_closed_forms():
         momenta.append(mag * direction)
     worst_rel = 0.0
     worst_square = 0.0
-    for which, build in (("dirac", dirac_hamiltonian), ("nonrel", nonrel_hamiltonian)):
+    for which in ("dirac", "nonrel"):
         for p in momenta:
-            h = build(p, PARAMS)
+            h = hamiltonian(p, PARAMS, which)
             ev = hermitian_eig(h).eigenvalues
             em, ep = closed_form_energies(float(np.linalg.norm(p)), PARAMS, which)
             target = np.array([em, em, ep, ep])

@@ -148,8 +148,13 @@ def test_reduction_aggregate(capsys):
     assert len(report["checks"]) == 8
 
 
+def reject_constant(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
 def test_reduction_wrong_energy_control(capsys):
-    code, report = run_json(capsys, ["reduction", "--trials", "3", "--wrong-energy"])
+    code = main(["reduction", "--trials", "3", "--wrong-energy"])
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert code == EXIT_CHECK_FAILED
     assert report["results"]["failed_trials"] == 3
     assert not report["checks"][2]["pass"] or not report["checks"][7]["pass"]
@@ -236,3 +241,27 @@ def test_bad_vector_flag_rejected(capsys):
     assert main(["zitter", "--p", "1,2"]) == EXIT_USAGE
     assert main(["zitter", "--p", "a,b,c"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lorentz", "--v", "nan,0,0"],
+    ["landau", "--pz", "nan"],
+    ["coulomb", "--z", "inf"],
+    ["coulomb", "--r-max", "inf"],
+    ["dispersion", "--pmax", "inf"],
+    ["zitter", "--p", "nan,0,0"],
+    ["zitter", "--t-max", "inf"],
+])
+def test_non_finite_input_is_usage_error(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and "finite" in captured.err
+
+
+def test_non_finite_config_value_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pmax=-inf\n")
+    assert main(["dispersion", "--config", str(cfg)]) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err

@@ -41,10 +41,9 @@ def test_from_weights_normalizes():
 
 def test_superposition_rejects_unnormalized_components():
     labeled = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
-    st = labeled.states[0]
     from negspin.dynamics import SuperpositionComponent
 
-    bad = SuperpositionComponent(2.0, st.energy, st.spinor)
+    bad = SuperpositionComponent(2.0, labeled.energies[0], labeled.spinors[:, 0])
     with pytest.raises(ValueError):
         Superposition(np.asarray(P_UNIT), (bad,))
 
@@ -120,7 +119,7 @@ def test_series_matches_two_level_closed_form():
     formula: sum of diagonal weights plus a single rotating cross term."""
     rng = np.random.default_rng(21)
     labeled = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
-    st_lo, st_hi = labeled.states[1], labeled.states[3]
+    (e_lo, e_hi), (psi_lo, psi_hi) = labeled.energies[[1, 3]], labeled.spinors[:, [1, 3]].T
     for _ in range(5):
         w = rng.uniform(-1.0, 1.0, 2)
         weights = (0.0, w[0], 0.0, w[1])
@@ -129,12 +128,12 @@ def test_series_matches_two_level_closed_form():
         sup = Superposition.from_weights(P_UNIT, weights, PARAMS)
         obs = BASIS.alpha[2]
         c1, c2 = (c.coefficient for c in sup.components)
-        o11 = np.vdot(st_lo.spinor, obs @ st_lo.spinor).real
-        o22 = np.vdot(st_hi.spinor, obs @ st_hi.spinor).real
-        o12 = np.vdot(st_lo.spinor, obs @ st_hi.spinor)
+        o11 = np.vdot(psi_lo, obs @ psi_lo).real
+        o22 = np.vdot(psi_hi, obs @ psi_hi).real
+        o12 = np.vdot(psi_lo, obs @ psi_hi)
         series = observable_series(sup, obs, 10.0, 64, PARAMS)
         for s in series:
-            phase = np.exp(1j * (st_lo.energy - st_hi.energy) * s.t)
+            phase = np.exp(1j * (e_lo - e_hi) * s.t)
             want = (
                 abs(c1) ** 2 * o11
                 + abs(c2) ** 2 * o22

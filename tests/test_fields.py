@@ -8,9 +8,9 @@ from negspin.fields import (
     UniformBField,
     coulomb_radial_spectrum,
     disc_spinor,
+    draw_reduction_trials,
     landau_hamiltonian_matrix,
     landau_levels_analytic,
-    minimal_coupling_hamiltonian,
     oscillator_level_index,
     pauli_reduction_check,
     spectrum_csv,
@@ -144,20 +144,6 @@ def test_square_identity_report():
     assert report["excluded_edge_states"].residual == 8.0
 
 
-def test_minimal_coupling_shifts_spectrum():
-    field = UniformBField(1.0)
-    base = hermitian_eig(landau_hamiltonian_matrix(field, 0.0, 10, PARAMS)).eigenvalues
-    shifted = hermitian_eig(minimal_coupling_hamiltonian(0.7, field, 0.0, 10, PARAMS)).eigenvalues
-    np.testing.assert_allclose(shifted, base + 0.7, atol=1e-12)
-
-
-def test_minimal_coupling_without_potential_is_plain_field_matrix():
-    field = UniformBField(1.0)
-    a = landau_hamiltonian_matrix(field, 0.2, 9, PARAMS)
-    b = minimal_coupling_hamiltonian(0.0, field, 0.2, 9, PARAMS)
-    assert residual_norm(a, b) == 0.0
-
-
 def test_coulomb_ground_levels_match_closed_form():
     spectrum = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 3)
     assert spectrum.z == 1.0 and spectrum.l == 0
@@ -272,6 +258,9 @@ def test_reduction_chain_flags_wrong_energy():
     assert abs(report["kinetic_energy_relation"].residual - 0.2) < 1e-12
     assert not report["eigenvector_satisfies_rearranged"].passed
     assert not report["nullspace_dimension"].passed
+    # an empty nullspace is measured on the least-singular vector: finite, failing
+    maps_back = report["nullspace_maps_back"]
+    assert np.isfinite(maps_back.residual) and not maps_back.passed
     # operator rearrangements hold for any trial energy
     assert report["rearrange_operator_plus"].passed
     assert report["transport_by_gamma2"].passed
@@ -290,6 +279,31 @@ def test_reduction_chain_at_rest():
 def test_reduction_nullspace_dimension_is_two():
     report = pauli_reduction_check((0.1, 0.2, 0.3), 0.0, 1.0 + 0.07, PARAMS)
     assert report["nullspace_dimension"].residual == 0.0
+
+
+def test_reduction_stack_equals_each_draw():
+    rng = np.random.default_rng(8)
+    p, v0, phi = draw_reduction_trials(rng, 12)
+    e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0
+    e_trial[::3] += 0.2  # mix in failing trials
+    stacked = pauli_reduction_check(p, v0, e_trial, PARAMS, phi=phi)
+    assert tuple(e.name for e in stacked.entries) == REDUCTION_ENTRY_NAMES
+    for i in range(12):
+        single = pauli_reduction_check(p[i], v0[i], e_trial[i], PARAMS, phi=phi[i])
+        for a, b in zip(single.entries, stacked.entries):
+            assert a.residual == b.residual[i], a.name
+            assert a.passed == b.passed[i], a.name
+
+
+def test_reduction_draws_follow_documented_order():
+    # per trial: momentum (3 uniforms), potential (1), then the disc spinor
+    trials = 40
+    p, v0, phi = draw_reduction_trials(np.random.default_rng(4), trials)
+    rng = np.random.default_rng(4)
+    for i in range(trials):
+        np.testing.assert_array_equal(p[i], rng.uniform(-2.0, 2.0, 3))
+        assert v0[i] == rng.uniform(-1.0, 1.0)
+        assert np.max(np.abs(phi[i] - disc_spinor(rng, 2))) <= 1e-15
 
 
 def test_reduction_phi_validation():

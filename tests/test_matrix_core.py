@@ -5,54 +5,11 @@ import pytest
 
 from negspin.matrix_core import (
     EigenDecomposition,
-    adjoint,
+    expect,
     hermitian_eig,
-    kron,
-    mat_mul,
-    matrices_close,
+    matrix_dot,
     residual_norm,
 )
-
-
-def test_mat_mul_small_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(mat_mul(a, b), [[2.0, 1.0], [4.0, 3.0]])
-
-
-def test_mat_mul_is_associative_on_random_triples():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        a, b, c = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                   for _ in range(3))
-        left = mat_mul(mat_mul(a, b), c)
-        right = mat_mul(a, mat_mul(b, c))
-        assert residual_norm(left, right) < 1e-12
-
-
-def test_mat_mul_rejects_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.eye(2), np.eye(3))
-
-
-def test_mat_mul_rejects_vectors():
-    with pytest.raises(ValueError):
-        mat_mul(np.ones(2), np.eye(2))
-
-
-def test_adjoint_is_conjugate_transpose():
-    a = np.array([[1.0 + 2.0j, 3.0], [0.0, -1.0j]])
-    expected = np.array([[1.0 - 2.0j, 0.0], [3.0, 1.0j]])
-    np.testing.assert_array_equal(adjoint(a), expected)
-
-
-def test_kron_block_layout():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = kron(a, b)
-    assert out.shape == (4, 4)
-    np.testing.assert_array_equal(out[:2, 2:], b)
-    np.testing.assert_array_equal(out[:2, :2], np.zeros((2, 2)))
 
 
 def test_residual_norm_is_max_abs_difference():
@@ -66,11 +23,26 @@ def test_residual_norm_rejects_shape_mismatch():
         residual_norm(np.eye(2), np.eye(3))
 
 
-def test_matrices_close_tolerance_boundary():
-    a = np.eye(2)
-    b = a + 1e-13
-    assert matrices_close(a, b)
-    assert not matrices_close(a, b, tol=1e-14)
+def test_residual_norm_per_stacked_matrix():
+    a = np.zeros((3, 2, 2))
+    b = np.zeros((3, 2, 2))
+    b[1, 0, 1] = -2.0
+    np.testing.assert_array_equal(residual_norm(a, b), [0.0, 2.0, 0.0])
+
+
+def test_matrix_dot_weights_matrices():
+    mats = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    out = matrix_dot(np.array([[2.0, 3.0], [0.0, -1.0]]), mats)
+    np.testing.assert_array_equal(out, [[[2.0, 3.0], [3.0, 2.0]], [[0.0, -1.0], [-1.0, 0.0]]])
+
+
+def test_expect_known_values_and_broadcast():
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    up, plus_y = np.array([1.0, 0.0]), np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    assert expect(up, sigma_y) == 0.0
+    assert abs(expect(plus_y, sigma_y) - 1.0) < 1e-15
+    np.testing.assert_array_equal(expect(np.stack([up, plus_y]), sigma_y),
+                                  [expect(up, sigma_y), expect(plus_y, sigma_y)])
 
 
 def test_hermitian_eig_known_spectrum():
@@ -97,6 +69,29 @@ def test_hermitian_eig_ascending_and_orthonormal():
         v = dec.eigenvectors
         assert residual_norm(v.conj().T @ v, np.eye(n)) < 1e-12
         assert residual_norm(h @ v, v * dec.eigenvalues) < 1e-10
+
+
+def test_hermitian_eig_stack_equals_each_matrix():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    h = m + np.swapaxes(m, -1, -2).conj()
+    dec = hermitian_eig(h)
+    assert dec.eigenvalues.shape == (5, 4) and dec.eigenvectors.shape == (5, 4, 4)
+    for i in range(5):
+        single = hermitian_eig(h[i])
+        np.testing.assert_array_equal(dec.eigenvalues[i], single.eigenvalues)
+        np.testing.assert_array_equal(dec.eigenvectors[i], single.eigenvectors)
+
+
+def test_hermitian_eig_rejects_stack_with_one_non_hermitian_member():
+    h = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError):
+        hermitian_eig(h)
+
+
+def test_hermitian_eig_rejects_vectors():
+    with pytest.raises(ValueError):
+        hermitian_eig(np.ones(4))
 
 
 def test_hermitian_eig_rejects_non_square():

@@ -9,12 +9,11 @@ from negspin.spectral import (
     PhysicalParams,
     closed_form_energies,
     correspondence_check,
-    dirac_hamiltonian,
     expectation_report,
     free_spectrum,
+    hamiltonian,
     helicity_eigenstates,
     lorentz_transform,
-    nonrel_hamiltonian,
 )
 
 PARAMS = PhysicalParams()
@@ -36,17 +35,20 @@ def test_params_validation():
 
 def test_momentum_shape_validation():
     with pytest.raises(ValueError):
-        dirac_hamiltonian((1.0, 2.0))
+        hamiltonian((1.0, 2.0), PARAMS, "dirac")
 
 
 def test_unknown_hamiltonian_kind_rejected():
     with pytest.raises(ValueError):
         free_spectrum((0.0, 0.0, 1.0), PARAMS, which="cubic")
+    with pytest.raises(ValueError):
+        hamiltonian((0.0, 0.0, 1.0), PARAMS, which="cubic")
 
 
 def test_hamiltonians_are_hermitian():
     for p in random_momenta(3, 10):
-        for h in (dirac_hamiltonian(p, PARAMS), nonrel_hamiltonian(p, PARAMS)):
+        for which in ("dirac", "nonrel"):
+            h = hamiltonian(p, PARAMS, which)
             assert residual_norm(h, h.conj().T) < 1e-14
 
 
@@ -66,7 +68,7 @@ def test_free_spectrum_matches_closed_form_both_kinds():
             target = np.array([em, em, ep, ep])
             rel = np.max(np.abs(sol.eigenvalues - target) / np.abs(target))
             assert rel < 1e-12
-            assert sol.branches == (-1, -1, 1, 1)
+            assert tuple(sol.branches) == (-1, -1, 1, 1)
             assert sol.which == which
 
 
@@ -74,7 +76,7 @@ def test_square_of_hamiltonian_is_scalar():
     # both kinds square to E(p)^2 times the identity
     for which in ("dirac", "nonrel"):
         for p in random_momenta(13, 10):
-            h = (dirac_hamiltonian if which == "dirac" else nonrel_hamiltonian)(p, PARAMS)
+            h = hamiltonian(p, PARAMS, which)
             _, ep = closed_form_energies(float(np.linalg.norm(p)), PARAMS, which)
             assert residual_norm(h @ h, ep**2 * np.eye(4)) < 1e-12 * ep**2
 
@@ -87,8 +89,8 @@ def test_anticommutators_with_hamiltonian():
     s_op = basis.i_beta_gamma5
     for p in random_momenta(41, 8):
         p2 = float(p @ p)
-        for which, build in (("dirac", dirac_hamiltonian), ("nonrel", nonrel_hamiltonian)):
-            h = build(p, PARAMS)
+        for which in ("dirac", "nonrel"):
+            h = hamiltonian(p, PARAMS, which)
             for i in range(3):
                 anti = h @ basis.alpha[i] + basis.alpha[i] @ h
                 assert residual_norm(anti, 2.0 * p[i] * np.eye(4)) < 1e-12
@@ -110,24 +112,26 @@ def test_helicity_labels_and_eigenvector_property():
     spin = [np.kron(np.eye(2), s) for s in PAULI]
     for which in ("dirac", "nonrel"):
         for p in random_momenta(17, 8):
-            h = (dirac_hamiltonian if which == "dirac" else nonrel_hamiltonian)(p, PARAMS)
+            h = hamiltonian(p, PARAMS, which)
             labeled = helicity_eigenstates(p, PARAMS, which)
             assert labeled.label_kind == "helicity"
-            assert len(labeled.states) == 4
+            assert labeled.spinors.shape == (4, 4)
+            assert tuple(labeled.helicities) == (-1, 1, -1, 1)
             phat = p / np.linalg.norm(p)
             sigma_phat = sum(phat[i] * spin[i] for i in range(3))
-            for st in labeled.states:
-                assert st.helicity in (-1, 1)
-                assert np.max(np.abs(h @ st.spinor - st.energy * st.spinor)) < 1e-12
-                hel = np.vdot(st.spinor, sigma_phat @ st.spinor).real
-                assert abs(hel - st.helicity) < 1e-9
-                assert abs(np.vdot(st.spinor, st.spinor) - 1.0) < 1e-12
+            for energy, helicity, spinor in zip(
+                labeled.energies, labeled.helicities, labeled.spinors.T
+            ):
+                assert np.max(np.abs(h @ spinor - energy * spinor)) < 1e-12
+                hel = np.vdot(spinor, sigma_phat @ spinor).real
+                assert abs(hel - helicity) < 1e-9
+                assert abs(np.vdot(spinor, spinor) - 1.0) < 1e-12
 
 
 def test_labeled_states_are_orthonormal():
     for p in random_momenta(43, 5):
         labeled = helicity_eigenstates(p, PARAMS, "nonrel")
-        block = np.column_stack([st.spinor for st in labeled.states])
+        block = labeled.spinors
         overlap = block.conj().T @ block
         assert residual_norm(overlap, np.eye(4)) < 1e-10
 
@@ -135,8 +139,7 @@ def test_labeled_states_are_orthonormal():
 def test_zero_momentum_falls_back_to_spin_z():
     labeled = helicity_eigenstates((0.0, 0.0, 0.0), PARAMS, "nonrel")
     assert labeled.label_kind == "spin_z"
-    energies = sorted(st.energy for st in labeled.states)
-    np.testing.assert_allclose(energies, [-1.0, -1.0, 1.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(labeled.energies, [-1.0, -1.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_expectation_oracle_at_unit_momentum():
@@ -246,3 +249,37 @@ def test_correspondence_check_at_rest():
     # E = 0 + m0 c^2 with v = <c alpha> = 0
     for branch in (-1, 1):
         assert correspondence_check((0.0, 0.0, 0.0), PARAMS, branch).overall_pass
+
+
+def test_hamiltonian_stack_equals_each_momentum():
+    momenta = random_momenta(51, 6).reshape(2, 3, 3)
+    for which in ("dirac", "nonrel"):
+        stacked = hamiltonian(momenta, PARAMS, which)
+        assert stacked.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(stacked[idx], hamiltonian(momenta[idx], PARAMS, which))
+
+
+def test_helicity_eigenstates_stack_equals_each_momentum():
+    momenta = np.vstack([random_momenta(53, 5), np.zeros(3)])
+    for which in ("dirac", "nonrel"):
+        stacked = helicity_eigenstates(momenta, PARAMS, which)
+        for i, p in enumerate(momenta):
+            single = helicity_eigenstates(p, PARAMS, which)
+            np.testing.assert_array_equal(stacked.energies[i], single.energies)
+            np.testing.assert_array_equal(stacked.helicities[i], single.helicities)
+            np.testing.assert_array_equal(stacked.spinors[i], single.spinors)
+            assert stacked.label_kind[i] == single.label_kind
+    assert list(stacked.label_kind) == ["helicity"] * 5 + ["spin_z"]
+
+
+def test_correspondence_check_broadcasts_momenta_and_branches():
+    momenta = random_momenta(57, 4)
+    both = correspondence_check(momenta[:, None, :], PARAMS, np.array([-1, 1]))
+    for i, p in enumerate(momenta):
+        for k, branch in enumerate((-1, 1)):
+            single = correspondence_check(p, PARAMS, branch)
+            for a, b in zip(single.entries, both.entries):
+                assert a.residual == b.residual[i, k]
+    with pytest.raises(ValueError):
+        correspondence_check(momenta, PARAMS, 0)
