@@ -37,11 +37,11 @@ from .fields import (
     UniformBField,
     coulomb_radial_spectrum,
     draw_reduction_trials,
-    landau_hamiltonian_matrix,
     landau_levels_analytic,
+    landau_sectors,
     pauli_reduction_check,
 )
-from .matrix_core import hermitian_eig
+from .matrix_core import ConvergenceError, hermitian_eig
 from .spectral import (
     PhysicalParams,
     closed_form_energies,
@@ -197,6 +197,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     except OSError as err:
         raise UsageError(f"cannot read config file {path}: {err}") from err
     values = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -204,7 +205,13 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise UsageError(
+                f"{path}:{lineno}: duplicate key {key!r}, first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -273,7 +280,7 @@ def _render(command: str, cfg: dict, params: PhysicalParams, payload: dict) -> s
         "checks": [e.as_dict() for e in payload["checks"]],
         "version": __version__,
     }
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _checks_table(checks: list[CheckEntry]) -> tuple[list[str], list[list]]:
@@ -317,6 +324,19 @@ def _cmd_dispersion(cfg: dict, params: PhysicalParams) -> dict:
     }
 
 
+def _nearest(ascending: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The entry of ``ascending`` closest to each target (the lower one on a tie)."""
+    right = np.clip(np.searchsorted(ascending, targets), 1, len(ascending) - 1)
+    below, above = ascending[right - 1], ascending[right]
+    return np.where(targets - below <= above - targets, below, above)
+
+
+def _count_within(ascending: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
+    """How many entries of ``ascending`` lie within ``tol`` of each target."""
+    return (np.searchsorted(ascending, targets + tol, side="right")
+            - np.searchsorted(ascending, targets - tol, side="left"))
+
+
 def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
     if cfg["k_max"] < 0:
         raise UsageError("k_max must be nonnegative")
@@ -326,33 +346,42 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
             f"raise n_max to at least {cfg['k_max'] + 4}"
         )
     field = UniformBField(cfg["b"])
+    # built first: it rejects n_max outside its range before any per-level work
+    interior, edges = landau_sectors(field, cfg["pz"], cfg["n_max"], params)
     analytic = landau_levels_analytic(field, cfg["pz"], cfg["k_max"], params)
-    h = landau_hamiltonian_matrix(field, cfg["pz"], cfg["n_max"], params)
-    eigenvalues = hermitian_eig(h).eigenvalues
+    # the top edge sector lost its ladder partner: its pair is a truncation
+    # artifact at +-E(0), so only the bottom edge joins the level matching
+    eigenvalues = np.sort(np.concatenate([
+        hermitian_eig(interior.hamiltonian).eigenvalues.ravel(),
+        hermitian_eig(edges.hamiltonian).eigenvalues[0],
+    ]))
+    tol = 1e-6
+    e_plus = np.array([level.energy_plus for level in analytic.levels])
+    e_minus = np.array([level.energy_minus for level in analytic.levels])
+    near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
+    resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
     checks = []
     rows = []
-    pairing_worst = 0.0
-    for level in analytic.levels:
-        near_plus = float(eigenvalues[np.argmin(np.abs(eigenvalues - level.energy_plus))])
-        near_minus = float(eigenvalues[np.argmin(np.abs(eigenvalues - level.energy_minus))])
-        resid_plus = abs(near_plus - level.energy_plus)
-        resid_minus = abs(near_minus - level.energy_minus)
-        pairing_worst = max(pairing_worst, abs(near_plus + near_minus))
-        checks.append(entry(f"level_k{level.k}_plus_residual", resid_plus, 1e-6))
-        checks.append(entry(f"level_k{level.k}_minus_residual", resid_minus, 1e-6))
+    for i, level in enumerate(analytic.levels):
+        checks.append(entry(f"level_k{level.k}_plus_residual", resid_plus[i], tol))
+        checks.append(entry(f"level_k{level.k}_minus_residual", resid_minus[i], tol))
         rows.append([
             level.k,
-            level.energy_plus, near_plus, resid_plus,
-            level.energy_minus, near_minus, resid_minus,
+            level.energy_plus, near_plus[i], resid_plus[i],
+            level.energy_minus, near_minus[i], resid_minus[i],
             level.multiplicity,
         ])
-    checks.append(entry("pairing_max_residual", pairing_worst, 1e-8))
+    checks.append(entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8))
     return {
         "results": {
             "omega_c": analytic.omega_c,
             "pz": cfg["pz"],
             "n_max": cfg["n_max"],
-            "matrix_dimension": int(h.shape[0]),
+            "matrix_dimension": interior.levels.size + edges.levels.size,
+            "edge_states": edges.levels[1].size,
+            "truncation_margin": cfg["n_max"] - cfg["k_max"],
+            "counted_multiplicity_plus": _count_within(eigenvalues, e_plus, tol).tolist(),
+            "counted_multiplicity_minus": _count_within(eigenvalues, e_minus, tol).tolist(),
         },
         "checks": checks,
         "csv_header": [
@@ -418,10 +447,8 @@ def _cmd_zitter(cfg: dict, params: PhysicalParams) -> dict:
     )
     if gaps:
         analytic = gaps[-1]
-        if measured is None:
-            rel = float("inf")
-        else:
-            rel = min(abs(measured - g) / g for g in gaps)
+        # no peak reads as a measured frequency of 0: relative error 1, failing
+        rel = min(abs((measured or 0.0) - g) / g for g in gaps)
         checks = [entry("frequency_relative_error", rel, 0.01)]
     else:
         analytic = 0.0
@@ -556,13 +583,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         cfg, params = _resolve(args)
-        payload = _COMMANDS[args.command](cfg, params)
+        # an overflow or invalid operation raises rather than printing a
+        # warning and carrying inf/nan into the report
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            payload = _COMMANDS[args.command](cfg, params)
         text = _render(args.command, cfg, params, payload)
-    except UsageError as err:
+    except (UsageError, ValueError, ConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except ArithmeticError as err:
+        print(f"error: input out of the floating-point range of the computation ({err})",
+              file=sys.stderr)
         return EXIT_USAGE
     _write_output(text, cfg["out"])
     if all(check.passed for check in payload["checks"]):

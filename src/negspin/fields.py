@@ -4,7 +4,10 @@ Three problem families:
 
 * uniform magnetic field along z in the symmetric gauge, solved in a
   truncated single-oscillator basis and cross-checked against the closed-form
-  level ladder E(k) = m0 c^2 + hbar omega_c k + pz^2 / 2 m0;
+  level ladder E(k) = m0 c^2 + hbar omega_c k + pz^2 / 2 m0.  The operator
+  only couples states of equal conserved index, so it is built and solved
+  sector by sector (``landau_sectors``); the dense matrix is kept as the
+  independent oracle the sectors are tested against;
 * an attractive -Z/r potential on a radial grid (3-point finite differences,
   Dirichlet ends), cross-checked against the closed-form -Z^2/2n^2 ladder;
 * the momentum-space rearrangement chain that eliminates the lower spinor
@@ -18,6 +21,7 @@ levels are reported, never tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,7 @@ from .spectral import PhysicalParams, hamiltonian
 __all__ = [
     "CoulombSpectrum",
     "LandauLevel",
+    "LandauSectors",
     "LandauSpectrum",
     "RadialGrid",
     "UniformBField",
@@ -37,6 +42,7 @@ __all__ = [
     "draw_reduction_trials",
     "landau_hamiltonian_matrix",
     "landau_levels_analytic",
+    "landau_sectors",
     "pauli_reduction_check",
     "spectrum_csv",
     "square_identity_check",
@@ -44,6 +50,8 @@ __all__ = [
 
 # Smallest truncation at which even the k = 0 level is trustworthy.
 MIN_OSCILLATOR_LEVELS = 8
+# Largest truncation accepted; a landau run at this size peaks near 230 MB.
+MAX_OSCILLATOR_LEVELS = 10**5
 # Empirical accuracy guard for the radial grid: spacing * Z must stay below.
 GRID_GUARD = 0.05
 
@@ -104,6 +112,47 @@ class CoulombSpectrum:
     energies_minus: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class LandauSectors:
+    """Stacked blocks of the Landau operator, one per conserved-index sector.
+
+    State j of block i is the basis state (oscillator level ``levels[i, j]``,
+    4-spinor index ``spinors[i, j]``), i.e. row ``4 * level + spinor`` of
+    ``landau_hamiltonian_matrix``.  ``alpha_pi`` and ``hamiltonian`` hold the
+    (count, m, m) blocks of alpha.Pi and of the full operator.
+    """
+
+    levels: np.ndarray
+    spinors: np.ndarray
+    alpha_pi: np.ndarray
+    hamiltonian: np.ndarray
+
+
+def _check_truncation(n_max: int) -> None:
+    if n_max < MIN_OSCILLATOR_LEVELS:
+        raise ValueError(
+            f"n_max = {n_max} is too coarse to trust any level; need >= {MIN_OSCILLATOR_LEVELS}"
+        )
+    if n_max > MAX_OSCILLATOR_LEVELS:
+        raise ValueError(f"n_max = {n_max} exceeds the largest truncation {MAX_OSCILLATOR_LEVELS}")
+
+
+def _landau_lambda(field: UniformBField, params: PhysicalParams) -> float:
+    """hbar q b / c, the commutator [Pi_x, Pi_y] over i."""
+    if params.q == 0.0:
+        raise ValueError("charge q must be nonzero for a magnetic problem")
+    return params.hbar * params.q * field.b / params.c
+
+
+def _landau_operator(alpha_pi, beta, i_beta_gamma5, params: PhysicalParams) -> np.ndarray:
+    """c alpha.Pi + m0 c^2 beta + i beta gamma5 (alpha.Pi)^2/(2 m0), on any basis."""
+    return (
+        params.c * alpha_pi
+        + params.m0 * params.c**2 * beta
+        + i_beta_gamma5 @ alpha_pi @ alpha_pi / (2.0 * params.m0)
+    )
+
+
 def _ladder_down(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
 
@@ -115,9 +164,7 @@ def _pi_matrices(field: UniformBField, n_max: int, params: PhysicalParams):
     lowering operator is (Pi_x + i Pi_y)/sqrt(2|lam|), for q > 0 it is the
     conjugate combination.  Both components are Hermitian by construction.
     """
-    if params.q == 0.0:
-        raise ValueError("charge q must be nonzero for a magnetic problem")
-    lam = params.hbar * params.q * field.b / params.c
+    lam = _landau_lambda(field, params)
     a = _ladder_down(n_max + 1)
     ad = a.conj().T
     scale = np.sqrt(abs(lam) / 2.0)
@@ -138,11 +185,6 @@ def _alpha_pi(field: UniformBField, pz: float, n_max: int, params: PhysicalParam
     )
 
 
-def oscillator_level_index(n_max: int) -> np.ndarray:
-    """Oscillator level n of every basis state of the (n_max+1)*4 space."""
-    return np.repeat(np.arange(n_max + 1), 4)
-
-
 def landau_hamiltonian_matrix(
     field: UniformBField,
     pz: float,
@@ -154,21 +196,80 @@ def landau_hamiltonian_matrix(
     Basis ordering is (oscillator level n = 0..n_max) x (4-spinor), the
     4-spinor factor carrying the block convention of the matrix basis (a
     fixed permutation of spin x upper/lower).  (alpha.Pi)^2 is the square of
-    the truncated alpha.Pi matrix, so rows at the top two oscillator levels
-    feel the truncation; interior rows are exact.
+    the truncated alpha.Pi matrix.  Built densely from oscillator-space
+    ladder matrices, at O(n_max^3) cost: it is the independent oracle that
+    ``landau_sectors`` is tested against, not a solver path.
     """
-    if n_max < MIN_OSCILLATOR_LEVELS:
-        raise ValueError(
-            f"n_max = {n_max} is too coarse to trust any level; need >= {MIN_OSCILLATOR_LEVELS}"
-        )
+    _check_truncation(n_max)
     basis = dirac_representation()
-    alpha_pi = _alpha_pi(field, pz, n_max, params)
     identity_osc = np.eye(n_max + 1, dtype=np.complex128)
-    return (
-        params.c * alpha_pi
-        + params.m0 * params.c**2 * np.kron(identity_osc, basis.beta)
-        + np.kron(identity_osc, basis.i_beta_gamma5) @ alpha_pi @ alpha_pi / (2.0 * params.m0)
+    return _landau_operator(
+        _alpha_pi(field, pz, n_max, params),
+        np.kron(identity_osc, basis.beta),
+        np.kron(identity_osc, basis.i_beta_gamma5),
+        params,
     )
+
+
+# 4-spinor indices of a sector's states: spin up (upper, lower), then spin down
+_SECTOR_SPINORS = np.array([0, 2, 1, 3])
+
+
+def landau_sectors(
+    field: UniformBField,
+    pz: float,
+    n_max: int,
+    params: PhysicalParams = PhysicalParams(),
+) -> tuple[LandauSectors, LandauSectors]:
+    """The operator of ``landau_hamiltonian_matrix``, block by block, in O(n_max).
+
+    alpha.Pi only couples spin up at level n to spin down at level n + 1
+    (q < 0) or n - 1 (q > 0).  So sector N, which holds spin up at level N
+    and spin down at level N + 1 for q < 0 (the reverse for q > 0), never
+    meets another sector, and the truncated (alpha.Pi)^2 is the square of
+    each block.  Returns ``(interior, edges)``:
+
+    * ``interior``: the 4x4 sectors N = 0..n_max-1, stacked (n_max, 4, 4);
+    * ``edges``: the 2x2 sectors (2, 2, 2), bottom (N = -1, level 0) then
+      top (N = n_max, level n_max).  The top one lost its ladder partner at
+      level n_max + 1, so its eigenvalues +-(m0 c^2 + pz^2/2m0) are a
+      truncation artifact, not the k = 0 level.
+
+    Every element comes from the ladder elements sqrt(n); no
+    oscillator-space matrix is formed.
+    """
+    _check_truncation(n_max)
+    lam = _landau_lambda(field, params)
+    # level of each sector state relative to N: spin up sits higher for q > 0
+    offset = ((_SECTOR_SPINORS % 2 == 0) == (lam > 0)).astype(int)
+    interior_levels = np.arange(n_max)[:, None] + offset
+    edge_levels = np.array([[0, 0], [n_max, n_max]])
+    edge_spinors = np.stack([_SECTOR_SPINORS[offset == 1], _SECTOR_SPINORS[offset == 0]])
+    return (
+        _sector_blocks(
+            interior_levels, np.broadcast_to(_SECTOR_SPINORS, interior_levels.shape), lam, pz, params
+        ),
+        _sector_blocks(edge_levels, edge_spinors, lam, pz, params),
+    )
+
+
+def _sector_blocks(levels, spinors, lam: float, pz: float, params: PhysicalParams) -> LandauSectors:
+    """alpha.Pi and the operator on the stacked blocks of (level, spinor) states."""
+    basis = dirac_representation()
+    n_row, n_col = levels[..., :, None], levels[..., None, :]
+    s_row, s_col = spinors[..., :, None], spinors[..., None, :]
+    lower = np.where(n_row == n_col - 1, np.sqrt(n_col), 0.0)  # <n_row| a |n_col>
+    raised = np.swapaxes(lower, -1, -2)  # <n_row| a^dagger |n_col>
+    scale = np.sqrt(abs(lam) / 2.0)
+    alpha_pi = (
+        scale * (lower + raised) * basis.alpha[0][s_row, s_col]
+        - 1j * np.sign(lam) * scale * (lower - raised) * basis.alpha[1][s_row, s_col]
+        + pz * (n_row == n_col) * basis.alpha[2][s_row, s_col]
+    )
+    hamiltonian = _landau_operator(
+        alpha_pi, basis.beta[s_row, s_col], basis.i_beta_gamma5[s_row, s_col], params
+    )
+    return LandauSectors(levels=levels, spinors=spinors, alpha_pi=alpha_pi, hamiltonian=hamiltonian)
 
 
 def landau_levels_analytic(
@@ -211,17 +312,24 @@ def square_identity_check(
 ) -> CheckReport:
     """H^2 = (m0 c^2 + (alpha.Pi)^2 / 2 m0)^2 and [H, S] = 0 on interior columns.
 
-    Interior means oscillator level n <= n_max - 2; the excluded edge-state
-    count is reported as its own entry (residual = count, tolerance = the
-    expected 2 levels x 4 components).
+    Checked sector by sector (``landau_sectors``).  Interior means
+    oscillator level n <= n_max - 2; the excluded edge-state count is
+    reported as its own entry (residual = count, tolerance = the expected
+    2 levels x 4 components).
     """
-    h = landau_hamiltonian_matrix(field, pz, n_max, params)
-    alpha_pi = _alpha_pi(field, pz, n_max, params)
-    s = params.m0 * params.c**2 * np.eye(h.shape[0]) + alpha_pi @ alpha_pi / (2.0 * params.m0)
-    interior = oscillator_level_index(n_max) <= n_max - 2
-    n_excluded = int(np.sum(~interior))
-    square_resid = float(np.max(np.abs((h @ h - s @ s)[:, interior])))
-    commute_resid = float(np.max(np.abs((h @ s - s @ h)[:, interior])))
+    square_resid = commute_resid = 0.0
+    n_excluded = 0
+    for sectors in landau_sectors(field, pz, n_max, params):
+        h, a = sectors.hamiltonian, sectors.alpha_pi
+        s = params.m0 * params.c**2 * np.eye(h.shape[-1]) + a @ a / (2.0 * params.m0)
+        interior = (sectors.levels <= n_max - 2)[..., None, :]
+        n_excluded += int(np.sum(~interior))
+        square_resid = max(
+            square_resid, float(np.max(np.abs(h @ h - s @ s), where=interior, initial=0.0))
+        )
+        commute_resid = max(
+            commute_resid, float(np.max(np.abs(h @ s - s @ h), where=interior, initial=0.0))
+        )
     return CheckReport(
         entries=(
             entry("square_identity_interior", square_resid, 1e-10),
@@ -252,10 +360,12 @@ def coulomb_radial_spectrum(
         raise ValueError("n_levels must be at least 1")
     h = grid.spacing
     if h * z >= GRID_GUARD:
-        needed = int(np.ceil(grid.r_max * z / GRID_GUARD))
+        needed = grid.r_max * z / GRID_GUARD
+        hint = (f"use n_points >= {math.ceil(needed)}" if math.isfinite(needed)
+                else "no float64 grid resolves it")
         raise ValueError(
             f"grid too coarse: spacing*Z = {h * z:.4g} >= {GRID_GUARD}; "
-            f"use n_points >= {needed} at r_max = {grid.r_max}"
+            f"{hint} at r_max = {grid.r_max}"
         )
     # imported here: scipy would dominate CLI start-up, and only this solver needs it
     from scipy.linalg import eigh_tridiagonal

@@ -91,9 +91,10 @@ def hermitian_eig(h) -> EigenDecomposition:
     Raises
     ------
     ValueError
-        Non-square input, or input not Hermitian within 1e-10 max-abs.
+        Non-square input, non-finite entries, or input not Hermitian within
+        1e-10 max-abs.
     ConvergenceError
-        Backend failure, or residuals ``V†V - I`` / ``HV - VΛ`` above 1e-10.
+        Backend failure, or residuals ``V†V - I`` / ``HV - VΛ`` not below 1e-10.
 
     Each bound is checked on the maximum over the stack.
     """
@@ -101,6 +102,8 @@ def hermitian_eig(h) -> EigenDecomposition:
     n = h.shape[-1]
     if h.shape[-2] != n:
         raise ValueError(f"expected square matrices, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix has non-finite entries")
     if np.max(residual_norm(h, np.swapaxes(h, -1, -2).conj())) >= HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10 max-abs")
     try:
@@ -110,7 +113,7 @@ def hermitian_eig(h) -> EigenDecomposition:
     overlap = np.swapaxes(eigenvectors, -1, -2).conj() @ eigenvectors
     ortho = np.max(residual_norm(overlap, np.broadcast_to(np.eye(n, dtype=np.complex128), overlap.shape)))
     recon = np.max(residual_norm(h @ eigenvectors, eigenvectors * eigenvalues[..., None, :]))
-    if ortho >= DECOMPOSITION_TOL or recon >= DECOMPOSITION_TOL:  # pragma: no cover
+    if not (ortho < DECOMPOSITION_TOL and recon < DECOMPOSITION_TOL):
         raise ConvergenceError(
             f"decomposition residuals too large: ortho={ortho:.3e} recon={recon:.3e}"
         )

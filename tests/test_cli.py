@@ -6,12 +6,28 @@ import pytest
 
 from negspin import __version__
 from negspin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from negspin.fields import UniformBField, landau_levels_analytic
+from negspin.spectral import PhysicalParams
+
+
+def reject_constant(token):
+    raise ValueError(f"bare {token} is not JSON")
 
 
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=reject_constant)
+
+
+def one_line_usage_error(capsys, argv) -> str:
+    """Run argv, assert exit 2 with one stderr line and no stdout; return the line."""
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_identities_json_report(capsys):
@@ -64,6 +80,37 @@ def test_landau_rejects_noninterior_levels(capsys):
     assert "n_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["-1", "1"])
+@pytest.mark.parametrize("pz", ["0", "0.4"])
+def test_landau_counted_multiplicity_matches_analytic(capsys, q, pz):
+    code, report = run_json(
+        capsys, ["landau", "--units", "custom", "--q", q, "--pz", pz, "--n-max", "24", "--k-max", "5"]
+    )
+    assert code == EXIT_OK
+    results = report["results"]
+    analytic = landau_levels_analytic(
+        UniformBField(1.0), float(pz), 5, PhysicalParams(q=float(q))
+    )
+    expected = [level.multiplicity for level in analytic.levels]
+    # the top edge sector's copy of +-E(0) is excluded, so k = 0 counts once
+    assert results["counted_multiplicity_plus"] == expected
+    assert results["counted_multiplicity_minus"] == expected
+    assert results["edge_states"] == 2
+    assert results["truncation_margin"] == 19
+    assert results["matrix_dimension"] == 4 * 25
+
+
+def test_landau_large_truncation_passes(capsys):
+    code, report = run_json(capsys, ["landau", "--n-max", "10000", "--k-max", "3"])
+    assert code == EXIT_OK
+    assert all(check["pass"] for check in report["checks"])
+    assert report["results"]["matrix_dimension"] == 40004
+
+
+def test_landau_truncation_above_cap_is_usage_error(capsys):
+    assert "n_max" in one_line_usage_error(capsys, ["landau", "--n-max", "10000000"])
+
+
 def test_coulomb_report(capsys):
     code, report = run_json(capsys, ["coulomb"])
     assert code == EXIT_OK
@@ -111,6 +158,16 @@ def test_zitter_single_state_no_oscillation(capsys):
     assert report["results"]["measured_omega"] is None
 
 
+def test_zitter_without_peak_prints_strict_json(capsys):
+    # alpha1 has no interference term here: no peak, measured frequency read as 0
+    code, report = run_json(capsys, ["zitter", "--observable", "alpha1"])
+    assert code == EXIT_CHECK_FAILED
+    assert report["results"]["measured_omega"] is None
+    check = report["checks"][0]
+    assert check["name"] == "frequency_relative_error"
+    assert check["residual"] == 1.0 and check["pass"] is False
+
+
 def test_zitter_rejects_zero_weights(capsys):
     assert main(["zitter", "--weights", "0,0,0,0"]) == EXIT_USAGE
 
@@ -146,10 +203,6 @@ def test_reduction_aggregate(capsys):
     names = {c["name"] for c in report["checks"]}
     assert "kinetic_energy_relation" in names
     assert len(report["checks"]) == 8
-
-
-def reject_constant(token):
-    raise ValueError(f"bare {token} is not JSON")
 
 
 def test_reduction_wrong_energy_control(capsys):
@@ -214,6 +267,13 @@ def test_malformed_config_line_rejected(tmp_path, capsys):
     assert main(["dispersion", "--config", str(cfg)]) == EXIT_USAGE
 
 
+def test_duplicate_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("b=1\n# comment\nb=2\n")
+    err = one_line_usage_error(capsys, ["landau", "--config", str(cfg)])
+    assert "'b'" in err and ":3:" in err and "line 1" in err
+
+
 def test_natural_units_conflict(capsys):
     assert main(["identities", "--m0", "2.0"]) == EXIT_USAGE
     assert "custom" in capsys.readouterr().err
@@ -253,11 +313,18 @@ def test_bad_vector_flag_rejected(capsys):
     ["zitter", "--t-max", "inf"],
 ])
 def test_non_finite_input_is_usage_error(capsys, argv):
-    assert main(argv) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert captured.err.count("\n") == 1 and "finite" in captured.err
+    assert "finite" in one_line_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["landau", "--b", "1e300"],
+    ["landau", "--pz", "1e200"],
+    ["dispersion", "--pmax", "1e300"],
+    ["coulomb", "--z", "1e308"],
+    ["coulomb", "--r-max", "1e308"],
+])
+def test_huge_finite_input_is_usage_error(capsys, argv):
+    one_line_usage_error(capsys, argv)
 
 
 def test_non_finite_config_value_rejected(tmp_path, capsys):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from negspin.fields import (
+    MAX_OSCILLATOR_LEVELS,
     RadialGrid,
     UniformBField,
+    _alpha_pi,
     coulomb_radial_spectrum,
     disc_spinor,
     draw_reduction_trials,
     landau_hamiltonian_matrix,
     landau_levels_analytic,
-    oscillator_level_index,
+    landau_sectors,
     pauli_reduction_check,
     spectrum_csv,
     square_identity_check,
@@ -54,11 +56,6 @@ def test_radial_grid_validation():
         RadialGrid(r_max=0.0)
     with pytest.raises(ValueError):
         RadialGrid(n_points=10)
-
-
-def test_oscillator_level_index_layout():
-    idx = oscillator_level_index(2)
-    np.testing.assert_array_equal(idx, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2])
 
 
 def test_landau_matrix_is_hermitian_and_sized():
@@ -142,6 +139,87 @@ def test_square_identity_report():
     assert report["h_s_commutator_interior"].residual < 1e-10
     # two truncation-edge oscillator levels, four components each
     assert report["excluded_edge_states"].residual == 8.0
+
+
+def _dense_rows(sectors):
+    """Row of each sector state in the dense (level x 4-spinor) matrix."""
+    return 4 * sectors.levels + sectors.spinors
+
+
+@pytest.mark.parametrize("q", [-1.0, 1.0])
+def test_sectors_partition_the_dense_matrix(q):
+    params = PhysicalParams(q=q)
+    n_max = 13
+    dense = landau_hamiltonian_matrix(UniformBField(1.3), 0.4, n_max, params)
+    interior, edges = landau_sectors(UniformBField(1.3), 0.4, n_max, params)
+    assert interior.hamiltonian.shape == (n_max, 4, 4)
+    assert edges.hamiltonian.shape == (2, 2, 2)
+    rows = np.concatenate([_dense_rows(interior).ravel(), _dense_rows(edges).ravel()])
+    np.testing.assert_array_equal(np.sort(rows), np.arange(dense.shape[0]))
+    same_sector = np.zeros(dense.shape, dtype=bool)
+    for sectors in (interior, edges):
+        for idx, block in zip(_dense_rows(sectors), sectors.hamiltonian):
+            same_sector[np.ix_(idx, idx)] = True
+            assert residual_norm(dense[np.ix_(idx, idx)], block) < 1e-14
+    # every entry between two different sectors is exactly zero
+    assert not np.any(dense[~same_sector])
+
+
+@pytest.mark.parametrize("n_max", [8, 13, 40, 120])
+@pytest.mark.parametrize("q", [-1.0, 1.0])
+@pytest.mark.parametrize("pz", [0.0, 0.4])
+def test_sector_spectrum_matches_dense_oracle(n_max, q, pz):
+    params = PhysicalParams(q=q)
+    field = UniformBField(1.0)
+    dense = np.linalg.eigvalsh(landau_hamiltonian_matrix(field, pz, n_max, params))
+    sectors = landau_sectors(field, pz, n_max, params)
+    blocked = np.sort(np.concatenate(
+        [hermitian_eig(s.hamiltonian).eigenvalues.ravel() for s in sectors]
+    ))
+    assert np.max(np.abs(blocked - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [-1.0, 1.0])
+def test_top_edge_sector_is_a_truncation_artifact(q):
+    # the bottom edge is the k = 0 level; the top edge repeats +-E(0) only
+    # because its ladder partner at level n_max + 1 was cut away
+    params = PhysicalParams(q=q)
+    _, edges = landau_sectors(UniformBField(2.0), 0.4, 20, params)
+    np.testing.assert_array_equal(edges.levels, [[0, 0], [20, 20]])
+    e0 = 1.0 + 0.4**2 / 2.0
+    ev = hermitian_eig(edges.hamiltonian).eigenvalues
+    np.testing.assert_allclose(ev, [[-e0, e0], [-e0, e0]], atol=1e-14)
+
+
+def test_landau_sectors_validation():
+    with pytest.raises(ValueError, match="q"):
+        landau_sectors(UniformBField(1.0), 0.0, 12, PhysicalParams(q=0.0))
+    with pytest.raises(ValueError, match="coarse"):
+        landau_sectors(UniformBField(1.0), 0.0, 7, PARAMS)
+    with pytest.raises(ValueError, match="largest"):
+        landau_sectors(UniformBField(1.0), 0.0, MAX_OSCILLATOR_LEVELS + 1, PARAMS)
+
+
+@pytest.mark.parametrize("q", [-1.0, 1.0])
+def test_square_identity_per_sector_matches_dense(q):
+    # the same identity evaluated on the dense oracle, interior columns only
+    params = PhysicalParams(q=q)
+    field, pz, n_max = UniformBField(1.5), 0.4, 16
+    report = square_identity_check(field, pz, n_max, params)
+    assert [(e.name, e.tolerance) for e in report.entries] == [
+        ("square_identity_interior", 1e-10),
+        ("h_s_commutator_interior", 1e-10),
+        ("excluded_edge_states", 8.0),
+    ]
+    assert report.overall_pass
+    assert report["excluded_edge_states"].residual == 8.0
+    h = landau_hamiltonian_matrix(field, pz, n_max, params)
+    a = _alpha_pi(field, pz, n_max, params)
+    s = np.eye(h.shape[0]) + a @ a / 2.0
+    interior = np.repeat(np.arange(n_max + 1), 4) <= n_max - 2
+    dense_square = np.max(np.abs((h @ h - s @ s)[:, interior]))
+    assert dense_square < 1e-10
+    assert abs(report["square_identity_interior"].residual - dense_square) < 1e-10
 
 
 def test_coulomb_ground_levels_match_closed_form():

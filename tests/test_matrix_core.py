@@ -104,6 +104,14 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermitian_eig_rejects_non_finite_entries(bad):
+    # nan would slip through a `residual >= tol` test, since nan >= tol is false
+    h = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, bad]])])
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(h)
+
+
 def test_hermitian_eig_result_is_read_only():
     dec = hermitian_eig(np.eye(3))
     with pytest.raises(ValueError):
