@@ -33,6 +33,7 @@ from .clifford import (
 )
 from .dynamics import Superposition, dominant_frequency, observable_series
 from .fields import (
+    MIN_OSCILLATOR_LEVELS,
     RadialGrid,
     UniformBField,
     coulomb_radial_spectrum,
@@ -343,34 +344,32 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
     if cfg["k_max"] > cfg["n_max"] - 4:
         raise UsageError(
             f"k_max = {cfg['k_max']} is not interior for n_max = {cfg['n_max']}; "
-            f"raise n_max to at least {cfg['k_max'] + 4}"
+            f"raise n_max to at least {max(cfg['k_max'] + 4, MIN_OSCILLATOR_LEVELS)}"
         )
     field = UniformBField(cfg["b"])
     # built first: it rejects n_max outside its range before any per-level work
     interior, edges = landau_sectors(field, cfg["pz"], cfg["n_max"], params)
     analytic = landau_levels_analytic(field, cfg["pz"], cfg["k_max"], params)
+    tol = 1e-6
+    top = float(analytic.energy_plus[-1])
+    if np.finfo(float).eps * top >= tol:
+        raise UsageError(
+            f"level k = {cfg['k_max']} sits at E = {top:.3g}, where float64 cannot resolve "
+            f"the {tol:g} level tolerance"
+        )
     # the top edge sector lost its ladder partner: its pair is a truncation
     # artifact at +-E(0), so only the bottom edge joins the level matching
     eigenvalues = np.sort(np.concatenate([
         hermitian_eig(interior.hamiltonian).eigenvalues.ravel(),
         hermitian_eig(edges.hamiltonian).eigenvalues[0],
     ]))
-    tol = 1e-6
-    e_plus = np.array([level.energy_plus for level in analytic.levels])
-    e_minus = np.array([level.energy_minus for level in analytic.levels])
+    e_plus, e_minus = analytic.energy_plus, analytic.energy_minus
     near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
     resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
     checks = []
-    rows = []
-    for i, level in enumerate(analytic.levels):
-        checks.append(entry(f"level_k{level.k}_plus_residual", resid_plus[i], tol))
-        checks.append(entry(f"level_k{level.k}_minus_residual", resid_minus[i], tol))
-        rows.append([
-            level.k,
-            level.energy_plus, near_plus[i], resid_plus[i],
-            level.energy_minus, near_minus[i], resid_minus[i],
-            level.multiplicity,
-        ])
+    for k, r_plus, r_minus in zip(analytic.k, resid_plus, resid_minus):
+        checks.append(entry(f"level_k{k}_plus_residual", r_plus, tol))
+        checks.append(entry(f"level_k{k}_minus_residual", r_minus, tol))
     checks.append(entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8))
     return {
         "results": {
@@ -390,7 +389,10 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
             "E_minus_analytic", "E_minus_numeric", "residual_minus",
             "multiplicity",
         ],
-        "csv_rows": rows,
+        "csv_rows": list(zip(
+            analytic.k, e_plus, near_plus, resid_plus, e_minus, near_minus, resid_minus,
+            analytic.multiplicity,
+        )),
     }
 
 
@@ -436,9 +438,9 @@ def _cmd_zitter(cfg: dict, params: PhysicalParams) -> dict:
         "ibgamma5": basis.i_beta_gamma5,
     }
     sup = Superposition.from_weights(cfg["p"], cfg["weights"], params, which="nonrel")
-    series = observable_series(sup, observables[cfg["observable"]],
-                               cfg["t_max"], cfg["n_samples"], params)
-    measured = dominant_frequency(series)
+    times, values = observable_series(sup, observables[cfg["observable"]],
+                                      cfg["t_max"], cfg["n_samples"], params)
+    measured = dominant_frequency(times, values)
     energies = sup.distinct_energies()
     gaps = sorted(
         abs(a - b) / params.hbar
@@ -458,13 +460,13 @@ def _cmd_zitter(cfg: dict, params: PhysicalParams) -> dict:
             "observable": cfg["observable"],
             "measured_omega": measured,
             "analytic_omega": analytic,
-            "distinct_energies": [float(e) for e in energies],
+            "distinct_energies": energies.tolist(),
             "t_max": cfg["t_max"],
             "n_samples": cfg["n_samples"],
         },
         "checks": checks,
         "csv_header": ["t", "value"],
-        "csv_rows": [[s.t, s.value] for s in series],
+        "csv_rows": np.column_stack([times, values]).tolist(),
     }
 
 
@@ -528,6 +530,8 @@ def _cmd_lorentz(cfg: dict, params: PhysicalParams) -> dict:
 def _cmd_reduction(cfg: dict, params: PhysicalParams) -> dict:
     if cfg["trials"] < 1:
         raise UsageError("trials must be at least 1")
+    if cfg["seed"] < 0:
+        raise UsageError("seed must be nonnegative")
     rng = np.random.default_rng(cfg["seed"])
     rest = params.m0 * params.c**2
     p, v0, phi = draw_reduction_trials(rng, cfg["trials"])

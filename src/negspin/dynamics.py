@@ -18,7 +18,6 @@ from .spectral import PhysicalParams, helicity_eigenstates
 
 __all__ = [
     "Superposition",
-    "TrajectorySample",
     "dominant_frequency",
     "evolve",
     "observable_series",
@@ -31,28 +30,21 @@ CONSTANT_AMPLITUDE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class SuperpositionComponent:
-    coefficient: complex
-    energy: float
-    spinor: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Superposition:
     """Weighted eigenstates of one Hamiltonian at one shared momentum.
 
-    Spinors are unit-norm eigenvectors; coefficients satisfy
-    sum |c_i|^2 = 1 within 1e-12.
+    Component ``i`` has coefficient ``coefficients[i]``, energy
+    ``energies[i]`` and unit-norm eigenvector ``spinors[:, i]`` (shape
+    (4, k)); the coefficients satisfy sum |c_i|^2 = 1 within 1e-12.
     """
 
-    momentum: np.ndarray
-    components: tuple[SuperpositionComponent, ...]
+    coefficients: np.ndarray
+    energies: np.ndarray
+    spinors: np.ndarray
 
     def __post_init__(self):
-        total = sum(
-            abs(c.coefficient) ** 2 * float(np.linalg.norm(c.spinor)) ** 2
-            for c in self.components
-        )
+        norms = np.linalg.norm(self.spinors, axis=0)
+        total = float(np.sum(np.abs(self.coefficients) ** 2 * norms**2))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"superposition norm is {total!r}, expected 1")
 
@@ -70,27 +62,26 @@ class Superposition:
         w = np.asarray(weights, dtype=np.complex128)
         if w.shape != (4,):
             raise ValueError(f"need exactly 4 weights, got shape {w.shape}")
+        kept = w != 0.0
+        if not np.any(kept):
+            raise ValueError("at least one weight must be nonzero")
         scale = np.linalg.norm(w)
         if scale == 0.0:
-            raise ValueError("at least one weight must be nonzero")
+            raise ValueError("weights are too small to normalize: their norm underflows to 0")
         labeled = helicity_eigenstates(p, params, which)
-        components = tuple(
-            SuperpositionComponent(
-                coefficient=complex(wi / scale),
-                energy=labeled.energies[j],
-                spinor=labeled.spinors[:, j],
-            )
-            for j, wi in enumerate(w)
-            if wi != 0.0
+        return cls(
+            coefficients=w[kept] / scale,
+            energies=labeled.energies[kept],
+            spinors=labeled.spinors[:, kept],
         )
-        return cls(momentum=np.asarray(p, dtype=float), components=components)
 
-    def distinct_energies(self, tol: float = 1e-12) -> list[float]:
+    def distinct_energies(self, tol: float = 1e-12) -> np.ndarray:
+        """The component energies, ascending, with those within ``tol`` merged."""
         found: list[float] = []
-        for c in self.components:
-            if not any(abs(c.energy - e) <= tol for e in found):
-                found.append(c.energy)
-        return sorted(found)
+        for e in self.energies.tolist():
+            if not any(abs(e - f) <= tol for f in found):
+                found.append(e)
+        return np.sort(found)
 
 
 def evolve(sup: Superposition, t, params: PhysicalParams = PhysicalParams()) -> np.ndarray:
@@ -100,15 +91,9 @@ def evolve(sup: Superposition, t, params: PhysicalParams = PhysicalParams()) -> 
     """
     t = np.asarray(t, dtype=float)[..., None]
     return sum(
-        c.coefficient * c.spinor * np.exp(-1j * c.energy * t / params.hbar)
-        for c in sup.components
+        c * psi * np.exp(-1j * e * t / params.hbar)
+        for c, e, psi in zip(sup.coefficients, sup.energies, sup.spinors.T)
     )
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    value: float
 
 
 def observable_series(
@@ -117,8 +102,8 @@ def observable_series(
     t_max: float,
     n_samples: int,
     params: PhysicalParams = PhysicalParams(),
-) -> list[TrajectorySample]:
-    """Expectation of a Hermitian observable at uniform times.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expectation of a Hermitian observable at uniform times, as (times, values).
 
     Samples sit at t_k = k t_max / n_samples, k = 0..n_samples-1 (endpoint
     excluded), so an integer number of oscillation periods averages exactly.
@@ -133,11 +118,10 @@ def observable_series(
     if residual_norm(observable, observable.conj().T) > 1e-12:
         raise ValueError("observable must be Hermitian")
     times = np.arange(n_samples) * (t_max / n_samples)
-    values = expect(evolve(sup, times, params), observable)
-    return [TrajectorySample(t=t, value=v) for t, v in zip(times.tolist(), values.tolist())]
+    return times, expect(evolve(sup, times, params), observable)
 
 
-def dominant_frequency(series: list[TrajectorySample]) -> float | None:
+def dominant_frequency(times, values) -> float | None:
     """Angular frequency of the strongest oscillation, or None if there is none.
 
     The detrended series is Hann-windowed, the magnitude spectrum's largest
@@ -146,10 +130,12 @@ def dominant_frequency(series: list[TrajectorySample]) -> float | None:
     magnitude.  Callers are expected to span at least 4 periods with at
     least 64 uniform samples.
     """
-    if len(series) < 64:
+    t = np.asarray(times, dtype=float)
+    x = np.asarray(values, dtype=float)
+    if t.shape != x.shape or t.ndim != 1:
+        raise ValueError(f"times and values must be matching 1-d arrays, got {t.shape} and {x.shape}")
+    if len(t) < 64:
         raise ValueError("need at least 64 samples")
-    t = np.array([s.t for s in series])
-    x = np.array([s.value for s in series])
     dt = t[1] - t[0]
     if dt <= 0.0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(abs(t[-1]), 1.0):
         raise ValueError("samples must be uniformly spaced in time")

@@ -32,7 +32,6 @@ from .spectral import PhysicalParams, hamiltonian
 
 __all__ = [
     "CoulombSpectrum",
-    "LandauLevel",
     "LandauSectors",
     "LandauSpectrum",
     "RadialGrid",
@@ -44,7 +43,6 @@ __all__ = [
     "landau_levels_analytic",
     "landau_sectors",
     "pauli_reduction_check",
-    "spectrum_csv",
     "square_identity_check",
 ]
 
@@ -67,19 +65,16 @@ class UniformBField:
             raise ValueError("field magnitude b must be positive")
 
 
-@dataclass(frozen=True)
-class LandauLevel:
-    k: int
-    energy_plus: float
-    energy_minus: float
-    multiplicity: int
-
-
 @dataclass(frozen=True, eq=False)
 class LandauSpectrum:
+    """Ladder levels k = 0..k_max: energies +-E(k) and multiplicity, one entry per k."""
+
     omega_c: float
     pz: float
-    levels: tuple[LandauLevel, ...]
+    k: np.ndarray
+    energy_plus: np.ndarray
+    energy_minus: np.ndarray
+    multiplicity: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -288,20 +283,16 @@ def landau_levels_analytic(
     if params.q == 0.0:
         raise ValueError("charge q must be nonzero for a magnetic problem")
     omega_c = abs(params.q) * field.b / (params.m0 * params.c)
-    rest = params.m0 * params.c**2
-    axial = pz**2 / (2.0 * params.m0)
-    levels = []
-    for k in range(k_max + 1):
-        e_plus = rest + params.hbar * omega_c * k + axial
-        levels.append(
-            LandauLevel(
-                k=k,
-                energy_plus=e_plus,
-                energy_minus=-e_plus,
-                multiplicity=1 if k == 0 else 2,
-            )
-        )
-    return LandauSpectrum(omega_c=omega_c, pz=pz, levels=tuple(levels))
+    k = np.arange(k_max + 1)
+    e_plus = params.m0 * params.c**2 + params.hbar * omega_c * k + pz**2 / (2.0 * params.m0)
+    return LandauSpectrum(
+        omega_c=omega_c,
+        pz=pz,
+        k=k,
+        energy_plus=e_plus,
+        energy_minus=-e_plus,
+        multiplicity=np.where(k == 0, 1, 2),
+    )
 
 
 def square_identity_check(
@@ -358,6 +349,8 @@ def coulomb_radial_spectrum(
         raise ValueError("l must be nonnegative")
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
+    if n_levels > grid.n_points:
+        raise ValueError(f"n_levels = {n_levels} exceeds the {grid.n_points} grid points")
     h = grid.spacing
     if h * z >= GRID_GUARD:
         needed = grid.r_max * z / GRID_GUARD
@@ -386,23 +379,6 @@ def coulomb_radial_spectrum(
     mirrored = -energies
     mirrored.setflags(write=False)
     return CoulombSpectrum(z=z, l=l, energies_plus=energies, energies_minus=mirrored)
-
-
-def spectrum_csv(spectrum) -> str:
-    """Canonical CSV serialization: k_or_n, E_plus, E_minus, multiplicity."""
-    rows = ["k_or_n,E_plus,E_minus,multiplicity"]
-    if isinstance(spectrum, LandauSpectrum):
-        for lev in spectrum.levels:
-            rows.append(
-                f"{lev.k},{lev.energy_plus:.17g},{lev.energy_minus:.17g},{lev.multiplicity}"
-            )
-    elif isinstance(spectrum, CoulombSpectrum):
-        for i, (ep, em) in enumerate(zip(spectrum.energies_plus, spectrum.energies_minus)):
-            n = spectrum.l + 1 + i
-            rows.append(f"{n},{ep:.17g},{em:.17g},1")
-    else:
-        raise TypeError(f"unsupported spectrum type {type(spectrum)!r}")
-    return "\n".join(rows) + "\n"
 
 
 def _disc_spinor(u: np.ndarray) -> np.ndarray:

@@ -25,7 +25,9 @@ __all__ = [
 ]
 
 # Max-abs bound for accepting input as Hermitian, and for the
-# orthonormality / reconstruction residuals of a returned decomposition.
+# orthonormality residual of a returned decomposition.  The reconstruction
+# residual HV - VΛ carries the units of H, so its bound is this one scaled
+# by max(1, max|H|).
 HERMITICITY_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-10
 # Largest imaginary part an expectation of a Hermitian operator may carry.
@@ -94,7 +96,8 @@ def hermitian_eig(h) -> EigenDecomposition:
         Non-square input, non-finite entries, or input not Hermitian within
         1e-10 max-abs.
     ConvergenceError
-        Backend failure, or residuals ``V†V - I`` / ``HV - VΛ`` not below 1e-10.
+        Backend failure, or residuals ``V†V - I`` not below 1e-10 /
+        ``HV - VΛ`` not below 1e-10 max(1, max|H|).
 
     Each bound is checked on the maximum over the stack.
     """
@@ -113,7 +116,8 @@ def hermitian_eig(h) -> EigenDecomposition:
     overlap = np.swapaxes(eigenvectors, -1, -2).conj() @ eigenvectors
     ortho = np.max(residual_norm(overlap, np.broadcast_to(np.eye(n, dtype=np.complex128), overlap.shape)))
     recon = np.max(residual_norm(h @ eigenvectors, eigenvectors * eigenvalues[..., None, :]))
-    if not (ortho < DECOMPOSITION_TOL and recon < DECOMPOSITION_TOL):
+    recon_tol = DECOMPOSITION_TOL * max(1.0, float(np.max(np.abs(h))))
+    if not (ortho < DECOMPOSITION_TOL and recon < recon_tol):
         raise ConvergenceError(
             f"decomposition residuals too large: ortho={ortho:.3e} recon={recon:.3e}"
         )

@@ -25,10 +25,9 @@ from .clifford import (
     dirac_representation,
     entry,
 )
-from .matrix_core import expect, hermitian_eig, matrix_dot
+from .matrix_core import EigenDecomposition, expect, hermitian_eig, matrix_dot
 
 __all__ = [
-    "EigenSolution",
     "ExpectationReport",
     "LabeledEigenstates",
     "PhysicalParams",
@@ -96,25 +95,10 @@ def closed_form_energies(p_mag, params: PhysicalParams, which: str):
     return (-e, e)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSolution:
-    """Ascending eigenvalues, eigenvector columns, and branch signs (..., 4)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    branches: np.ndarray
-    which: str
-
-
-def free_spectrum(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> EigenSolution:
-    """Diagonalize the chosen Hamiltonian; branch = sign of eigenvalue."""
-    dec = hermitian_eig(hamiltonian(p, params, which))
-    return EigenSolution(
-        eigenvalues=dec.eigenvalues,
-        eigenvectors=dec.eigenvectors,
-        branches=np.where(dec.eigenvalues > 0, 1, -1),
-        which=which,
-    )
+def free_spectrum(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> EigenDecomposition:
+    """Diagonalize the chosen Hamiltonian: ascending eigenvalues (..., 4), the
+    negative branch first, with eigenvector columns (..., 4, 4)."""
+    return hermitian_eig(hamiltonian(p, params, which))
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,9 +138,9 @@ def test_magnetic_ladder_matches_truncated_matrix():
             field = UniformBField(b)
             analytic = landau_levels_analytic(field, pz, 3, PARAMS)
             ev = hermitian_eig(landau_hamiltonian_matrix(field, pz, 40, PARAMS)).eigenvalues
-            for lv in analytic.levels:
-                worst_level = max(worst_level, float(np.min(np.abs(ev - lv.energy_plus))))
-                worst_level = max(worst_level, float(np.min(np.abs(ev - lv.energy_minus))))
+            for e_plus, e_minus in zip(analytic.energy_plus, analytic.energy_minus):
+                worst_level = max(worst_level, float(np.min(np.abs(ev - e_plus))))
+                worst_level = max(worst_level, float(np.min(np.abs(ev - e_minus))))
             ordered = np.sort(ev)
             worst_pair = max(worst_pair, float(np.max(np.abs(ordered + ordered[::-1]))))
             report = square_identity_check(field, pz, 40, PARAMS)
@@ -210,11 +210,11 @@ def test_interference_frequency_tracks_energy_gap():
     basis = dirac_representation()
     obs = basis.alpha[2]
     sup = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0), PARAMS)
-    omega_unit = dominant_frequency(observable_series(sup, obs, 20.0, 512, PARAMS))
+    omega_unit = dominant_frequency(*observable_series(sup, obs, 20.0, 512, PARAMS))
     sup_small = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0), PARAMS)
-    omega_small = dominant_frequency(observable_series(sup_small, obs, 40.0, 512, PARAMS))
+    omega_small = dominant_frequency(*observable_series(sup_small, obs, 40.0, 512, PARAMS))
     sup_single = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), PARAMS)
-    omega_none = dominant_frequency(observable_series(sup_single, obs, 20.0, 512, PARAMS))
+    omega_none = dominant_frequency(*observable_series(sup_single, obs, 20.0, 512, PARAMS))
     rel_unit = abs(omega_unit - 3.0) / 3.0 if omega_unit else np.inf
     rel_small = abs(omega_small - 2.0) / 2.0 if omega_small else np.inf
     ok = rel_unit < 0.01 and rel_small < 0.01 and omega_none is None

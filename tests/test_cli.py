@@ -91,7 +91,7 @@ def test_landau_counted_multiplicity_matches_analytic(capsys, q, pz):
     analytic = landau_levels_analytic(
         UniformBField(1.0), float(pz), 5, PhysicalParams(q=float(q))
     )
-    expected = [level.multiplicity for level in analytic.levels]
+    expected = analytic.multiplicity.tolist()
     # the top edge sector's copy of +-E(0) is excluded, so k = 0 counts once
     assert results["counted_multiplicity_plus"] == expected
     assert results["counted_multiplicity_minus"] == expected
@@ -325,6 +325,16 @@ def test_non_finite_input_is_usage_error(capsys, argv):
 ])
 def test_huge_finite_input_is_usage_error(capsys, argv):
     one_line_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["coulomb", "--n-levels", "7000"], "exceeds the 6000 grid points"),
+    (["zitter", "--weights=1e-320,0,0,0"], "norm underflows to 0"),
+    (["landau", "--b", "1e300"], "float64 cannot resolve the 1e-06 level tolerance"),
+    (["reduction", "--seed", "-1"], "seed must be nonnegative"),
+])
+def test_rejection_names_its_reason(capsys, argv, reason):
+    assert reason in one_line_usage_error(capsys, argv)
 
 
 def test_non_finite_config_value_rejected(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from negspin.clifford import dirac_representation
 from negspin.dynamics import (
     Superposition,
-    TrajectorySample,
     dominant_frequency,
     evolve,
     observable_series,
@@ -16,10 +15,6 @@ from negspin.spectral import PhysicalParams, helicity_eigenstates
 PARAMS = PhysicalParams()
 BASIS = dirac_representation()
 P_UNIT = (0.0, 0.0, 1.0)
-
-
-def make_series(times, values):
-    return tuple(TrajectorySample(float(t), float(v)) for t, v in zip(times, values))
 
 
 def test_from_weights_requires_four_entries():
@@ -34,30 +29,26 @@ def test_from_weights_rejects_all_zero():
 
 def test_from_weights_normalizes():
     sup = Superposition.from_weights(P_UNIT, (0.0, 3.0, 0.0, 4.0), PARAMS)
-    total = sum(abs(c.coefficient) ** 2 for c in sup.components)
+    total = np.sum(np.abs(sup.coefficients) ** 2)
     assert abs(total - 1.0) < 1e-12
-    assert len(sup.components) == 2
+    assert len(sup.coefficients) == 2
 
 
 def test_superposition_rejects_unnormalized_components():
     labeled = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
-    from negspin.dynamics import SuperpositionComponent
-
-    bad = SuperpositionComponent(2.0, labeled.energies[0], labeled.spinors[:, 0])
     with pytest.raises(ValueError):
-        Superposition(np.asarray(P_UNIT), (bad,))
+        Superposition(np.array([2.0]), labeled.energies[:1], labeled.spinors[:, :1])
 
 
 def test_distinct_energies_collapses_degenerate_pairs():
     sup = Superposition.from_weights(P_UNIT, (1.0, 1.0, 1.0, 1.0), PARAMS)
-    assert sup.distinct_energies() == [-1.5, 1.5]
+    assert sup.distinct_energies().tolist() == [-1.5, 1.5]
 
 
 def test_evolve_matches_single_state_phase():
     sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0), PARAMS)
-    comp = sup.components[0]
     t = 0.8
-    expected = comp.coefficient * np.exp(-1j * comp.energy * t) * comp.spinor
+    expected = sup.coefficients[0] * np.exp(-1j * sup.energies[0] * t) * sup.spinors[:, 0]
     np.testing.assert_allclose(evolve(sup, t, PARAMS), expected, atol=1e-15)
 
 
@@ -70,13 +61,12 @@ def test_evolve_preserves_norm():
 
 def test_observable_series_grid_and_reality():
     sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0), PARAMS)
-    series = observable_series(sup, BASIS.alpha[2], 8.0, 16, PARAMS)
-    assert len(series) == 16
-    assert series[0].t == 0.0
+    times, values = observable_series(sup, BASIS.alpha[2], 8.0, 16, PARAMS)
+    assert times.shape == values.shape == (16,)
+    assert times[0] == 0.0
     # endpoint excluded: t_k = k t_max / n
-    assert abs(series[-1].t - 7.5) < 1e-15
-    for s in series:
-        assert isinstance(s.value, float)
+    assert abs(times[-1] - 7.5) < 1e-15
+    assert values.dtype == np.float64
 
 
 def test_observable_series_validation():
@@ -93,15 +83,15 @@ def test_observable_series_validation():
 
 def test_identity_observable_gives_unit_series():
     sup = Superposition.from_weights(P_UNIT, (0.5, 1.0, -0.5, 1.0), PARAMS)
-    series = observable_series(sup, np.eye(4), 5.0, 16, PARAMS)
-    assert max(abs(s.value - 1.0) for s in series) < 1e-12
+    _, values = observable_series(sup, np.eye(4), 5.0, 16, PARAMS)
+    assert np.max(np.abs(values - 1.0)) < 1e-12
 
 
 def test_single_eigenstate_series_is_stationary_mean():
     # stationary state: series pinned at the eigenstate expectation p3/E
     sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0), PARAMS)
-    series = observable_series(sup, BASIS.alpha[2], 10.0, 32, PARAMS)
-    assert max(abs(s.value - 2.0 / 3.0) for s in series) < 1e-12
+    _, values = observable_series(sup, BASIS.alpha[2], 10.0, 32, PARAMS)
+    assert np.max(np.abs(values - 2.0 / 3.0)) < 1e-12
 
 
 def test_equal_mix_time_average_over_whole_periods():
@@ -109,8 +99,8 @@ def test_equal_mix_time_average_over_whole_periods():
     # mean is the weight-average of the two stationary expectations (here 0)
     sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0), PARAMS)
     t_max = 3.0 * 2.0 * np.pi / 3.0
-    series = observable_series(sup, BASIS.alpha[2], t_max, 128, PARAMS)
-    mean = float(np.mean([s.value for s in series]))
+    _, values = observable_series(sup, BASIS.alpha[2], t_max, 128, PARAMS)
+    mean = float(np.mean(values))
     assert abs(mean) < 1e-12
 
 
@@ -127,61 +117,62 @@ def test_series_matches_two_level_closed_form():
             continue
         sup = Superposition.from_weights(P_UNIT, weights, PARAMS)
         obs = BASIS.alpha[2]
-        c1, c2 = (c.coefficient for c in sup.components)
+        c1, c2 = sup.coefficients
         o11 = np.vdot(psi_lo, obs @ psi_lo).real
         o22 = np.vdot(psi_hi, obs @ psi_hi).real
         o12 = np.vdot(psi_lo, obs @ psi_hi)
-        series = observable_series(sup, obs, 10.0, 64, PARAMS)
-        for s in series:
-            phase = np.exp(1j * (e_lo - e_hi) * s.t)
+        times, values = observable_series(sup, obs, 10.0, 64, PARAMS)
+        for t, value in zip(times, values):
+            phase = np.exp(1j * (e_lo - e_hi) * t)
             want = (
                 abs(c1) ** 2 * o11
                 + abs(c2) ** 2 * o22
                 + 2.0 * (np.conj(c1) * c2 * o12 * phase).real
             )
-            assert abs(s.value - want) < 1e-12
+            assert abs(value - want) < 1e-12
 
 
 def test_dominant_frequency_pure_cosine():
     t = np.arange(256) * (16.0 * np.pi / 3.0 / 256)
-    series = make_series(t, 0.25 + 0.1 * np.cos(3.0 * t))
-    omega = dominant_frequency(series)
+    omega = dominant_frequency(t, 0.25 + 0.1 * np.cos(3.0 * t))
     assert abs(omega - 3.0) / 3.0 < 1e-5
 
 
 def test_dominant_frequency_small_amplitude_still_detected():
     t = np.arange(256) * (16.0 * np.pi / 3.0 / 256)
-    series = make_series(t, 0.5 + 1e-9 * np.cos(3.0 * t))
-    omega = dominant_frequency(series)
+    omega = dominant_frequency(t, 0.5 + 1e-9 * np.cos(3.0 * t))
     assert abs(omega - 3.0) / 3.0 < 1e-3
 
 
 def test_dominant_frequency_constant_returns_none():
     t = np.linspace(0.0, 10.0, 128, endpoint=False)
-    assert dominant_frequency(make_series(t, np.full(128, 0.7))) is None
+    assert dominant_frequency(t, np.full(128, 0.7)) is None
     # roundoff-level ripple counts as constant too
     ripple = 0.7 + 1e-15 * np.sin(2.0 * t)
-    assert dominant_frequency(make_series(t, ripple)) is None
+    assert dominant_frequency(t, ripple) is None
 
 
 def test_dominant_frequency_input_validation():
     t = np.linspace(0.0, 10.0, 32, endpoint=False)
     with pytest.raises(ValueError):
-        dominant_frequency(make_series(t, np.cos(t)))
+        dominant_frequency(t, np.cos(t))
+    t = np.linspace(0.0, 10.0, 128, endpoint=False)
+    with pytest.raises(ValueError):
+        dominant_frequency(t, np.cos(t)[:-1])
     t = np.linspace(0.0, 10.0, 128, endpoint=False).copy()
     t[40] += 0.02
     with pytest.raises(ValueError):
-        dominant_frequency(make_series(t, np.cos(t)))
+        dominant_frequency(t, np.cos(t))
 
 
 def test_branch_mixture_oscillates_at_energy_gap():
     # p = (0,0,1): gap between branches is 2 (1 + 1/2) = 3
     sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0), PARAMS)
-    series = observable_series(sup, BASIS.alpha[2], 20.0, 512, PARAMS)
-    omega = dominant_frequency(series)
+    times, values = observable_series(sup, BASIS.alpha[2], 20.0, 512, PARAMS)
+    omega = dominant_frequency(times, values)
     assert abs(omega - 3.0) / 3.0 < 0.01
     # cross-check the spectral estimate by counting zero crossings
-    values = np.array([s.value for s in series]) - np.mean([s.value for s in series])
+    values = values - np.mean(values)
     crossings = int(np.sum(np.abs(np.diff(np.sign(values))) > 1))
     omega_crossings = np.pi * crossings / 20.0
     assert abs(omega_crossings - omega) / omega < 0.05
@@ -189,12 +180,10 @@ def test_branch_mixture_oscillates_at_energy_gap():
 
 def test_gap_approaches_twice_rest_energy_at_small_momentum():
     sup = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0), PARAMS)
-    series = observable_series(sup, BASIS.alpha[2], 40.0, 512, PARAMS)
-    omega = dominant_frequency(series)
+    omega = dominant_frequency(*observable_series(sup, BASIS.alpha[2], 40.0, 512, PARAMS))
     assert abs(omega - 2.0) / 2.0 < 0.01
 
 
 def test_single_eigenstate_shows_no_oscillation():
     sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0), PARAMS)
-    series = observable_series(sup, BASIS.alpha[2], 20.0, 512, PARAMS)
-    assert dominant_frequency(series) is None
+    assert dominant_frequency(*observable_series(sup, BASIS.alpha[2], 20.0, 512, PARAMS)) is None

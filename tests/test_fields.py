@@ -15,7 +15,6 @@ from negspin.fields import (
     landau_levels_analytic,
     landau_sectors,
     pauli_reduction_check,
-    spectrum_csv,
     square_identity_check,
 )
 from negspin.matrix_core import hermitian_eig, residual_norm
@@ -81,17 +80,17 @@ def test_analytic_ladder_oracle():
     # b = 1, pz = 0, natural units: omega_c = 1 and E_+(k) = 1 + k
     spectrum = landau_levels_analytic(UniformBField(1.0), 0.0, 3, PARAMS)
     assert spectrum.omega_c == 1.0
-    assert [lv.k for lv in spectrum.levels] == [0, 1, 2, 3]
-    np.testing.assert_allclose([lv.energy_plus for lv in spectrum.levels], [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose([lv.energy_minus for lv in spectrum.levels], [-1.0, -2.0, -3.0, -4.0])
-    assert [lv.multiplicity for lv in spectrum.levels] == [1, 2, 2, 2]
+    assert spectrum.k.tolist() == [0, 1, 2, 3]
+    np.testing.assert_allclose(spectrum.energy_plus, [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_allclose(spectrum.energy_minus, [-1.0, -2.0, -3.0, -4.0])
+    assert spectrum.multiplicity.tolist() == [1, 2, 2, 2]
 
 
 def test_analytic_ladder_with_axial_momentum():
     spectrum = landau_levels_analytic(UniformBField(2.0), 1.0, 2, PARAMS)
     assert spectrum.omega_c == 2.0
     # rest + k omega_c + pz^2/2
-    np.testing.assert_allclose([lv.energy_plus for lv in spectrum.levels], [1.5, 3.5, 5.5])
+    np.testing.assert_allclose(spectrum.energy_plus, [1.5, 3.5, 5.5])
 
 
 @pytest.mark.parametrize("b,pz", [(1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)])
@@ -99,9 +98,9 @@ def test_truncated_matrix_reproduces_interior_levels(b, pz):
     field = UniformBField(b)
     analytic = landau_levels_analytic(field, pz, 3, PARAMS)
     ev = hermitian_eig(landau_hamiltonian_matrix(field, pz, 40, PARAMS)).eigenvalues
-    for lv in analytic.levels:
-        assert np.min(np.abs(ev - lv.energy_plus)) < 1e-10
-        assert np.min(np.abs(ev - lv.energy_minus)) < 1e-10
+    for e_plus, e_minus in zip(analytic.energy_plus, analytic.energy_minus):
+        assert np.min(np.abs(ev - e_plus)) < 1e-10
+        assert np.min(np.abs(ev - e_minus)) < 1e-10
 
 
 def test_interior_levels_stable_under_larger_basis():
@@ -111,8 +110,8 @@ def test_interior_levels_stable_under_larger_basis():
     resolved = []
     for n_max in (40, 60):
         ev = hermitian_eig(landau_hamiltonian_matrix(field, 0.5, n_max, PARAMS)).eigenvalues
-        resolved.append([float(ev[np.argmin(np.abs(ev - lv.energy_plus))])
-                         for lv in analytic.levels])
+        resolved.append([float(ev[np.argmin(np.abs(ev - e_plus))])
+                         for e_plus in analytic.energy_plus])
     assert np.max(np.abs(np.array(resolved[0]) - resolved[1])) < 1e-6
 
 
@@ -269,29 +268,6 @@ def test_coulomb_validation():
 def test_coulomb_coarse_grid_rejected_with_guidance():
     with pytest.raises(ValueError, match="n_points"):
         coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 100), PARAMS, 1)
-
-
-def test_spectrum_csv_landau_layout():
-    spectrum = landau_levels_analytic(UniformBField(1.0), 0.0, 1, PARAMS)
-    lines = spectrum_csv(spectrum).splitlines()
-    assert lines[0] == "k_or_n,E_plus,E_minus,multiplicity"
-    assert lines[1] == "0,1,-1,1"
-    assert lines[2] == "1,2,-2,2"
-
-
-def test_spectrum_csv_coulomb_layout():
-    spectrum = coulomb_radial_spectrum(1.0, 1, RadialGrid(), PARAMS, 2)
-    lines = spectrum_csv(spectrum).splitlines()
-    assert lines[0] == "k_or_n,E_plus,E_minus,multiplicity"
-    # first column is the principal number l + 1 + i
-    assert lines[1].startswith("2,")
-    assert lines[2].startswith("3,")
-    assert lines[1].endswith(",1")
-
-
-def test_spectrum_csv_rejects_other_types():
-    with pytest.raises(TypeError):
-        spectrum_csv([1, 2, 3])
 
 
 def test_disc_spinor_is_normalized_and_reproducible():

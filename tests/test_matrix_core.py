@@ -126,3 +126,15 @@ def test_eigen_decomposition_holds_given_arrays():
     dec = EigenDecomposition(vals, vecs)
     assert dec.eigenvalues is vals
     assert dec.eigenvectors is vecs
+
+
+def test_hermitian_eig_reconstruction_bound_scales_with_the_matrix():
+    # HV - VΛ carries the units of H: at max|H| ~ 1e6 a correct decomposition
+    # leaves an absolute residual far above 1e-10, but not above 1e-10 max|H|
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((8, 6, 6)) + 1j * rng.standard_normal((8, 6, 6))
+    h = 1e6 * (m + np.swapaxes(m, -1, -2).conj())
+    dec = hermitian_eig(h)
+    v = dec.eigenvectors
+    recon = np.max(residual_norm(h @ v, v * dec.eigenvalues[..., None, :]))
+    assert 1e-10 < recon < 1e-10 * np.max(np.abs(h))

@@ -1,6 +1,10 @@
-"""Property test over the ``landau`` input schema: every finite input is handled.
+"""Property tests over every command's input schema: every finite input is handled.
 
-Draws are derandomized, so the examples (and tier-1) are the same on every run.
+Each draw must exit 0, 1 or 2 with no traceback or warning; a usage error
+prints one stderr line and nothing else, any other run prints strict JSON
+whose pass flags agree with the exit code, and a rerun is byte-identical.
+Draws are derandomized, so the examples (and tier-1) are the same on every
+run.  Sizes are capped so each draw stays small.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from negspin.cli import main
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCHEMA_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
 
 
 @st.composite
@@ -27,6 +32,19 @@ def _mostly(draw, typical, anything=FINITE):
 
 
 POSITIVE = _mostly(st.floats(0.1, 10.0))
+SIGNED = _mostly(st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _units(draw):
+    """``--units custom`` with drawn m0, c, hbar and q."""
+    q = draw(_mostly(st.floats(-5.0, 5.0)))
+    m0, c, hbar = draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)
+    return ["--units", "custom", f"--q={q!r}", f"--m0={m0!r}", f"--c={c!r}", f"--hbar={hbar!r}"]
+
+
+def _vector(draw, size, element=SIGNED) -> str:
+    return ",".join(repr(draw(element)) for _ in range(size))
 
 
 def _reject_constant(name):
@@ -42,22 +60,7 @@ def _run(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(
-    b=_mostly(st.floats(1e-3, 1e3)),
-    pz=_mostly(st.floats(-10.0, 10.0)),
-    q=_mostly(st.floats(-5.0, 5.0)),
-    m0=POSITIVE, c=POSITIVE, hbar=POSITIVE,
-    n_max=_mostly(st.integers(8, 2000), st.integers(-1, 7)),
-    k_max=_mostly(st.integers(0, 4), st.integers(-1, 40)),
-)
-def test_landau_handles_every_finite_input(b, pz, q, m0, c, hbar, n_max, k_max):
-    argv = [
-        "landau", "--units", "custom",
-        f"--b={b!r}", f"--pz={pz!r}", f"--q={q!r}",
-        f"--m0={m0!r}", f"--c={c!r}", f"--hbar={hbar!r}",
-        "--n-max", str(n_max), "--k-max", str(k_max),
-    ]
+def _assert_handled(argv) -> None:
     code, out, err = _run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -68,3 +71,108 @@ def test_landau_handles_every_finite_input(b, pz, q, m0, c, hbar, n_max, k_max):
         report = json.loads(out, parse_constant=_reject_constant)
         assert all(check["pass"] for check in report["checks"]) == (code == 0)
     assert _run(argv) == (code, out, err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    b=_mostly(st.floats(1e-3, 1e3)),
+    pz=_mostly(st.floats(-10.0, 10.0)),
+    q=_mostly(st.floats(-5.0, 5.0)),
+    m0=POSITIVE, c=POSITIVE, hbar=POSITIVE,
+    n_max=_mostly(st.integers(8, 2000), st.integers(-1, 7)),
+    k_max=_mostly(st.integers(0, 4), st.integers(-1, 40)),
+)
+def test_landau_handles_every_finite_input(b, pz, q, m0, c, hbar, n_max, k_max):
+    _assert_handled([
+        "landau", "--units", "custom",
+        f"--b={b!r}", f"--pz={pz!r}", f"--q={q!r}",
+        f"--m0={m0!r}", f"--c={c!r}", f"--hbar={hbar!r}",
+        "--n-max", str(n_max), "--k-max", str(k_max),
+    ])
+
+
+@SCHEMA_SETTINGS
+@given(units=_units(), seed=st.integers(-5, 2**32))
+def test_identities_handles_every_finite_input(units, seed):
+    _assert_handled(["identities", *units, "--seed", str(seed)])
+
+
+@SCHEMA_SETTINGS
+@given(
+    units=_units(),
+    pmax=_mostly(st.floats(0.01, 10.0)),
+    steps=_mostly(st.integers(2, 500), st.integers(-1, 1)),
+    which=st.sampled_from(("dirac", "nonrel")),
+)
+def test_dispersion_handles_every_finite_input(units, pmax, steps, which):
+    _assert_handled(["dispersion", *units, f"--pmax={pmax!r}", "--steps", str(steps),
+                     "--which", which])
+
+
+@SCHEMA_SETTINGS
+@given(
+    units=_units(),
+    z=_mostly(st.floats(0.1, 2.0)),
+    l=_mostly(st.integers(0, 4), st.integers(-1, 10**6)),
+    r_max=_mostly(st.floats(1.0, 60.0)),
+    n_points=_mostly(st.integers(2400, 20000), st.integers(-1, 20000)),
+    n_levels=_mostly(st.integers(1, 10), st.integers(-1, 0)),
+)
+def test_coulomb_handles_every_finite_input(units, z, l, r_max, n_points, n_levels):
+    _assert_handled(["coulomb", *units, f"--z={z!r}", "--l", str(l), f"--r-max={r_max!r}",
+                     "--n-points", str(n_points), "--n-levels", str(n_levels)])
+
+
+@st.composite
+def _zitter_vectors(draw):
+    return _vector(draw, 3), _vector(draw, 4, _mostly(st.floats(-2.0, 2.0)))
+
+
+@SCHEMA_SETTINGS
+@given(
+    units=_units(),
+    vectors=_zitter_vectors(),
+    observable=st.sampled_from(("alpha1", "alpha2", "alpha3", "beta", "ibgamma5")),
+    t_max=_mostly(st.floats(0.1, 100.0)),
+    n_samples=_mostly(st.integers(64, 4096), st.integers(-1, 63)),
+)
+def test_zitter_handles_every_finite_input(units, vectors, observable, t_max, n_samples):
+    p, weights = vectors
+    _assert_handled(["zitter", *units, f"--p={p}", f"--weights={weights}",
+                     "--observable", observable, f"--t-max={t_max!r}",
+                     "--n-samples", str(n_samples)])
+
+
+@st.composite
+def _lorentz_vectors(draw):
+    return _vector(draw, 3, _mostly(st.floats(-0.5, 0.5))), _vector(draw, 3)
+
+
+@SCHEMA_SETTINGS
+@given(units=_units(), vectors=_lorentz_vectors(), e_prime=SIGNED)
+def test_lorentz_transform_handles_every_finite_input(units, vectors, e_prime):
+    v, p_prime = vectors
+    _assert_handled(["lorentz", *units, f"--v={v}", f"--p-prime={p_prime}",
+                     f"--e-prime={e_prime!r}"])
+
+
+@SCHEMA_SETTINGS
+@given(
+    units=_units(),
+    sweep=_mostly(st.integers(1, 200), st.integers(-1, 0)),
+    pmax=_mostly(st.floats(0.01, 10.0)),
+)
+def test_lorentz_sweep_handles_every_finite_input(units, sweep, pmax):
+    _assert_handled(["lorentz", *units, "--sweep", str(sweep), f"--pmax={pmax!r}"])
+
+
+@SCHEMA_SETTINGS
+@given(
+    units=_units(),
+    trials=_mostly(st.integers(1, 200), st.integers(-1, 0)),
+    seed=st.integers(-5, 2**32),
+    wrong_energy=st.booleans(),
+)
+def test_reduction_handles_every_finite_input(units, trials, seed, wrong_energy):
+    _assert_handled(["reduction", *units, "--trials", str(trials), "--seed", str(seed),
+                     *(["--wrong-energy"] if wrong_energy else [])])
