@@ -4,32 +4,36 @@ carrying a negative-energy branch.
 Functions taking momenta broadcast: a momentum of shape (..., 3) gives
 results stacked along the same leading shape, e.g. ``hamiltonian`` returns
 (..., 4, 4).
+
+The exported names load on first access (PEP 562), so ``import negspin``
+and the command-line front load no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .clifford import CheckEntry, CheckReport, DiracBasis, dirac_representation
-from .spectral import (
-    PhysicalParams,
-    correspondence_check,
-    expectation_report,
-    free_spectrum,
-    hamiltonian,
-    helicity_eigenstates,
-    lorentz_transform,
-)
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "CheckEntry": "clifford",
+    "CheckReport": "clifford",
+    "DiracBasis": "clifford",
+    "dirac_representation": "clifford",
+    "PhysicalParams": "spectral",
+    "correspondence_check": "spectral",
+    "expectation_report": "spectral",
+    "free_spectrum": "spectral",
+    "hamiltonian": "spectral",
+    "helicity_eigenstates": "spectral",
+    "lorentz_transform": "spectral",
+}
 
-__all__ = [
-    "CheckEntry",
-    "CheckReport",
-    "DiracBasis",
-    "PhysicalParams",
-    "__version__",
-    "correspondence_check",
-    "dirac_representation",
-    "expectation_report",
-    "free_spectrum",
-    "hamiltonian",
-    "helicity_eigenstates",
-    "lorentz_transform",
-]
+__all__ = sorted(["__version__", *_EXPORTS])
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -1,0 +1,354 @@
+"""The seven command bodies behind ``negspin.cli``.
+
+``cli.main`` imports this module, and with it numpy, only once the flags
+and config file have been cast and resolved, so an input the front
+rejects never pays for it.  Each ``_cmd_*`` takes the resolved config and the unit
+system and returns a payload {"results", "checks", "csv_header",
+"csv_rows"}, which ``cli`` renders.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .cli import UNIT_KEYS, UsageError
+from .clifford import (
+    CheckEntry,
+    dirac_representation,
+    entry,
+    verify_clifford_identities,
+    verify_gamma_properties,
+)
+from .dynamics import Superposition, dominant_frequency, observable_series
+from .fields import (
+    MIN_OSCILLATOR_LEVELS,
+    RadialGrid,
+    UniformBField,
+    coulomb_radial_spectrum,
+    draw_reduction_trials,
+    landau_levels_analytic,
+    landau_sectors,
+    pauli_reduction_check,
+)
+from .matrix_core import ConvergenceError, hermitian_eig
+from .spectral import (
+    PhysicalParams,
+    closed_form_energies,
+    correspondence_check,
+    hamiltonian,
+    lorentz_transform,
+)
+
+# dominant_frequency needs this many periods of the gap in the window
+MIN_PERIODS = 4
+
+
+def _checks_table(checks: list[CheckEntry]) -> tuple[list[str], list[list]]:
+    header = ["name", "residual", "tolerance", "pass"]
+    rows = [[e.name, e.residual, e.tolerance, e.passed] for e in checks]
+    return header, rows
+
+
+def _cmd_identities(cfg: dict, params: PhysicalParams) -> dict:
+    basis = dirac_representation()
+    checks = list(verify_clifford_identities(basis).entries)
+    checks.extend(verify_gamma_properties(basis).entries)
+    header, rows = _checks_table(checks)
+    return {
+        "results": {"total_checks": len(checks)},
+        "checks": checks,
+        "csv_header": header,
+        "csv_rows": rows,
+    }
+
+
+def _cmd_dispersion(cfg: dict, params: PhysicalParams) -> dict:
+    if cfg["steps"] < 2:
+        raise UsageError("steps must be at least 2")
+    if not cfg["pmax"] > 0.0:
+        raise UsageError("pmax must be positive")
+    which = cfg["which"]
+    p_mag = cfg["pmax"] * np.arange(cfg["steps"]) / (cfg["steps"] - 1)
+    momenta = np.outer(p_mag, (0.0, 0.0, 1.0))
+    e_minus, e_plus = closed_form_energies(p_mag, params, which)
+    eigenvalues = hermitian_eig(hamiltonian(momenta, params, which)).eigenvalues
+    closed = np.stack([e_minus, e_minus, e_plus, e_plus], axis=-1)
+    worst = np.max(np.abs(eigenvalues - closed) / np.maximum(1.0, np.abs(closed)))
+    rows = np.column_stack([p_mag, eigenvalues, e_minus, e_plus]).tolist()
+    checks = [entry("max_relative_deviation", worst, 1e-12)]
+    return {
+        "results": {"which": which, "steps": cfg["steps"], "pmax": cfg["pmax"]},
+        "checks": checks,
+        "csv_header": ["p", "E1", "E2", "E3", "E4", "E_minus_closed", "E_plus_closed"],
+        "csv_rows": rows,
+    }
+
+
+def _nearest(ascending: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The entry of ``ascending`` closest to each target (the lower one on a tie)."""
+    right = np.clip(np.searchsorted(ascending, targets), 1, len(ascending) - 1)
+    below, above = ascending[right - 1], ascending[right]
+    return np.where(targets - below <= above - targets, below, above)
+
+
+def _count_within(ascending: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
+    """How many entries of ``ascending`` lie within ``tol`` of each target."""
+    return (np.searchsorted(ascending, targets + tol, side="right")
+            - np.searchsorted(ascending, targets - tol, side="left"))
+
+
+def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
+    if cfg["k_max"] < 0:
+        raise UsageError("k_max must be nonnegative")
+    if cfg["k_max"] > cfg["n_max"] - 4:
+        raise UsageError(
+            f"k_max = {cfg['k_max']} is not interior for n_max = {cfg['n_max']}; "
+            f"raise n_max to at least {max(cfg['k_max'] + 4, MIN_OSCILLATOR_LEVELS)}"
+        )
+    field = UniformBField(cfg["b"])
+    # built first: it rejects n_max outside its range before any per-level work
+    interior, edges = landau_sectors(field, cfg["pz"], cfg["n_max"], params)
+    analytic = landau_levels_analytic(field, cfg["pz"], cfg["k_max"], params)
+    tol = 1e-6
+    top = float(analytic.energy_plus[-1])
+    if np.finfo(float).eps * top >= tol:
+        raise UsageError(
+            f"level k = {cfg['k_max']} sits at E = {top:.3g}, where float64 cannot resolve "
+            f"the {tol:g} level tolerance"
+        )
+    # the top edge sector lost its ladder partner: its pair is a truncation
+    # artifact at +-E(0), so only the bottom edge joins the level matching
+    eigenvalues = np.sort(np.concatenate([
+        hermitian_eig(interior.hamiltonian).eigenvalues.ravel(),
+        hermitian_eig(edges.hamiltonian).eigenvalues[0],
+    ]))
+    e_plus, e_minus = analytic.energy_plus, analytic.energy_minus
+    near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
+    resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
+    checks = []
+    for k, r_plus, r_minus in zip(analytic.k, resid_plus, resid_minus):
+        checks.append(entry(f"level_k{k}_plus_residual", r_plus, tol))
+        checks.append(entry(f"level_k{k}_minus_residual", r_minus, tol))
+    checks.append(entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8))
+    return {
+        "results": {
+            "omega_c": analytic.omega_c,
+            "pz": cfg["pz"],
+            "n_max": cfg["n_max"],
+            "matrix_dimension": interior.levels.size + edges.levels.size,
+            "edge_states": edges.levels[1].size,
+            "truncation_margin": cfg["n_max"] - cfg["k_max"],
+            "counted_multiplicity_plus": _count_within(eigenvalues, e_plus, tol).tolist(),
+            "counted_multiplicity_minus": _count_within(eigenvalues, e_minus, tol).tolist(),
+        },
+        "checks": checks,
+        "csv_header": [
+            "k",
+            "E_plus_analytic", "E_plus_numeric", "residual_plus",
+            "E_minus_analytic", "E_minus_numeric", "residual_minus",
+            "multiplicity",
+        ],
+        "csv_rows": list(zip(
+            analytic.k, e_plus, near_plus, resid_plus, e_minus, near_minus, resid_minus,
+            analytic.multiplicity,
+        )),
+    }
+
+
+def _cmd_coulomb(cfg: dict, params: PhysicalParams) -> dict:
+    if cfg["n_levels"] < 1:
+        raise UsageError("n_levels must be at least 1")
+    grid = RadialGrid(r_max=cfg["r_max"], n_points=cfg["n_points"])
+    spectrum = coulomb_radial_spectrum(cfg["z"], cfg["l"], grid, params, cfg["n_levels"])
+    rest = params.m0 * params.c**2
+    checks = []
+    rows = []
+    for i, e_num in enumerate(spectrum.energies_plus):
+        n = spectrum.l + 1 + i
+        binding = params.m0 * cfg["z"] ** 2 / (2.0 * params.hbar**2 * n**2)
+        e_closed = rest - binding
+        rel = abs(e_num - e_closed) / max(abs(e_closed), binding)
+        checks.append(entry(f"level_n{n}_relative_error", rel, 1e-3))
+        rows.append([n, float(e_num), e_closed, rel, float(spectrum.energies_minus[i])])
+    return {
+        "results": {
+            "z": cfg["z"],
+            "l": cfg["l"],
+            "grid_spacing": grid.spacing,
+            "n_points": cfg["n_points"],
+        },
+        "checks": checks,
+        "csv_header": ["n", "E_plus_numeric", "E_plus_closed", "relative_error", "E_minus_numeric"],
+        "csv_rows": rows,
+    }
+
+
+def _check_sampling(t_max: float, n_samples: int, omega: float) -> None:
+    """Reject a series that cannot resolve the angular frequency ``omega``."""
+    periods = t_max * omega / (2.0 * np.pi)
+    if periods < MIN_PERIODS:
+        raise UsageError(f"window too short: t_max = {t_max:g} spans {periods:.3g} periods of "
+                         f"the gap frequency {omega:.6g}; need at least {MIN_PERIODS}")
+    if np.pi * n_samples / t_max <= omega:
+        raise UsageError(f"undersampled series: the Nyquist frequency pi n_samples / t_max does "
+                         f"not exceed the gap frequency {omega:.6g}; use n_samples >= "
+                         f"{int(t_max * omega / np.pi) + 1} or a shorter t_max")
+
+
+def _cmd_zitter(cfg: dict, params: PhysicalParams) -> dict:
+    if cfg["n_samples"] < 64:
+        raise UsageError("n_samples must be at least 64")
+    if not cfg["t_max"] > 0.0:
+        raise UsageError("t_max must be positive")
+    basis = dirac_representation()
+    observables = {
+        "alpha1": basis.alpha[0],
+        "alpha2": basis.alpha[1],
+        "alpha3": basis.alpha[2],
+        "beta": basis.beta,
+        "ibgamma5": basis.i_beta_gamma5,
+    }
+    sup = Superposition.from_weights(cfg["p"], cfg["weights"], params, which="nonrel")
+    energies = sup.distinct_energies()
+    gaps = sorted(
+        abs(a - b) / params.hbar
+        for i, a in enumerate(energies)
+        for b in energies[:i]
+    )
+    if gaps:
+        _check_sampling(cfg["t_max"], cfg["n_samples"], gaps[-1])
+    times, values = observable_series(sup, observables[cfg["observable"]],
+                                      cfg["t_max"], cfg["n_samples"], params)
+    measured = dominant_frequency(times, values)
+    if gaps:
+        analytic = gaps[-1]
+        # no peak reads as a measured frequency of 0: relative error 1, failing
+        rel = min(abs((measured or 0.0) - g) / g for g in gaps)
+        checks = [entry("frequency_relative_error", rel, 0.01)]
+    else:
+        analytic = 0.0
+        checks = [entry("no_oscillation_expected", 0.0 if measured is None else 1.0, 0.5)]
+    return {
+        "results": {
+            "observable": cfg["observable"],
+            "measured_omega": measured,
+            "analytic_omega": analytic,
+            "distinct_energies": energies.tolist(),
+            "t_max": cfg["t_max"],
+            "n_samples": cfg["n_samples"],
+        },
+        "checks": checks,
+        "csv_header": ["t", "value"],
+        "csv_rows": np.column_stack([times, values]).tolist(),
+    }
+
+
+def _sweep_momenta(count: int, pmax: float) -> np.ndarray:
+    """Deterministic directions on a golden-angle spiral, |p| = j pmax/count."""
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    j = np.arange(1, count + 1)
+    cos_t = 1.0 - 2.0 * (j - 0.5) / count
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    phi = golden * j
+    direction = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
+    return (j * pmax / count)[:, None] * direction
+
+
+def _cmd_lorentz(cfg: dict, params: PhysicalParams) -> dict:
+    if cfg["sweep"] < 0:
+        raise UsageError("sweep must be nonnegative")
+    if cfg["sweep"] > 0:
+        if not cfg["pmax"] > 0.0:
+            raise UsageError("pmax must be positive")
+        branches = (-1, 1)
+        momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"])[:, None, :]
+        report = correspondence_check(momenta, params, np.array(branches))
+        # one check per (momentum, branch): worst of the two labels
+        worst = np.maximum(*(e.residual for e in report.entries))
+        tolerance = report.entries[0].tolerance
+        checks = [
+            entry(f"p{j:03d}_branch{branch:+d}_correspondence", residual, tolerance)
+            for j, row in enumerate(worst, start=1)
+            for branch, residual in zip(branches, row)
+        ]
+        header, rows = _checks_table(checks)
+        return {
+            "results": {"mode": "correspondence_sweep", "sweep": cfg["sweep"], "pmax": cfg["pmax"]},
+            "checks": checks,
+            "csv_header": header,
+            "csv_rows": rows,
+        }
+    e_out, p_out = lorentz_transform(cfg["e_prime"], cfg["p_prime"], cfg["v"], params)
+    e_back, p_back = lorentz_transform(e_out, p_out, tuple(-x for x in cfg["v"]), params)
+    roundtrip = max(
+        abs(e_back - cfg["e_prime"]),
+        float(np.max(np.abs(p_back - np.asarray(cfg["p_prime"])))),
+    )
+    checks = [entry("roundtrip_residual", roundtrip, 1e-12)]
+    return {
+        "results": {
+            "mode": "transform",
+            "e": e_out,
+            "p": [float(x) for x in p_out],
+            "e_prime": cfg["e_prime"],
+            "p_prime": list(cfg["p_prime"]),
+            "v": list(cfg["v"]),
+        },
+        "checks": checks,
+        "csv_header": ["E", "px", "py", "pz", "roundtrip_residual"],
+        "csv_rows": [[e_out, *map(float, p_out), roundtrip]],
+    }
+
+
+def _cmd_reduction(cfg: dict, params: PhysicalParams) -> dict:
+    if cfg["trials"] < 1:
+        raise UsageError("trials must be at least 1")
+    if cfg["seed"] < 0:
+        raise UsageError("seed must be nonnegative")
+    rng = np.random.default_rng(cfg["seed"])
+    rest = params.m0 * params.c**2
+    p, v0, phi = draw_reduction_trials(rng, cfg["trials"])
+    e_trial = v0 + rest + np.sum(p * p, axis=-1) / (2.0 * params.m0)
+    if cfg["wrong_energy"]:
+        e_trial += 0.2 * rest
+    report = pauli_reduction_check(p, v0, e_trial, params, phi=phi)
+    failed = np.zeros(cfg["trials"], dtype=bool)
+    for e in report.entries:
+        failed |= ~e.passed
+    # one check per entry: its worst trial
+    checks = [entry(e.name, np.max(e.residual), e.tolerance) for e in report.entries]
+    header, rows = _checks_table(checks)
+    return {
+        "results": {
+            "trials": cfg["trials"],
+            "wrong_energy": cfg["wrong_energy"],
+            "failed_trials": int(np.sum(failed)),
+        },
+        "checks": checks,
+        "csv_header": header,
+        "csv_rows": rows,
+    }
+
+
+_COMMANDS = {
+    "identities": _cmd_identities,
+    "dispersion": _cmd_dispersion,
+    "landau": _cmd_landau,
+    "coulomb": _cmd_coulomb,
+    "zitter": _cmd_zitter,
+    "lorentz": _cmd_lorentz,
+    "reduction": _cmd_reduction,
+}
+
+
+def run(command: str, cfg: dict) -> dict:
+    """Run one command on its resolved config and return its payload."""
+    # cfg holds PhysicalParams' own defaults unless --units custom set them
+    params = PhysicalParams(**{key: cfg[key] for key in UNIT_KEYS})
+    # an overflow or invalid operation raises rather than printing a
+    # warning and carrying inf/nan into the report
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[command](cfg, params)
+    except ConvergenceError as err:
+        raise UsageError(str(err)) from err

@@ -59,15 +59,17 @@ class Superposition:
         """Weights index the four labeled eigenstates sorted by (energy, label)."""
         if np.shape(p) != (3,):
             raise ValueError(f"a superposition has one momentum 3-vector, got shape {np.shape(p)}")
-        w = np.asarray(weights, dtype=np.complex128)
+        w = np.ascontiguousarray(weights, dtype=np.complex128)
         if w.shape != (4,):
             raise ValueError(f"need exactly 4 weights, got shape {w.shape}")
         kept = w != 0.0
         if not np.any(kept):
             raise ValueError("at least one weight must be nonzero")
+        # divide out the power of two of the largest weight first: exact, so
+        # ordinary weights keep every bit, and tiny ones no longer underflow
+        _, exponent = np.frexp(np.max(np.abs(w)))
+        w = np.ldexp(w.view(float), -exponent).view(np.complex128)
         scale = np.linalg.norm(w)
-        if scale == 0.0:
-            raise ValueError("weights are too small to normalize: their norm underflows to 0")
         labeled = helicity_eigenstates(p, params, which)
         return cls(
             coefficients=w[kept] / scale,

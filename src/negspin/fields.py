@@ -6,8 +6,8 @@ Three problem families:
   truncated single-oscillator basis and cross-checked against the closed-form
   level ladder E(k) = m0 c^2 + hbar omega_c k + pz^2 / 2 m0.  The operator
   only couples states of equal conserved index, so it is built and solved
-  sector by sector (``landau_sectors``); the dense matrix is kept as the
-  independent oracle the sectors are tested against;
+  sector by sector (``landau_sectors``); the tests check the sectors
+  against the dense truncated matrix;
 * an attractive -Z/r potential on a radial grid (3-point finite differences,
   Dirichlet ends), cross-checked against the closed-form -Z^2/2n^2 ladder;
 * the momentum-space rearrangement chain that eliminates the lower spinor
@@ -39,7 +39,6 @@ __all__ = [
     "coulomb_radial_spectrum",
     "disc_spinor",
     "draw_reduction_trials",
-    "landau_hamiltonian_matrix",
     "landau_levels_analytic",
     "landau_sectors",
     "pauli_reduction_check",
@@ -50,7 +49,8 @@ __all__ = [
 MIN_OSCILLATOR_LEVELS = 8
 # Largest truncation accepted; a landau run at this size peaks near 230 MB.
 MAX_OSCILLATOR_LEVELS = 10**5
-# Empirical accuracy guard for the radial grid: spacing * Z must stay below.
+# Empirical accuracy guard for the radial grid: the spacing in Bohr radii,
+# spacing * m0 Z / hbar^2, must stay below.
 GRID_GUARD = 0.05
 
 
@@ -112,9 +112,10 @@ class LandauSectors:
     """Stacked blocks of the Landau operator, one per conserved-index sector.
 
     State j of block i is the basis state (oscillator level ``levels[i, j]``,
-    4-spinor index ``spinors[i, j]``), i.e. row ``4 * level + spinor`` of
-    ``landau_hamiltonian_matrix``.  ``alpha_pi`` and ``hamiltonian`` hold the
-    (count, m, m) blocks of alpha.Pi and of the full operator.
+    4-spinor index ``spinors[i, j]``), i.e. row ``4 * level + spinor`` of the
+    dense (oscillator level) x (4-spinor) matrix.  ``alpha_pi`` and
+    ``hamiltonian`` hold the (count, m, m) blocks of alpha.Pi and of the
+    full operator.
     """
 
     levels: np.ndarray
@@ -148,64 +149,6 @@ def _landau_operator(alpha_pi, beta, i_beta_gamma5, params: PhysicalParams) -> n
     )
 
 
-def _ladder_down(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
-
-
-def _pi_matrices(field: UniformBField, n_max: int, params: PhysicalParams):
-    """Truncated kinetic-momentum components from oscillator ladder elements.
-
-    [Pi_x, Pi_y] = i hbar q b / c fixes the sign wiring: for q < 0 the
-    lowering operator is (Pi_x + i Pi_y)/sqrt(2|lam|), for q > 0 it is the
-    conjugate combination.  Both components are Hermitian by construction.
-    """
-    lam = _landau_lambda(field, params)
-    a = _ladder_down(n_max + 1)
-    ad = a.conj().T
-    scale = np.sqrt(abs(lam) / 2.0)
-    pi_x = scale * (a + ad)
-    pi_y = -1j * np.sign(lam) * scale * (a - ad)
-    return pi_x, pi_y
-
-
-def _alpha_pi(field: UniformBField, pz: float, n_max: int, params: PhysicalParams) -> np.ndarray:
-    """alpha.Pi on the truncated (oscillator level) x (4-spinor) basis."""
-    basis = dirac_representation()
-    pi_x, pi_y = _pi_matrices(field, n_max, params)
-    identity_osc = np.eye(n_max + 1, dtype=np.complex128)
-    return (
-        np.kron(pi_x, basis.alpha[0])
-        + np.kron(pi_y, basis.alpha[1])
-        + np.kron(pz * identity_osc, basis.alpha[2])
-    )
-
-
-def landau_hamiltonian_matrix(
-    field: UniformBField,
-    pz: float,
-    n_max: int,
-    params: PhysicalParams = PhysicalParams(),
-) -> np.ndarray:
-    """Full operator c alpha.Pi + m0 c^2 beta + i beta gamma5 (alpha.Pi)^2/(2 m0).
-
-    Basis ordering is (oscillator level n = 0..n_max) x (4-spinor), the
-    4-spinor factor carrying the block convention of the matrix basis (a
-    fixed permutation of spin x upper/lower).  (alpha.Pi)^2 is the square of
-    the truncated alpha.Pi matrix.  Built densely from oscillator-space
-    ladder matrices, at O(n_max^3) cost: it is the independent oracle that
-    ``landau_sectors`` is tested against, not a solver path.
-    """
-    _check_truncation(n_max)
-    basis = dirac_representation()
-    identity_osc = np.eye(n_max + 1, dtype=np.complex128)
-    return _landau_operator(
-        _alpha_pi(field, pz, n_max, params),
-        np.kron(identity_osc, basis.beta),
-        np.kron(identity_osc, basis.i_beta_gamma5),
-        params,
-    )
-
-
 # 4-spinor indices of a sector's states: spin up (upper, lower), then spin down
 _SECTOR_SPINORS = np.array([0, 2, 1, 3])
 
@@ -216,7 +159,11 @@ def landau_sectors(
     n_max: int,
     params: PhysicalParams = PhysicalParams(),
 ) -> tuple[LandauSectors, LandauSectors]:
-    """The operator of ``landau_hamiltonian_matrix``, block by block, in O(n_max).
+    """The truncated Landau operator, block by block, in O(n_max).
+
+    The operator is c alpha.Pi + m0 c^2 beta + i beta gamma5 (alpha.Pi)^2/(2 m0)
+    on oscillator levels 0..n_max, with (alpha.Pi)^2 the square of the
+    truncated alpha.Pi.
 
     alpha.Pi only couples spin up at level n to spin down at level n + 1
     (q < 0) or n - 1 (q > 0).  So sector N, which holds spin up at level N
@@ -341,7 +288,8 @@ def coulomb_radial_spectrum(
 
     3-point finite differences for u = r phi on the Dirichlet grid.  The
     negative branch is the energy mirror of the positive one.  Rejects grids
-    with spacing * Z >= 0.05, where the stencil error is no longer trusted.
+    whose spacing reaches 0.05 Bohr radii hbar^2/(m0 Z), where the stencil
+    error is no longer trusted.
     """
     if not z > 0.0:
         raise ValueError("z must be positive")
@@ -352,12 +300,13 @@ def coulomb_radial_spectrum(
     if n_levels > grid.n_points:
         raise ValueError(f"n_levels = {n_levels} exceeds the {grid.n_points} grid points")
     h = grid.spacing
-    if h * z >= GRID_GUARD:
-        needed = grid.r_max * z / GRID_GUARD
+    per_bohr = params.m0 * z / params.hbar**2  # one over the Bohr radius hbar^2/(m0 Z)
+    if not h * per_bohr < GRID_GUARD:
+        needed = grid.r_max * per_bohr / GRID_GUARD
         hint = (f"use n_points >= {math.ceil(needed)}" if math.isfinite(needed)
                 else "no float64 grid resolves it")
         raise ValueError(
-            f"grid too coarse: spacing*Z = {h * z:.4g} >= {GRID_GUARD}; "
+            f"grid too coarse: spacing*m0*Z/hbar^2 = {h * per_bohr:.4g} >= {GRID_GUARD}; "
             f"{hint} at r_max = {grid.r_max}"
         )
     # imported here: scipy would dominate CLI start-up, and only this solver needs it

@@ -22,7 +22,6 @@ from negspin.fields import (
     UniformBField,
     coulomb_radial_spectrum,
     disc_spinor,
-    landau_hamiltonian_matrix,
     landau_levels_analytic,
     pauli_reduction_check,
     square_identity_check,
@@ -35,6 +34,7 @@ from negspin.spectral import (
     expectation_report,
     hamiltonian,
 )
+from oracles import landau_hamiltonian_matrix
 
 PARAMS = PhysicalParams()
 
@@ -231,7 +231,7 @@ CLI_MATRIX = {
     "dispersion": (["--steps", "9"], ["--steps", "1"], EXIT_USAGE),
     "landau": (["--n-max", "24", "--k-max", "2"], ["--n-max", "10", "--k-max", "9"], EXIT_USAGE),
     "coulomb": ([], ["--n-points", "100"], EXIT_USAGE),
-    "zitter": ([], ["--t-max", "2", "--n-samples", "64"], EXIT_CHECK_FAILED),
+    "zitter": ([], ["--observable", "alpha1"], EXIT_CHECK_FAILED),
     "lorentz": (["--v", "0.6,0,0"], ["--v", "1.5,0,0"], EXIT_USAGE),
     "reduction": (["--trials", "25"], ["--trials", "2", "--wrong-energy"], EXIT_CHECK_FAILED),
 }

@@ -145,10 +145,9 @@ def test_zitter_csv_is_time_series(capsys):
 
 
 def test_zitter_short_window_fails_check(capsys):
-    # two branch energies but far too little signal to resolve the gap
-    code = main(["zitter", "--t-max", "2", "--n-samples", "64"])
-    capsys.readouterr()
-    assert code == EXIT_CHECK_FAILED
+    # two branch energies, but the window spans under one period of the gap
+    err = one_line_usage_error(capsys, ["zitter", "--t-max", "2", "--n-samples", "64"])
+    assert "window too short" in err
 
 
 def test_zitter_single_state_no_oscillation(capsys):
@@ -329,12 +328,27 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("argv,reason", [
     (["coulomb", "--n-levels", "7000"], "exceeds the 6000 grid points"),
-    (["zitter", "--weights=1e-320,0,0,0"], "norm underflows to 0"),
+    # spacing*Z is 0.0065, but the spacing is 0.97 Bohr radii hbar^2/(m0 Z)
+    (["coulomb", "--units", "custom", "--hbar", "0.1", "--m0", "1.5", "--z", "5",
+      "--r-max", "1.5", "--n-points", "1158", "--n-levels", "1"], "grid too coarse"),
     (["landau", "--b", "1e300"], "float64 cannot resolve the 1e-06 level tolerance"),
     (["reduction", "--seed", "-1"], "seed must be nonnegative"),
+    (["zitter", "--t-max", "1000", "--n-samples", "64"], "undersampled series"),
+    (["zitter", "--t-max", "1"], "window too short"),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("tiny", ["1e-160", "1e-320"])
+def test_tiny_zitter_weights_match_unit_weights(capsys, tiny):
+    # normalizing divides out the largest weight's power of two first, so
+    # weights whose squares underflow give the unit weights' superposition
+    code, report = run_json(capsys, ["zitter", f"--weights={tiny},0,0,0"])
+    _, unit = run_json(capsys, ["zitter", "--weights=1,0,0,0"])
+    assert code == EXIT_OK
+    assert report["results"] == unit["results"]
+    assert report["checks"] == unit["checks"]
 
 
 def test_non_finite_config_value_rejected(tmp_path, capsys):

@@ -7,11 +7,9 @@ from negspin.fields import (
     MAX_OSCILLATOR_LEVELS,
     RadialGrid,
     UniformBField,
-    _alpha_pi,
     coulomb_radial_spectrum,
     disc_spinor,
     draw_reduction_trials,
-    landau_hamiltonian_matrix,
     landau_levels_analytic,
     landau_sectors,
     pauli_reduction_check,
@@ -19,6 +17,7 @@ from negspin.fields import (
 )
 from negspin.matrix_core import hermitian_eig, residual_norm
 from negspin.spectral import PhysicalParams
+from oracles import alpha_pi_matrix, landau_hamiltonian_matrix
 
 PARAMS = PhysicalParams()
 
@@ -213,7 +212,7 @@ def test_square_identity_per_sector_matches_dense(q):
     assert report.overall_pass
     assert report["excluded_edge_states"].residual == 8.0
     h = landau_hamiltonian_matrix(field, pz, n_max, params)
-    a = _alpha_pi(field, pz, n_max, params)
+    a = alpha_pi_matrix(field, pz, n_max, params)
     s = np.eye(h.shape[0]) + a @ a / 2.0
     interior = np.repeat(np.arange(n_max + 1), 4) <= n_max - 2
     dense_square = np.max(np.abs((h @ h - s @ s)[:, interior]))
