@@ -9,7 +9,9 @@ Three problem families:
   sector by sector (``landau_sectors``); the tests check the sectors
   against the dense truncated matrix;
 * an attractive -Z/r potential on a radial grid (3-point finite differences,
-  Dirichlet ends), cross-checked against the closed-form -Z^2/2n^2 ladder;
+  Dirichlet ends), cross-checked against the closed-form -Z^2/2n^2 ladder.
+  Its lowest levels come from Sturm counts of the tridiagonal matrix, O(n)
+  each (``matrix_core.tridiagonal_lowest``), so no scipy is loaded;
 * the momentum-space rearrangement chain that eliminates the lower spinor
   and leaves the two-component kinetic-energy relation, verified as exact
   matrix identities at a trial energy.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import PAULI, CheckReport, I4, dirac_representation, entry
-from .matrix_core import matrix_dot, residual_norm
+from .matrix_core import matrix_dot, residual_norm, tridiagonal_lowest
 from .spectral import PhysicalParams, hamiltonian
 
 __all__ = [
@@ -286,10 +288,11 @@ def coulomb_radial_spectrum(
 ) -> CoulombSpectrum:
     """Lowest levels of m0 c^2 - hbar^2/(2 m0) (d^2/dr^2 - l(l+1)/r^2) - Z/r.
 
-    3-point finite differences for u = r phi on the Dirichlet grid.  The
-    negative branch is the energy mirror of the positive one.  Rejects grids
-    whose spacing reaches 0.05 Bohr radii hbar^2/(m0 Z), where the stencil
-    error is no longer trusted.
+    3-point finite differences for u = r phi on the Dirichlet grid, solved
+    by ``tridiagonal_lowest`` to a few eps ||T||, as LAPACK's stebz.  The
+    negative branch is the energy mirror of the positive one.  Rejects
+    grids whose spacing reaches 0.05 Bohr radii hbar^2/(m0 Z), where the
+    stencil error is no longer trusted.
     """
     if not z > 0.0:
         raise ValueError("z must be positive")
@@ -309,9 +312,6 @@ def coulomb_radial_spectrum(
             f"grid too coarse: spacing*m0*Z/hbar^2 = {h * per_bohr:.4g} >= {GRID_GUARD}; "
             f"{hint} at r_max = {grid.r_max}"
         )
-    # imported here: scipy would dominate CLI start-up, and only this solver needs it
-    from scipy.linalg import eigh_tridiagonal
-
     r = grid.nodes
     kin = params.hbar**2 / (2.0 * params.m0 * h * h)
     diagonal = (
@@ -320,10 +320,7 @@ def coulomb_radial_spectrum(
         + params.hbar**2 * l * (l + 1) / (2.0 * params.m0 * r * r)
         - z / r
     )
-    off = np.full(grid.n_points - 1, -kin)
-    energies = eigh_tridiagonal(
-        diagonal, off, eigvals_only=True, select="i", select_range=(0, n_levels - 1)
-    )
+    energies = tridiagonal_lowest(diagonal, -kin, n_levels)
     energies.setflags(write=False)
     mirrored = -energies
     mirrored.setflags(write=False)

@@ -1,15 +1,27 @@
-"""Independent test oracles: the dense truncated Landau operator.
+"""Independent test oracles: the dense truncated Landau operator and the
+Coulomb grid solved by LAPACK.
 
 The package solves the Landau problem sector by sector
 (``negspin.fields.landau_sectors``).  The dense matrix here builds the same
 operator from oscillator-space ladder matrices with ``kron``, at O(n_max^3)
 cost, and is what the sectors are checked against.
+
+The package finds the Coulomb grid levels from its own Sturm counts
+(``negspin.matrix_core.tridiagonal_lowest``).  Here the same finite-difference
+matrix goes to scipy's ``eigh_tridiagonal`` (LAPACK stebz), the solver the
+package used before; scipy is needed by the tests only.
 """
 
 import numpy as np
 
 from negspin.clifford import dirac_representation
-from negspin.fields import UniformBField, _check_truncation, _landau_lambda, _landau_operator
+from negspin.fields import (
+    RadialGrid,
+    UniformBField,
+    _check_truncation,
+    _landau_lambda,
+    _landau_operator,
+)
 from negspin.spectral import PhysicalParams
 
 
@@ -68,3 +80,22 @@ def landau_hamiltonian_matrix(
         np.kron(identity_osc, basis.i_beta_gamma5),
         params,
     )
+
+
+def coulomb_grid_levels(z: float, l: int, grid: RadialGrid, params: PhysicalParams,
+                        n_levels: int) -> tuple[np.ndarray, float]:
+    """Lowest levels of the Coulomb finite-difference matrix from scipy's stebz.
+
+    Also returns the accuracy bound 4 eps max_i(|d_i| + 2|e|) that two
+    bisection solvers of the matrix should agree within.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    r = grid.nodes
+    kin = params.hbar**2 / (2.0 * params.m0 * grid.spacing**2)
+    diagonal = (2.0 * kin + params.m0 * params.c**2
+                + params.hbar**2 * l * (l + 1) / (2.0 * params.m0 * r * r) - z / r)
+    levels = eigh_tridiagonal(diagonal, np.full(grid.n_points - 1, -kin), eigvals_only=True,
+                              select="i", select_range=(0, n_levels - 1))
+    bound = 4.0 * np.finfo(float).eps * float(np.max(np.abs(diagonal) + 2.0 * kin))
+    return levels, bound

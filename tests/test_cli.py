@@ -123,6 +123,17 @@ def test_coulomb_report(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_coulomb_extreme_scale_reports_every_level(capsys):
+    # the kinetic diagonal is near 1e284; the grid is scaled before it is
+    # solved, so the run ends in failing checks, not a solver error
+    code, report = run_json(capsys, [
+        "coulomb", "--units", "custom", "--m0=0.1", "--c=3.12", "--hbar=3.72", "--z=3.12",
+        "--l", "2", "--r-max=2.4e-138", "--n-points", "3571", "--n-levels", "4",
+    ])
+    assert code == EXIT_CHECK_FAILED
+    assert [c["name"] for c in report["checks"]] == [f"level_n{n}_relative_error" for n in (3, 4, 5, 6)]
+
+
 def test_coulomb_coarse_grid_is_usage_error(capsys):
     assert main(["coulomb", "--n-points", "100"]) == EXIT_USAGE
     assert "n_points" in capsys.readouterr().err

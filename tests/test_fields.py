@@ -17,7 +17,7 @@ from negspin.fields import (
 )
 from negspin.matrix_core import hermitian_eig, residual_norm
 from negspin.spectral import PhysicalParams
-from oracles import alpha_pi_matrix, landau_hamiltonian_matrix
+from oracles import alpha_pi_matrix, coulomb_grid_levels, landau_hamiltonian_matrix
 
 PARAMS = PhysicalParams()
 
@@ -267,6 +267,36 @@ def test_coulomb_validation():
 def test_coulomb_coarse_grid_rejected_with_guidance():
     with pytest.raises(ValueError, match="n_points"):
         coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 100), PARAMS, 1)
+
+
+# (z, l, r_max, n_points, n_levels, m0, c, hbar): natural and custom units,
+# every grid inside the Bohr-radius guard
+COULOMB_ORACLE_CASES = [
+    (1.0, 0, 60.0, 6000, 3, 1.0, 1.0, 1.0),
+    (1.0, 0, 60.0, 6000, 10, 1.0, 1.0, 1.0),
+    (0.7, 1, 1.0, 50, 1, 0.5, 2.0, 1.2),
+    (2.0, 4, 30.0, 2400, 7, 1.0, 1.0, 1.0),
+    (1.3, 10, 20.0, 20000, 10, 2.0, 3.0, 0.7),
+    (4.0, 0, 0.5, 1000, 5, 0.3, 137.0, 0.9),
+    (0.2, 1, 9.0, 333, 2, 5.0, 0.1, 4.0),
+]
+
+
+@pytest.mark.parametrize("z, l, r_max, n_points, n_levels, m0, c, hbar", COULOMB_ORACLE_CASES)
+def test_coulomb_levels_match_lapack_oracle(z, l, r_max, n_points, n_levels, m0, c, hbar):
+    pytest.importorskip("scipy")
+    params = PhysicalParams(m0=m0, c=c, hbar=hbar)
+    grid = RadialGrid(r_max, n_points)
+    spectrum = coulomb_radial_spectrum(z, l, grid, params, n_levels)
+    expected, bound = coulomb_grid_levels(z, l, grid, params, n_levels)
+    assert spectrum.energies_plus.shape == (n_levels,)
+    assert np.max(np.abs(spectrum.energies_plus - expected)) <= bound
+
+
+def test_coulomb_level_does_not_depend_on_levels_asked_for():
+    three = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 3).energies_plus
+    ten = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 10).energies_plus
+    assert np.array_equal(three, ten[:3])
 
 
 def test_disc_spinor_is_normalized_and_reproducible():

@@ -1,14 +1,16 @@
-"""Contracts of the dense-matrix helpers and the Hermitian eigensolver."""
+"""Contracts of the dense-matrix helpers, the Hermitian eigensolver and the tridiagonal solver."""
 
 import numpy as np
 import pytest
 
 from negspin.matrix_core import (
     EigenDecomposition,
+    _SturmCounter,
     expect,
     hermitian_eig,
     matrix_dot,
     residual_norm,
+    tridiagonal_lowest,
 )
 
 
@@ -138,3 +140,51 @@ def test_hermitian_eig_reconstruction_bound_scales_with_the_matrix():
     v = dec.eigenvectors
     recon = np.max(residual_norm(h @ v, v * dec.eigenvalues[..., None, :]))
     assert 1e-10 < recon < 1e-10 * np.max(np.abs(h))
+
+
+def _dense_tridiagonal(diagonal, off):
+    n = len(diagonal)
+    return np.diag(diagonal) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def _stebz_bound(diagonal, off):
+    return 4.0 * np.finfo(float).eps * np.max(np.abs(diagonal) + 2.0 * abs(off))
+
+
+@pytest.mark.parametrize("diagonal, off", [
+    # Gershgorin interval [-2, 4]: the first shift is its midpoint 1 = d[0],
+    # so the first pivot is exactly zero
+    ([1.0, 0.0, 2.0], -1.0),
+    # two wells behind a barrier: the lowest pair is split by 4.3e-11
+    ([0.0, 60.0, 60.0, 60.0, 60.0, 60.0, 60.0, 0.0], -1.0),
+    # scaled by a large off-diagonal, signs irrelevant
+    ([3e150, -2e150, 5e149, 1e150, 0.0, 7e150], 2.5e150),
+])
+def test_tridiagonal_lowest_matches_dense_eigvalsh(diagonal, off):
+    diagonal = np.array(diagonal)
+    expected = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, off))
+    for n_levels in range(1, len(diagonal) + 1):
+        got = tridiagonal_lowest(diagonal, off, n_levels)
+        assert np.max(np.abs(got - expected[:n_levels])) <= _stebz_bound(diagonal, off)
+        assert np.all(np.diff(got) >= 0.0)
+
+
+def test_sturm_count_at_a_zero_pivot_matches_dense_count():
+    # each shift equals a diagonal entry, so some pivot of the reduction is
+    # exactly zero and is replaced by -pivmin
+    diagonal = np.array([0.5, -1.0, 0.5, 2.0, 0.5, -0.3, 1.7])
+    eigenvalues = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, -1.0))
+    counter = _SturmCounter(diagonal, 1e-15, len(diagonal))
+    counts, _ = counter(diagonal.copy())
+    assert counts.tolist() == [int(np.sum(eigenvalues < x)) for x in diagonal]
+
+
+def test_tridiagonal_lowest_validation():
+    with pytest.raises(ValueError, match="nonzero"):
+        tridiagonal_lowest([1.0, 2.0], 0.0, 1)
+    with pytest.raises(ValueError, match="outside"):
+        tridiagonal_lowest([1.0, 2.0], -1.0, 3)
+    with pytest.raises(ValueError, match="outside"):
+        tridiagonal_lowest([1.0, 2.0], -1.0, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        tridiagonal_lowest([1.0, np.inf], -1.0, 1)

@@ -37,8 +37,9 @@ START_UP = {
              "runpy.run_module('negspin', run_name='__main__')", 0, []),
     "non-finite": (MAIN.format(argv=["lorentz", "--v", "nan,0,0"]), 2, []),
     "unknown-config-key": (MAIN.format(argv=["dispersion", "--config", "{config}"]), 2, []),
-    # the control: a computing command does load numpy, and only numpy
+    # the controls: a computing command does load numpy, and only numpy
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
+    "coulomb": (MAIN.format(argv=["coulomb"]), 0, ["numpy"]),
 }
 
 
