@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {
     "CheckEntry": "clifford",
-    "CheckReport": "clifford",
     "DiracBasis": "clifford",
     "dirac_representation": "clifford",
     "PhysicalParams": "spectral",

@@ -280,7 +280,11 @@ def main(argv=None) -> int:
         print(f"error: input out of the floating-point range of the computation ({err})",
               file=sys.stderr)
         return EXIT_USAGE
-    _write_output(text, cfg["out"])
+    try:
+        _write_output(text, cfg["out"])
+    except OSError as err:
+        print(f"error: cannot write output file {cfg['out']}: {err}", file=sys.stderr)
+        return EXIT_USAGE
     if all(check.passed for check in payload["checks"]):
         return EXIT_OK
     return EXIT_CHECK_FAILED

@@ -25,7 +25,6 @@ from .matrix_core import residual_norm
 
 __all__ = [
     "CheckEntry",
-    "CheckReport",
     "DiracBasis",
     "IDENTITY_TOL",
     "dirac_representation",
@@ -77,29 +76,6 @@ def entry(name: str, residual, tolerance: float) -> CheckEntry:
 
 
 @dataclass(frozen=True, eq=False)
-class CheckReport:
-    """Ordered collection of residual checks."""
-
-    entries: tuple[CheckEntry, ...]
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(bool(np.all(e.passed)) for e in self.entries)
-
-    def __getitem__(self, name: str) -> CheckEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {
-            "entries": [e.as_dict() for e in self.entries],
-            "overall_pass": self.overall_pass,
-        }
-
-
-@dataclass(frozen=True, eq=False)
 class DiracBasis:
     """The 4x4 matrices of the block convention, plus derived operators.
 
@@ -143,7 +119,7 @@ def dirac_representation() -> DiracBasis:
     )
 
 
-def verify_clifford_identities(basis: DiracBasis | None = None) -> CheckReport:
+def verify_clifford_identities(basis: DiracBasis | None = None) -> tuple[CheckEntry, ...]:
     """Residuals of the anticommutation table.
 
     {alpha_i, alpha_j} = 2 delta_ij I, {beta, alpha_j} = 0, beta^2 = I.
@@ -165,10 +141,10 @@ def verify_clifford_identities(basis: DiracBasis | None = None) -> CheckReport:
                   residual_norm(anti, np.zeros((4, 4))), IDENTITY_TOL)
         )
     entries.append(entry("beta_squared", residual_norm(b.beta @ b.beta, I4), IDENTITY_TOL))
-    return CheckReport(entries=tuple(entries))
+    return tuple(entries)
 
 
-def verify_gamma_properties(basis: DiracBasis | None = None) -> CheckReport:
+def verify_gamma_properties(basis: DiracBasis | None = None) -> tuple[CheckEntry, ...]:
     """Residuals of the derived-operator identities.
 
     gamma1_proj^2 = 2 gamma1_proj, gamma2_op^2 = 2I,
@@ -205,4 +181,4 @@ def verify_gamma_properties(basis: DiracBasis | None = None) -> CheckReport:
         entry("gamma2_unitarity",
               residual_norm(g2.conj().T @ g2 / 2.0, I4), IDENTITY_TOL),
     ])
-    return CheckReport(entries=tuple(entries))
+    return tuple(entries)

@@ -51,8 +51,7 @@ def _checks_table(checks: list[CheckEntry]) -> tuple[list[str], list[list]]:
 
 def _cmd_identities(cfg: dict, params: PhysicalParams) -> dict:
     basis = dirac_representation()
-    checks = list(verify_clifford_identities(basis).entries)
-    checks.extend(verify_gamma_properties(basis).entries)
+    checks = [*verify_clifford_identities(basis), *verify_gamma_properties(basis)]
     header, rows = _checks_table(checks)
     return {
         "results": {"total_checks": len(checks)},
@@ -116,6 +115,15 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
             f"level k = {cfg['k_max']} sits at E = {top:.3g}, where float64 cannot resolve "
             f"the {tol:g} level tolerance"
         )
+    # every level +-E(k) must stand more than 2 tol from its neighbours, the
+    # next rung and the other branch, or one eigenvalue counts for several
+    spacing = params.hbar * analytic.omega_c
+    branch_gap = 2.0 * float(analytic.energy_plus[0])
+    if not min(spacing, branch_gap) > 2.0 * tol:
+        raise UsageError(
+            f"levels closer than twice the {tol:g} level tolerance: ladder spacing "
+            f"hbar omega_c = {spacing:.3g}, branch gap 2 E(0) = {branch_gap:.3g}"
+        )
     # the top edge sector lost its ladder partner: its pair is a truncation
     # artifact at +-E(0), so only the bottom edge joins the level matching
     eigenvalues = np.sort(np.concatenate([
@@ -159,17 +167,18 @@ def _cmd_coulomb(cfg: dict, params: PhysicalParams) -> dict:
     if cfg["n_levels"] < 1:
         raise UsageError("n_levels must be at least 1")
     grid = RadialGrid(r_max=cfg["r_max"], n_points=cfg["n_points"])
-    spectrum = coulomb_radial_spectrum(cfg["z"], cfg["l"], grid, params, cfg["n_levels"])
+    energies = coulomb_radial_spectrum(cfg["z"], cfg["l"], grid, params, cfg["n_levels"])
     rest = params.m0 * params.c**2
     checks = []
     rows = []
-    for i, e_num in enumerate(spectrum.energies_plus):
-        n = spectrum.l + 1 + i
+    for i, e_num in enumerate(energies):
+        n = cfg["l"] + 1 + i
         binding = params.m0 * cfg["z"] ** 2 / (2.0 * params.hbar**2 * n**2)
         e_closed = rest - binding
         rel = abs(e_num - e_closed) / max(abs(e_closed), binding)
         checks.append(entry(f"level_n{n}_relative_error", rel, 1e-3))
-        rows.append([n, float(e_num), e_closed, rel, float(spectrum.energies_minus[i])])
+        # the negative branch is the energy mirror
+        rows.append([n, float(e_num), e_closed, rel, float(-e_num)])
     return {
         "results": {
             "z": cfg["z"],
@@ -262,10 +271,10 @@ def _cmd_lorentz(cfg: dict, params: PhysicalParams) -> dict:
             raise UsageError("pmax must be positive")
         branches = (-1, 1)
         momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"])[:, None, :]
-        report = correspondence_check(momenta, params, np.array(branches))
+        labels = correspondence_check(momenta, params, np.array(branches))
         # one check per (momentum, branch): worst of the two labels
-        worst = np.maximum(*(e.residual for e in report.entries))
-        tolerance = report.entries[0].tolerance
+        worst = np.maximum(*(e.residual for e in labels))
+        tolerance = labels[0].tolerance
         checks = [
             entry(f"p{j:03d}_branch{branch:+d}_correspondence", residual, tolerance)
             for j, row in enumerate(worst, start=1)
@@ -311,12 +320,12 @@ def _cmd_reduction(cfg: dict, params: PhysicalParams) -> dict:
     e_trial = v0 + rest + np.sum(p * p, axis=-1) / (2.0 * params.m0)
     if cfg["wrong_energy"]:
         e_trial += 0.2 * rest
-    report = pauli_reduction_check(p, v0, e_trial, params, phi=phi)
+    chain = pauli_reduction_check(p, v0, e_trial, params, phi=phi)
     failed = np.zeros(cfg["trials"], dtype=bool)
-    for e in report.entries:
+    for e in chain:
         failed |= ~e.passed
     # one check per entry: its worst trial
-    checks = [entry(e.name, np.max(e.residual), e.tolerance) for e in report.entries]
+    checks = [entry(e.name, np.max(e.residual), e.tolerance) for e in chain]
     header, rows = _checks_table(checks)
     return {
         "results": {

@@ -28,23 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import PAULI, CheckReport, I4, dirac_representation, entry
+from .clifford import I4, PAULI, CheckEntry, dirac_representation, entry
 from .matrix_core import matrix_dot, residual_norm, tridiagonal_lowest
-from .spectral import PhysicalParams, hamiltonian
+from .spectral import PhysicalParams, _wave_operator, hamiltonian
 
 __all__ = [
-    "CoulombSpectrum",
     "LandauSectors",
     "LandauSpectrum",
     "RadialGrid",
     "UniformBField",
     "coulomb_radial_spectrum",
-    "disc_spinor",
     "draw_reduction_trials",
     "landau_levels_analytic",
     "landau_sectors",
     "pauli_reduction_check",
-    "square_identity_check",
 ]
 
 # Smallest truncation at which even the k = 0 level is trustworthy.
@@ -102,14 +99,6 @@ class RadialGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class CoulombSpectrum:
-    z: float
-    l: int
-    energies_plus: np.ndarray
-    energies_minus: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class LandauSectors:
     """Stacked blocks of the Landau operator, one per conserved-index sector.
 
@@ -140,15 +129,6 @@ def _landau_lambda(field: UniformBField, params: PhysicalParams) -> float:
     if params.q == 0.0:
         raise ValueError("charge q must be nonzero for a magnetic problem")
     return params.hbar * params.q * field.b / params.c
-
-
-def _landau_operator(alpha_pi, beta, i_beta_gamma5, params: PhysicalParams) -> np.ndarray:
-    """c alpha.Pi + m0 c^2 beta + i beta gamma5 (alpha.Pi)^2/(2 m0), on any basis."""
-    return (
-        params.c * alpha_pi
-        + params.m0 * params.c**2 * beta
-        + i_beta_gamma5 @ alpha_pi @ alpha_pi / (2.0 * params.m0)
-    )
 
 
 # 4-spinor indices of a sector's states: spin up (upper, lower), then spin down
@@ -210,8 +190,8 @@ def _sector_blocks(levels, spinors, lam: float, pz: float, params: PhysicalParam
         - 1j * np.sign(lam) * scale * (lower - raised) * basis.alpha[1][s_row, s_col]
         + pz * (n_row == n_col) * basis.alpha[2][s_row, s_col]
     )
-    hamiltonian = _landau_operator(
-        alpha_pi, basis.beta[s_row, s_col], basis.i_beta_gamma5[s_row, s_col], params
+    hamiltonian = _wave_operator(
+        alpha_pi, basis.beta[s_row, s_col], basis.i_beta_gamma5[s_row, s_col], params, "nonrel"
     )
     return LandauSectors(levels=levels, spinors=spinors, alpha_pi=alpha_pi, hamiltonian=hamiltonian)
 
@@ -244,55 +224,21 @@ def landau_levels_analytic(
     )
 
 
-def square_identity_check(
-    field: UniformBField,
-    pz: float,
-    n_max: int,
-    params: PhysicalParams = PhysicalParams(),
-) -> CheckReport:
-    """H^2 = (m0 c^2 + (alpha.Pi)^2 / 2 m0)^2 and [H, S] = 0 on interior columns.
-
-    Checked sector by sector (``landau_sectors``).  Interior means
-    oscillator level n <= n_max - 2; the excluded edge-state count is
-    reported as its own entry (residual = count, tolerance = the expected
-    2 levels x 4 components).
-    """
-    square_resid = commute_resid = 0.0
-    n_excluded = 0
-    for sectors in landau_sectors(field, pz, n_max, params):
-        h, a = sectors.hamiltonian, sectors.alpha_pi
-        s = params.m0 * params.c**2 * np.eye(h.shape[-1]) + a @ a / (2.0 * params.m0)
-        interior = (sectors.levels <= n_max - 2)[..., None, :]
-        n_excluded += int(np.sum(~interior))
-        square_resid = max(
-            square_resid, float(np.max(np.abs(h @ h - s @ s), where=interior, initial=0.0))
-        )
-        commute_resid = max(
-            commute_resid, float(np.max(np.abs(h @ s - s @ h), where=interior, initial=0.0))
-        )
-    return CheckReport(
-        entries=(
-            entry("square_identity_interior", square_resid, 1e-10),
-            entry("h_s_commutator_interior", commute_resid, 1e-10),
-            entry("excluded_edge_states", float(n_excluded), 8.0),
-        )
-    )
-
-
 def coulomb_radial_spectrum(
     z: float,
     l: int,
     grid: RadialGrid = RadialGrid(),
     params: PhysicalParams = PhysicalParams(),
     n_levels: int = 3,
-) -> CoulombSpectrum:
+) -> np.ndarray:
     """Lowest levels of m0 c^2 - hbar^2/(2 m0) (d^2/dr^2 - l(l+1)/r^2) - Z/r.
 
     3-point finite differences for u = r phi on the Dirichlet grid, solved
-    by ``tridiagonal_lowest`` to a few eps ||T||, as LAPACK's stebz.  The
-    negative branch is the energy mirror of the positive one.  Rejects
-    grids whose spacing reaches 0.05 Bohr radii hbar^2/(m0 Z), where the
-    stencil error is no longer trusted.
+    by ``tridiagonal_lowest`` to a few eps ||T||, as LAPACK's stebz.
+    Returns the ``n_levels`` ascending energies, read-only; the negative
+    branch is their energy mirror.  Rejects grids whose spacing reaches
+    0.05 Bohr radii hbar^2/(m0 Z), where the stencil error is no longer
+    trusted.
     """
     if not z > 0.0:
         raise ValueError("z must be positive")
@@ -322,13 +268,15 @@ def coulomb_radial_spectrum(
     )
     energies = tridiagonal_lowest(diagonal, -kin, n_levels)
     energies.setflags(write=False)
-    mirrored = -energies
-    mirrored.setflags(write=False)
-    return CoulombSpectrum(z=z, l=l, energies_plus=energies, energies_minus=mirrored)
+    return energies
 
 
 def _disc_spinor(u: np.ndarray) -> np.ndarray:
-    """Normalized spinors from uniforms u[..., k, :] = (radius^2, angle / 2 pi) of component k."""
+    """Normalized spinors from uniforms u[..., k, :] = (radius^2, angle / 2 pi) of component k.
+
+    Each component is uniform on the complex unit disc before the vector is
+    normalized.
+    """
     comps = np.sqrt(u[..., 0]) * np.exp(1j * (2.0 * np.pi * u[..., 1]))
     norm = np.linalg.norm(comps, axis=-1, keepdims=True)
     if np.any(norm == 0.0):  # pragma: no cover - measure-zero draw
@@ -337,21 +285,12 @@ def _disc_spinor(u: np.ndarray) -> np.ndarray:
     return comps / norm
 
 
-def disc_spinor(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Normalized spinor with components uniform on the complex unit disc.
-
-    Draw order per component: radius^2 then angle, both U[0, 1); the vector
-    is normalized afterwards.  Documented so seeded runs are reproducible.
-    """
-    return _disc_spinor(rng.uniform(size=(size, 2)))
-
-
 def draw_reduction_trials(rng: np.random.Generator, trials: int):
     """Seeded (momenta (trials, 3), potentials (trials,), spinors (trials, 2)).
 
     Per trial and in order: the momentum (3 uniforms on [-2, 2]), the
-    potential constant (1 uniform on [-1, 1]), then a ``disc_spinor`` of two
-    components (4 uniforms).
+    potential constant (1 uniform on [-1, 1]), then a ``_disc_spinor`` of two
+    components (4 uniforms: radius^2 then angle, per component).
     """
     u = rng.uniform(size=(trials, 8))
     return -2.0 + 4.0 * u[:, :3], -1.0 + 2.0 * u[:, 3], _disc_spinor(u[:, 4:].reshape(trials, 2, 2))
@@ -362,9 +301,9 @@ def pauli_reduction_check(
     v0,
     e_trial,
     params: PhysicalParams = PhysicalParams(),
-    phi: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> CheckReport:
+    *,
+    phi,
+) -> tuple[CheckEntry, ...]:
     """Verify the elimination chain from the 4x4 wave equation down to the
     two-component kinetic-energy relation, in momentum representation with a
     constant potential v0.
@@ -390,10 +329,11 @@ def pauli_reduction_check(
       (E - v0 - m0 c^2 - p^2/2m0) phi = 0; its reported residual equals the
       trial-energy error for a normalized phi.
 
-    Broadcasts over stacked momenta (..., 3), v0, e_trial and phi (..., 2);
-    each residual then has the broadcast stack shape.  With an empty
-    nullspace, ``nullspace_maps_back`` is measured on the least-singular
-    right vector, so it stays finite and fails.
+    ``phi`` is the upper 2-spinor, normalized here.  Broadcasts over
+    stacked momenta (..., 3), v0, e_trial and phi (..., 2); each residual
+    then has the broadcast stack shape.  With an empty nullspace,
+    ``nullspace_maps_back`` is measured on the least-singular right vector,
+    so it stays finite and fails.
     """
     v0 = np.asarray(v0, dtype=float)[..., None, None]
     e_trial = np.asarray(e_trial, dtype=float)[..., None, None]
@@ -454,16 +394,13 @@ def pauli_reduction_check(
               residual_norm(transported @ g2, g2 @ rearranged(e_trial)), 1e-12)
     )
 
-    if phi is None:
-        phi = disc_spinor(rng or np.random.default_rng(0), 2)
-    else:
-        phi = np.asarray(phi, dtype=np.complex128)
-        if phi.ndim < 1 or phi.shape[-1] != 2:
-            raise ValueError(f"phi must be a 2-spinor or a stack of them, got shape {phi.shape}")
-        norm = np.linalg.norm(phi, axis=-1, keepdims=True)
-        if np.any(norm == 0.0):
-            raise ValueError("phi must be nonzero")
-        phi = phi / norm
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.ndim < 1 or phi.shape[-1] != 2:
+        raise ValueError(f"phi must be a 2-spinor or a stack of them, got shape {phi.shape}")
+    norm = np.linalg.norm(phi, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        raise ValueError("phi must be nonzero")
+    phi = phi / norm
     sigma_p = matrix_dot(p, PAULI)
     chi = (-(1j * m0c2 * np.eye(2) + params.c * sigma_p) @ phi[..., None])[..., 0] / m0c2
     psi = np.concatenate(np.broadcast_arrays(phi, chi), axis=-1)
@@ -472,4 +409,4 @@ def pauli_reduction_check(
     entries.append(
         entry("kinetic_energy_relation", np.linalg.norm(rows[..., :2], axis=-1) / 2.0, 1e-10)
     )
-    return CheckReport(entries=tuple(entries))
+    return tuple(entries)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
-    CheckReport,
     I2,
     PAULI,
+    CheckEntry,
     dirac_representation,
     entry,
 )
@@ -68,6 +68,18 @@ def _as_momenta(p) -> np.ndarray:
     return v
 
 
+def _wave_operator(alpha_p, beta, i_beta_gamma5, params: PhysicalParams, which: str) -> np.ndarray:
+    """c alpha.p + m0 c^2 beta, plus i beta gamma5 (alpha.p)^2/(2 m0) for ``nonrel``.
+
+    Works on any basis: the free 4x4 spinors here, the Landau sectors in
+    ``fields``, where alpha.p is alpha.Pi.
+    """
+    h = params.c * alpha_p + params.m0 * params.c**2 * beta
+    if which == "nonrel":
+        h = h + i_beta_gamma5 @ alpha_p @ alpha_p / (2.0 * params.m0)
+    return h
+
+
 def hamiltonian(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> np.ndarray:
     """The chosen Hamiltonian at momenta p of shape (..., 3), as (..., 4, 4).
 
@@ -78,10 +90,7 @@ def hamiltonian(p, params: PhysicalParams = PhysicalParams(), which: str = "nonr
         raise ValueError(f"unknown hamiltonian {which!r}; expected one of {HAMILTONIANS}")
     b = dirac_representation()
     ap = matrix_dot(_as_momenta(p), b.alpha)
-    h = params.c * ap + params.m0 * params.c**2 * b.beta
-    if which == "nonrel":
-        h = h + b.i_beta_gamma5 @ ap @ ap / (2.0 * params.m0)
-    return h
+    return _wave_operator(ap, b.beta, b.i_beta_gamma5, params, which)
 
 
 def closed_form_energies(p_mag, params: PhysicalParams, which: str):
@@ -242,7 +251,7 @@ def correspondence_check(
     p,
     params: PhysicalParams = PhysicalParams(),
     branch=1,
-) -> CheckReport:
+) -> tuple[CheckEntry, ...]:
     """E = v.p + m0 c^2 / gamma with v := <c alpha>, 1/gamma := <beta>.
 
     Both expectations come from explicit Dirac eigenstates of the requested
@@ -267,4 +276,4 @@ def correspondence_check(
         per_branch = np.where(branch > 0, resid[..., _state_index(1, hel)],
                               resid[..., _state_index(-1, hel)])
         entries.append(entry(f"correspondence_helicity_{hel:+d}", per_branch, 1e-10))
-    return CheckReport(entries=tuple(entries))
+    return tuple(entries)

@@ -1,5 +1,6 @@
-"""Independent test oracles: the dense truncated Landau operator and the
-Coulomb grid solved by LAPACK.
+"""Test oracles and helpers: the dense truncated Landau operator and its
+squared-operator identity, the Coulomb grid solved by LAPACK, the reference
+spinor draw, and lookups over tuples of check entries.
 
 The package solves the Landau problem sector by sector
 (``negspin.fields.landau_sectors``).  The dense matrix here builds the same
@@ -14,15 +15,39 @@ package used before; scipy is needed by the tests only.
 
 import numpy as np
 
-from negspin.clifford import dirac_representation
+from negspin.clifford import CheckEntry, dirac_representation, entry
 from negspin.fields import (
     RadialGrid,
     UniformBField,
     _check_truncation,
+    _disc_spinor,
     _landau_lambda,
-    _landau_operator,
+    landau_sectors,
 )
-from negspin.spectral import PhysicalParams
+from negspin.spectral import PhysicalParams, _wave_operator
+
+
+def all_passed(entries) -> bool:
+    """Whether every entry passed, on every stacked input."""
+    return all(bool(np.all(e.passed)) for e in entries)
+
+
+def entry_named(entries, name: str) -> CheckEntry:
+    """The entry called ``name``; KeyError if there is none."""
+    for e in entries:
+        if e.name == name:
+            return e
+    raise KeyError(name)
+
+
+def disc_spinor(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Normalized spinor with components uniform on the complex unit disc.
+
+    Draw order per component: radius^2 then angle, both U[0, 1); the vector
+    is normalized afterwards.  The reference for the draws of
+    ``negspin.fields.draw_reduction_trials``.
+    """
+    return _disc_spinor(rng.uniform(size=(size, 2)))
 
 
 def _ladder_down(dim: int) -> np.ndarray:
@@ -74,11 +99,45 @@ def landau_hamiltonian_matrix(
     _check_truncation(n_max)
     basis = dirac_representation()
     identity_osc = np.eye(n_max + 1, dtype=np.complex128)
-    return _landau_operator(
+    return _wave_operator(
         alpha_pi_matrix(field, pz, n_max, params),
         np.kron(identity_osc, basis.beta),
         np.kron(identity_osc, basis.i_beta_gamma5),
         params,
+        "nonrel",
+    )
+
+
+def square_identity_check(
+    field: UniformBField,
+    pz: float,
+    n_max: int,
+    params: PhysicalParams = PhysicalParams(),
+) -> tuple[CheckEntry, ...]:
+    """H^2 = (m0 c^2 + (alpha.Pi)^2 / 2 m0)^2 and [H, S] = 0 on interior columns.
+
+    Checked sector by sector (``landau_sectors``).  Interior means
+    oscillator level n <= n_max - 2; the excluded edge-state count is
+    reported as its own entry (residual = count, tolerance = the expected
+    2 levels x 4 components).
+    """
+    square_resid = commute_resid = 0.0
+    n_excluded = 0
+    for sectors in landau_sectors(field, pz, n_max, params):
+        h, a = sectors.hamiltonian, sectors.alpha_pi
+        s = params.m0 * params.c**2 * np.eye(h.shape[-1]) + a @ a / (2.0 * params.m0)
+        interior = (sectors.levels <= n_max - 2)[..., None, :]
+        n_excluded += int(np.sum(~interior))
+        square_resid = max(
+            square_resid, float(np.max(np.abs(h @ h - s @ s), where=interior, initial=0.0))
+        )
+        commute_resid = max(
+            commute_resid, float(np.max(np.abs(h @ s - s @ h), where=interior, initial=0.0))
+        )
+    return (
+        entry("square_identity_interior", square_resid, 1e-10),
+        entry("h_s_commutator_interior", commute_resid, 1e-10),
+        entry("excluded_edge_states", float(n_excluded), 8.0),
     )
 
 

@@ -21,10 +21,8 @@ from negspin.fields import (
     RadialGrid,
     UniformBField,
     coulomb_radial_spectrum,
-    disc_spinor,
     landau_levels_analytic,
     pauli_reduction_check,
-    square_identity_check,
 )
 from negspin.matrix_core import hermitian_eig, residual_norm
 from negspin.spectral import (
@@ -34,7 +32,13 @@ from negspin.spectral import (
     expectation_report,
     hamiltonian,
 )
-from oracles import landau_hamiltonian_matrix
+from oracles import (
+    all_passed,
+    disc_spinor,
+    entry_named,
+    landau_hamiltonian_matrix,
+    square_identity_check,
+)
 
 PARAMS = PhysicalParams()
 
@@ -47,11 +51,10 @@ def verdict(label: str, ok: bool, detail: str = ""):
 
 def test_operator_identities_hold_exactly():
     """All representation identities, including the singular projector, at 1e-14."""
-    clifford = verify_clifford_identities()
     gamma = verify_gamma_properties()
-    entries = (*clifford.entries, *gamma.entries)
+    entries = (*verify_clifford_identities(), *gamma)
     worst = max(e.residual for e in entries if e.name != "gamma1_smallest_singular_value")
-    singular = gamma["gamma1_smallest_singular_value"].residual
+    singular = entry_named(gamma, "gamma1_smallest_singular_value").residual
     ok = (
         len(entries) == 21
         and all(e.passed for e in entries)
@@ -117,8 +120,8 @@ def test_eigenstate_expectations_and_boost_correspondence():
         p = rng.uniform(-2.0, 2.0, 3)
         for branch in (-1, 1):
             report = correspondence_check(p, PARAMS, branch)
-            corr_ok = corr_ok and report.overall_pass
-            worst_corr = max(worst_corr, max(e.residual for e in report.entries))
+            corr_ok = corr_ok and all_passed(report)
+            worst_corr = max(worst_corr, max(e.residual for e in report))
     ok = worst < 1e-10 and corr_ok and worst_corr < 1e-10
     verdict(
         "expectation identities + boost correspondence (tol 1e-10)",
@@ -144,7 +147,8 @@ def test_magnetic_ladder_matches_truncated_matrix():
             ordered = np.sort(ev)
             worst_pair = max(worst_pair, float(np.max(np.abs(ordered + ordered[::-1]))))
             report = square_identity_check(field, pz, 40, PARAMS)
-            worst_square = max(worst_square, report["square_identity_interior"].residual)
+            worst_square = max(worst_square,
+                               entry_named(report, "square_identity_interior").residual)
     ok = worst_level < 1e-6 and worst_pair < 1e-8 and worst_square < 1e-10
     verdict(
         "magnetic ladder k<=3 on (b, pz) grid (tol 1e-6 / 1e-8 / 1e-10)",
@@ -156,16 +160,16 @@ def test_magnetic_ladder_matches_truncated_matrix():
 def test_radial_levels_match_closed_form_at_second_order():
     """First three bound levels at 1e-3 on the default grid, and error ratio
     approximately 4 under exact grid-spacing halving."""
-    spectrum = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 3)
+    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 3)
     worst_rel = 0.0
-    for i, e_num in enumerate(spectrum.energies_plus):
+    for i, e_num in enumerate(energies):
         n = i + 1
         closed = 1.0 - 1.0 / (2.0 * n * n)
         worst_rel = max(worst_rel, abs(e_num - closed) / abs(closed))
     errs = []
     for n_points in (6000, 12001):
-        s = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, n_points), PARAMS, 1)
-        errs.append(abs(s.energies_plus[0] - 0.5))
+        ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, n_points), PARAMS, 1)[0]
+        errs.append(abs(ground - 0.5))
     ratio = errs[0] / errs[1]
     ok = worst_rel < 1e-3 and 3.5 <= ratio <= 4.5
     verdict(
@@ -190,17 +194,17 @@ def test_reduction_chain_on_random_draws():
         if first_draw is None:
             first_draw = (p, v0, phi, e_trial)
         report = pauli_reduction_check(p, v0, e_trial, PARAMS, phi=phi)
-        all_pass = all_pass and report.overall_pass
-        for e in report.entries:
+        all_pass = all_pass and all_passed(report)
+        for e in report:
             if e.name != "nullspace_dimension":
                 worst = max(worst, e.residual)
     p, v0, phi, e_trial = first_draw
     control = pauli_reduction_check(p, v0, e_trial + 0.2, PARAMS, phi=phi)
-    ok = all_pass and worst < 1e-10 and not control.overall_pass
+    ok = all_pass and worst < 1e-10 and not all_passed(control)
     verdict(
         "reduction chain on 100 draws (tol 1e-10) with failing control",
         ok,
-        f"worst residual {worst:.2e}, control fails: {not control.overall_pass}",
+        f"worst residual {worst:.2e}, control fails: {not all_passed(control)}",
     )
 
 

@@ -346,6 +346,14 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["reduction", "--seed", "-1"], "seed must be nonnegative"),
     (["zitter", "--t-max", "1000", "--n-samples", "64"], "undersampled series"),
     (["zitter", "--t-max", "1"], "window too short"),
+    # hbar omega_c = 1e-7: every eigenvalue would sit within 1e-6 of every level
+    (["landau", "--b", "1e-7"], "levels closer than twice the 1e-06 level tolerance"),
+    # m0 c^2 = 1e-8: the +E(0) and -E(0) windows overlap
+    (["landau", "--units", "custom", "--m0", "1e-4", "--c", "1e-2"], "branch gap 2 E(0) = 2e-08"),
+    # an --out path in a directory that does not exist, and a directory itself
+    (["identities", "--out", "no-such-dir/report.json"],
+     "cannot write output file no-such-dir/report.json"),
+    (["identities", "--out", "."], "cannot write output file ."),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)

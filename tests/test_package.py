@@ -1,7 +1,10 @@
-"""Package surface: exported names resolve, and start-up stays light."""
+"""Package surface: exported names resolve, every public definition is used,
+and start-up stays light."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 
 MODULES = ("clifford", "matrix_core", "spectral", "fields", "dynamics")
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 # Runs one start-up path in a fresh interpreter, then prints which of numpy
 # and scipy it loaded.
@@ -28,6 +32,50 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def _library_example() -> str:
+    """The code block of the README's "Library example" section."""
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _references(node, skip=None) -> set[str]:
+    """Names and attribute names used under ``node``, outside the subtree ``skip``."""
+    found = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current is skip:
+            continue
+        if isinstance(current, ast.Name):
+            found.add(current.id)
+        elif isinstance(current, ast.Attribute):
+            found.add(current.attr)
+        stack.extend(ast.iter_child_nodes(current))
+    return found
+
+
+def test_every_public_definition_is_used():
+    # a public function or class must be used by the package itself, be an
+    # export of ``negspin``, or be shown in the README library example;
+    # code that only its own tests call belongs in the tests
+    import negspin
+
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "negspin").glob("*.py"))}
+    example = set(re.findall(r"\w+", _library_example()))
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")
+                    or node.name in negspin._EXPORTS or node.name in example):
+                continue
+            used = set().union(*(_references(t, skip=node) for t in trees.values()))
+            if node.name not in used:
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []
 
 
 # start-up path -> (code run in a fresh interpreter, exit code, heavy modules loaded)

@@ -3,6 +3,7 @@
 Each draw must exit 0, 1 or 2 with no traceback or warning; a usage error
 prints one stderr line and nothing else, any other run prints strict JSON
 whose pass flags agree with the exit code, and a rerun is byte-identical.
+A ``landau`` run that passes also counts the analytic multiplicities.
 Draws are derandomized, so the examples (and tier-1) are the same on every
 run.  Sizes are capped so each draw stays small.
 """
@@ -70,6 +71,11 @@ def _assert_handled(argv) -> None:
         assert err == ""
         report = json.loads(out, parse_constant=_reject_constant)
         assert all(check["pass"] for check in report["checks"]) == (code == 0)
+        if argv[0] == "landau" and code == 0:
+            # one eigenvalue at k = 0, two at every k >= 1, on both branches
+            expected = [1] + [2] * report["params"]["k_max"]
+            assert report["results"]["counted_multiplicity_plus"] == expected
+            assert report["results"]["counted_multiplicity_minus"] == expected
     assert _run(argv) == (code, out, err)
 
 

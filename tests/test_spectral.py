@@ -15,6 +15,7 @@ from negspin.spectral import (
     helicity_eigenstates,
     lorentz_transform,
 )
+from oracles import all_passed
 
 PARAMS = PhysicalParams()
 
@@ -236,9 +237,9 @@ def test_correspondence_check_both_branches():
     for p in random_momenta(31, 6):
         for branch in (-1, 1):
             report = correspondence_check(p, PARAMS, branch)
-            assert len(report.entries) == 2
-            assert report.overall_pass
-            for e in report.entries:
+            assert len(report) == 2
+            assert all_passed(report)
+            for e in report:
                 assert e.residual < 1e-10
                 assert e.name.startswith("correspondence_helicity_")
 
@@ -246,7 +247,7 @@ def test_correspondence_check_both_branches():
 def test_correspondence_check_at_rest():
     # E = 0 + m0 c^2 with v = <c alpha> = 0
     for branch in (-1, 1):
-        assert correspondence_check((0.0, 0.0, 0.0), PARAMS, branch).overall_pass
+        assert all_passed(correspondence_check((0.0, 0.0, 0.0), PARAMS, branch))
 
 
 def test_hamiltonian_stack_equals_each_momentum():
@@ -277,7 +278,7 @@ def test_correspondence_check_broadcasts_momenta_and_branches():
     for i, p in enumerate(momenta):
         for k, branch in enumerate((-1, 1)):
             single = correspondence_check(p, PARAMS, branch)
-            for a, b in zip(single.entries, both.entries):
+            for a, b in zip(single, both):
                 assert a.residual == b.residual[i, k]
     with pytest.raises(ValueError):
         correspondence_check(momenta, PARAMS, 0)
