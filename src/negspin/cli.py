@@ -280,6 +280,9 @@ def main(argv=None) -> int:
         print(f"error: input out of the floating-point range of the computation ({err})",
               file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as err:
+        print(f"error: input too large to allocate ({err})", file=sys.stderr)
+        return EXIT_USAGE
     try:
         _write_output(text, cfg["out"])
     except OSError as err:

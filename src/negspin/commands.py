@@ -106,7 +106,7 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
         )
     field = UniformBField(cfg["b"])
     # built first: it rejects n_max outside its range before any per-level work
-    interior, edges = landau_sectors(field, cfg["pz"], cfg["n_max"], params)
+    blocks = landau_sectors(field, cfg["pz"], cfg["n_max"], params)
     analytic = landau_levels_analytic(field, cfg["pz"], cfg["k_max"], params)
     tol = 1e-6
     top = float(analytic.energy_plus[-1])
@@ -124,12 +124,11 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
             f"levels closer than twice the {tol:g} level tolerance: ladder spacing "
             f"hbar omega_c = {spacing:.3g}, branch gap 2 E(0) = {branch_gap:.3g}"
         )
-    # the top edge sector lost its ladder partner: its pair is a truncation
-    # artifact at +-E(0), so only the bottom edge joins the level matching
-    eigenvalues = np.sort(np.concatenate([
-        hermitian_eig(interior.hamiltonian).eigenvalues.ravel(),
-        hermitian_eig(edges.hamiltonian).eigenvalues[0],
-    ]))
+    # block 0 holds +-E(0) twice: the k = 0 level and the top edge, whose
+    # pair lost its ladder partner and is a truncation artifact, so one
+    # eigenvalue per branch of it joins the level matching
+    solved = hermitian_eig(blocks).eigenvalues
+    eigenvalues = np.sort(np.concatenate([solved[0, [0, -1]], solved[1:].ravel()]))
     e_plus, e_minus = analytic.energy_plus, analytic.energy_minus
     near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
     resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
@@ -143,8 +142,8 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
             "omega_c": analytic.omega_c,
             "pz": cfg["pz"],
             "n_max": cfg["n_max"],
-            "matrix_dimension": interior.levels.size + edges.levels.size,
-            "edge_states": edges.levels[1].size,
+            "matrix_dimension": solved.size,
+            "edge_states": solved[0].size - 2,
             "truncation_margin": cfg["n_max"] - cfg["k_max"],
             "counted_multiplicity_plus": _count_within(eigenvalues, e_plus, tol).tolist(),
             "counted_multiplicity_minus": _count_within(eigenvalues, e_minus, tol).tolist(),

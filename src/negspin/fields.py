@@ -5,9 +5,10 @@ Three problem families:
 * uniform magnetic field along z in the symmetric gauge, solved in a
   truncated single-oscillator basis and cross-checked against the closed-form
   level ladder E(k) = m0 c^2 + hbar omega_c k + pz^2 / 2 m0.  The operator
-  only couples states of equal conserved index, so it is built and solved
-  sector by sector (``landau_sectors``); the tests check the sectors
-  against the dense truncated matrix;
+  only couples states of equal conserved index, and each such sector is the
+  free 4x4 Hamiltonian at a transverse momentum sqrt(2 |hbar q b / c| N), so
+  ``landau_sectors`` builds the n_max + 1 blocks with ``hamiltonian``; the
+  tests check them against the dense truncated matrix;
 * an attractive -Z/r potential on a radial grid (3-point finite differences,
   Dirichlet ends), cross-checked against the closed-form -Z^2/2n^2 ladder.
   Its lowest levels come from Sturm counts of the tridiagonal matrix, O(n)
@@ -30,10 +31,9 @@ import numpy as np
 
 from .clifford import I4, PAULI, CheckEntry, dirac_representation, entry
 from .matrix_core import matrix_dot, residual_norm, tridiagonal_lowest
-from .spectral import PhysicalParams, _wave_operator, hamiltonian
+from .spectral import PhysicalParams, hamiltonian
 
 __all__ = [
-    "LandauSectors",
     "LandauSpectrum",
     "RadialGrid",
     "UniformBField",
@@ -46,7 +46,7 @@ __all__ = [
 
 # Smallest truncation at which even the k = 0 level is trustworthy.
 MIN_OSCILLATOR_LEVELS = 8
-# Largest truncation accepted; a landau run at this size peaks near 230 MB.
+# Largest truncation accepted; a cold landau run at this size peaks near 200 MB.
 MAX_OSCILLATOR_LEVELS = 10**5
 # Empirical accuracy guard for the radial grid: the spacing in Bohr radii,
 # spacing * m0 Z / hbar^2, must stay below.
@@ -69,7 +69,6 @@ class LandauSpectrum:
     """Ladder levels k = 0..k_max: energies +-E(k) and multiplicity, one entry per k."""
 
     omega_c: float
-    pz: float
     k: np.ndarray
     energy_plus: np.ndarray
     energy_minus: np.ndarray
@@ -98,23 +97,6 @@ class RadialGrid:
         return np.arange(1, self.n_points + 1) * self.spacing
 
 
-@dataclass(frozen=True, eq=False)
-class LandauSectors:
-    """Stacked blocks of the Landau operator, one per conserved-index sector.
-
-    State j of block i is the basis state (oscillator level ``levels[i, j]``,
-    4-spinor index ``spinors[i, j]``), i.e. row ``4 * level + spinor`` of the
-    dense (oscillator level) x (4-spinor) matrix.  ``alpha_pi`` and
-    ``hamiltonian`` hold the (count, m, m) blocks of alpha.Pi and of the
-    full operator.
-    """
-
-    levels: np.ndarray
-    spinors: np.ndarray
-    alpha_pi: np.ndarray
-    hamiltonian: np.ndarray
-
-
 def _check_truncation(n_max: int) -> None:
     if n_max < MIN_OSCILLATOR_LEVELS:
         raise ValueError(
@@ -131,69 +113,38 @@ def _landau_lambda(field: UniformBField, params: PhysicalParams) -> float:
     return params.hbar * params.q * field.b / params.c
 
 
-# 4-spinor indices of a sector's states: spin up (upper, lower), then spin down
-_SECTOR_SPINORS = np.array([0, 2, 1, 3])
-
-
 def landau_sectors(
     field: UniformBField,
     pz: float,
     n_max: int,
     params: PhysicalParams = PhysicalParams(),
-) -> tuple[LandauSectors, LandauSectors]:
-    """The truncated Landau operator, block by block, in O(n_max).
+) -> np.ndarray:
+    """The truncated Landau operator as n_max + 1 free 4x4 blocks, in O(n_max).
 
     The operator is c alpha.Pi + m0 c^2 beta + i beta gamma5 (alpha.Pi)^2/(2 m0)
     on oscillator levels 0..n_max, with (alpha.Pi)^2 the square of the
     truncated alpha.Pi.
 
     alpha.Pi only couples spin up at level n to spin down at level n + 1
-    (q < 0) or n - 1 (q > 0).  So sector N, which holds spin up at level N
-    and spin down at level N + 1 for q < 0 (the reverse for q > 0), never
-    meets another sector, and the truncated (alpha.Pi)^2 is the square of
-    each block.  Returns ``(interior, edges)``:
+    (q < 0) or n - 1 (q > 0), so the basis splits into sectors that never
+    meet.  In sector N the spin that sits higher is at level N and the other
+    at level N - 1, and the ladder element sqrt(N) and the sign wiring of
+    Pi_x and Pi_y combine to k_N alpha_x on every spin-flip entry, with
+    k_N = sqrt(2 |lambda| N), lambda = hbar q b / c.  So block N is the free
+    ``hamiltonian`` at momentum (k_N, 0, pz), in natural spinor order; state
+    s of block N is row 4 level + s of the dense (oscillator level) x
+    (4-spinor) matrix, level = (N - 1 + [spin of s sits higher]) mod (n_max + 1).
+    Returns the stack (n_max + 1, 4, 4).
 
-    * ``interior``: the 4x4 sectors N = 0..n_max-1, stacked (n_max, 4, 4);
-    * ``edges``: the 2x2 sectors (2, 2, 2), bottom (N = -1, level 0) then
-      top (N = n_max, level n_max).  The top one lost its ladder partner at
-      level n_max + 1, so its eigenvalues +-(m0 c^2 + pz^2/2m0) are a
-      truncation artifact, not the k = 0 level.
-
-    Every element comes from the ladder elements sqrt(n); no
-    oscillator-space matrix is formed.
+    Block 0 (k = 0) holds both edges: the higher spin at level 0, whose
+    +-(m0 c^2 + pz^2/2m0) pair is the k = 0 level, and the other spin at
+    level n_max, whose identical pair is a truncation artifact, since its
+    ladder partner at level n_max + 1 was cut away.
     """
     _check_truncation(n_max)
-    lam = _landau_lambda(field, params)
-    # level of each sector state relative to N: spin up sits higher for q > 0
-    offset = ((_SECTOR_SPINORS % 2 == 0) == (lam > 0)).astype(int)
-    interior_levels = np.arange(n_max)[:, None] + offset
-    edge_levels = np.array([[0, 0], [n_max, n_max]])
-    edge_spinors = np.stack([_SECTOR_SPINORS[offset == 1], _SECTOR_SPINORS[offset == 0]])
-    return (
-        _sector_blocks(
-            interior_levels, np.broadcast_to(_SECTOR_SPINORS, interior_levels.shape), lam, pz, params
-        ),
-        _sector_blocks(edge_levels, edge_spinors, lam, pz, params),
-    )
-
-
-def _sector_blocks(levels, spinors, lam: float, pz: float, params: PhysicalParams) -> LandauSectors:
-    """alpha.Pi and the operator on the stacked blocks of (level, spinor) states."""
-    basis = dirac_representation()
-    n_row, n_col = levels[..., :, None], levels[..., None, :]
-    s_row, s_col = spinors[..., :, None], spinors[..., None, :]
-    lower = np.where(n_row == n_col - 1, np.sqrt(n_col), 0.0)  # <n_row| a |n_col>
-    raised = np.swapaxes(lower, -1, -2)  # <n_row| a^dagger |n_col>
-    scale = np.sqrt(abs(lam) / 2.0)
-    alpha_pi = (
-        scale * (lower + raised) * basis.alpha[0][s_row, s_col]
-        - 1j * np.sign(lam) * scale * (lower - raised) * basis.alpha[1][s_row, s_col]
-        + pz * (n_row == n_col) * basis.alpha[2][s_row, s_col]
-    )
-    hamiltonian = _wave_operator(
-        alpha_pi, basis.beta[s_row, s_col], basis.i_beta_gamma5[s_row, s_col], params, "nonrel"
-    )
-    return LandauSectors(levels=levels, spinors=spinors, alpha_pi=alpha_pi, hamiltonian=hamiltonian)
+    k = np.sqrt(2.0 * abs(_landau_lambda(field, params)) * np.arange(n_max + 1))
+    momenta = np.stack([k, np.zeros_like(k), np.full_like(k, pz)], axis=-1)
+    return hamiltonian(momenta, params, "nonrel")
 
 
 def landau_levels_analytic(
@@ -216,7 +167,6 @@ def landau_levels_analytic(
     e_plus = params.m0 * params.c**2 + params.hbar * omega_c * k + pz**2 / (2.0 * params.m0)
     return LandauSpectrum(
         omega_c=omega_c,
-        pz=pz,
         k=k,
         energy_plus=e_plus,
         energy_minus=-e_plus,

@@ -68,18 +68,6 @@ def _as_momenta(p) -> np.ndarray:
     return v
 
 
-def _wave_operator(alpha_p, beta, i_beta_gamma5, params: PhysicalParams, which: str) -> np.ndarray:
-    """c alpha.p + m0 c^2 beta, plus i beta gamma5 (alpha.p)^2/(2 m0) for ``nonrel``.
-
-    Works on any basis: the free 4x4 spinors here, the Landau sectors in
-    ``fields``, where alpha.p is alpha.Pi.
-    """
-    h = params.c * alpha_p + params.m0 * params.c**2 * beta
-    if which == "nonrel":
-        h = h + i_beta_gamma5 @ alpha_p @ alpha_p / (2.0 * params.m0)
-    return h
-
-
 def hamiltonian(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> np.ndarray:
     """The chosen Hamiltonian at momenta p of shape (..., 3), as (..., 4, 4).
 
@@ -90,7 +78,10 @@ def hamiltonian(p, params: PhysicalParams = PhysicalParams(), which: str = "nonr
         raise ValueError(f"unknown hamiltonian {which!r}; expected one of {HAMILTONIANS}")
     b = dirac_representation()
     ap = matrix_dot(_as_momenta(p), b.alpha)
-    return _wave_operator(ap, b.beta, b.i_beta_gamma5, params, which)
+    h = params.c * ap + params.m0 * params.c**2 * b.beta
+    if which == "nonrel":
+        h = h + b.i_beta_gamma5 @ ap @ ap / (2.0 * params.m0)
+    return h
 
 
 def closed_form_energies(p_mag, params: PhysicalParams, which: str):

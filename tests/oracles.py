@@ -1,11 +1,12 @@
-"""Test oracles and helpers: the dense truncated Landau operator and its
-squared-operator identity, the Coulomb grid solved by LAPACK, the reference
-spinor draw, and lookups over tuples of check entries.
+"""Test oracles and helpers: the dense truncated Landau operator, the state
+map of its sectors and its squared-operator identity, the Coulomb grid solved
+by LAPACK, the reference spinor draw, and lookups over tuples of check entries.
 
-The package solves the Landau problem sector by sector
+The package builds the Landau problem as n_max + 1 free 4x4 blocks
 (``negspin.fields.landau_sectors``).  The dense matrix here builds the same
-operator from oscillator-space ladder matrices with ``kron``, at O(n_max^3)
-cost, and is what the sectors are checked against.
+operator from oscillator-space ladder matrices with ``kron`` and its own
+operator formula, at O(n_max^3) cost, and is what the blocks are checked
+against; ``sector_rows`` says where each block state sits in it.
 
 The package finds the Coulomb grid levels from its own Sturm counts
 (``negspin.matrix_core.tridiagonal_lowest``).  Here the same finite-difference
@@ -24,7 +25,7 @@ from negspin.fields import (
     _landau_lambda,
     landau_sectors,
 )
-from negspin.spectral import PhysicalParams, _wave_operator
+from negspin.spectral import PhysicalParams
 
 
 def all_passed(entries) -> bool:
@@ -99,13 +100,24 @@ def landau_hamiltonian_matrix(
     _check_truncation(n_max)
     basis = dirac_representation()
     identity_osc = np.eye(n_max + 1, dtype=np.complex128)
-    return _wave_operator(
-        alpha_pi_matrix(field, pz, n_max, params),
-        np.kron(identity_osc, basis.beta),
-        np.kron(identity_osc, basis.i_beta_gamma5),
-        params,
-        "nonrel",
+    a = alpha_pi_matrix(field, pz, n_max, params)
+    return (
+        params.c * a
+        + params.m0 * params.c**2 * np.kron(identity_osc, basis.beta)
+        + np.kron(identity_osc, basis.i_beta_gamma5) @ a @ a / (2.0 * params.m0)
     )
+
+
+def sector_rows(n_max: int, q: float) -> np.ndarray:
+    """Dense row of state s of Landau block N, as an (n_max + 1, 4) array.
+
+    The row is 4 level + s, with level = (N - 1 + [spin of s sits higher])
+    mod (n_max + 1); spin up (s = 0, 2) sits higher for q > 0, spin down
+    (s = 1, 3) for q < 0.
+    """
+    higher = (np.arange(4) % 2 == 0) == (q > 0)
+    levels = (np.arange(n_max + 1)[:, None] - 1 + higher) % (n_max + 1)
+    return 4 * levels + np.arange(4)
 
 
 def square_identity_check(
@@ -116,28 +128,23 @@ def square_identity_check(
 ) -> tuple[CheckEntry, ...]:
     """H^2 = (m0 c^2 + (alpha.Pi)^2 / 2 m0)^2 and [H, S] = 0 on interior columns.
 
-    Checked sector by sector (``landau_sectors``).  Interior means
-    oscillator level n <= n_max - 2; the excluded edge-state count is
-    reported as its own entry (residual = count, tolerance = the expected
-    2 levels x 4 components).
+    Checked block by block: H from ``landau_sectors``, alpha.Pi cut from the
+    dense ``alpha_pi_matrix`` at the ``sector_rows`` of each block.
+    Interior means oscillator level n <= n_max - 2; the excluded edge-state
+    count is reported as its own entry (residual = count, tolerance = the
+    expected 2 levels x 4 components).
     """
-    square_resid = commute_resid = 0.0
-    n_excluded = 0
-    for sectors in landau_sectors(field, pz, n_max, params):
-        h, a = sectors.hamiltonian, sectors.alpha_pi
-        s = params.m0 * params.c**2 * np.eye(h.shape[-1]) + a @ a / (2.0 * params.m0)
-        interior = (sectors.levels <= n_max - 2)[..., None, :]
-        n_excluded += int(np.sum(~interior))
-        square_resid = max(
-            square_resid, float(np.max(np.abs(h @ h - s @ s), where=interior, initial=0.0))
-        )
-        commute_resid = max(
-            commute_resid, float(np.max(np.abs(h @ s - s @ h), where=interior, initial=0.0))
-        )
+    h = landau_sectors(field, pz, n_max, params)
+    rows = sector_rows(n_max, params.q)
+    a = alpha_pi_matrix(field, pz, n_max, params)[rows[:, :, None], rows[:, None, :]]
+    s = params.m0 * params.c**2 * np.eye(4) + a @ a / (2.0 * params.m0)
+    interior = (rows // 4 <= n_max - 2)[:, None, :]
+    square_resid = float(np.max(np.abs(h @ h - s @ s), where=interior, initial=0.0))
+    commute_resid = float(np.max(np.abs(h @ s - s @ h), where=interior, initial=0.0))
     return (
         entry("square_identity_interior", square_resid, 1e-10),
         entry("h_s_commutator_interior", commute_resid, 1e-10),
-        entry("excluded_edge_states", float(n_excluded), 8.0),
+        entry("excluded_edge_states", float(np.sum(~interior)), 8.0),
     )
 
 

@@ -92,7 +92,7 @@ def test_landau_counted_multiplicity_matches_analytic(capsys, q, pz):
         UniformBField(1.0), float(pz), 5, PhysicalParams(q=float(q))
     )
     expected = analytic.multiplicity.tolist()
-    # the top edge sector's copy of +-E(0) is excluded, so k = 0 counts once
+    # block 0 holds +-E(0) twice; its top-edge copy is excluded, so k = 0 counts once
     assert results["counted_multiplicity_plus"] == expected
     assert results["counted_multiplicity_minus"] == expected
     assert results["edge_states"] == 2
@@ -354,6 +354,12 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["identities", "--out", "no-such-dir/report.json"],
      "cannot write output file no-such-dir/report.json"),
     (["identities", "--out", "."], "cannot write output file ."),
+    # 10^14 elements exceed a 47-bit address space, so the allocation fails at once
+    (["dispersion", "--steps", "100000000000000"], "too large to allocate"),
+    (["lorentz", "--sweep", "100000000000000"], "too large to allocate"),
+    (["reduction", "--trials", "100000000000000"], "too large to allocate"),
+    (["zitter", "--n-samples", "100000000000000"], "too large to allocate"),
+    (["coulomb", "--n-points", "100000000000000"], "too large to allocate"),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)

@@ -22,6 +22,7 @@ from oracles import (
     disc_spinor,
     entry_named,
     landau_hamiltonian_matrix,
+    sector_rows,
     square_identity_check,
 )
 
@@ -147,26 +148,19 @@ def test_square_identity_report():
     assert entry_named(report, "excluded_edge_states").residual == 8.0
 
 
-def _dense_rows(sectors):
-    """Row of each sector state in the dense (level x 4-spinor) matrix."""
-    return 4 * sectors.levels + sectors.spinors
-
-
 @pytest.mark.parametrize("q", [-1.0, 1.0])
 def test_sectors_partition_the_dense_matrix(q):
     params = PhysicalParams(q=q)
     n_max = 13
     dense = landau_hamiltonian_matrix(UniformBField(1.3), 0.4, n_max, params)
-    interior, edges = landau_sectors(UniformBField(1.3), 0.4, n_max, params)
-    assert interior.hamiltonian.shape == (n_max, 4, 4)
-    assert edges.hamiltonian.shape == (2, 2, 2)
-    rows = np.concatenate([_dense_rows(interior).ravel(), _dense_rows(edges).ravel()])
-    np.testing.assert_array_equal(np.sort(rows), np.arange(dense.shape[0]))
+    blocks = landau_sectors(UniformBField(1.3), 0.4, n_max, params)
+    assert blocks.shape == (n_max + 1, 4, 4)
+    rows = sector_rows(n_max, q)
+    np.testing.assert_array_equal(np.sort(rows.ravel()), np.arange(dense.shape[0]))
     same_sector = np.zeros(dense.shape, dtype=bool)
-    for sectors in (interior, edges):
-        for idx, block in zip(_dense_rows(sectors), sectors.hamiltonian):
-            same_sector[np.ix_(idx, idx)] = True
-            assert residual_norm(dense[np.ix_(idx, idx)], block) < 1e-14
+    for idx, block in zip(rows, blocks):
+        same_sector[np.ix_(idx, idx)] = True
+        assert residual_norm(dense[np.ix_(idx, idx)], block) < 1e-14
     # every entry between two different sectors is exactly zero
     assert not np.any(dense[~same_sector])
 
@@ -178,23 +172,25 @@ def test_sector_spectrum_matches_dense_oracle(n_max, q, pz):
     params = PhysicalParams(q=q)
     field = UniformBField(1.0)
     dense = np.linalg.eigvalsh(landau_hamiltonian_matrix(field, pz, n_max, params))
-    sectors = landau_sectors(field, pz, n_max, params)
-    blocked = np.sort(np.concatenate(
-        [hermitian_eig(s.hamiltonian).eigenvalues.ravel() for s in sectors]
-    ))
+    blocks = landau_sectors(field, pz, n_max, params)
+    assert blocks.shape == (n_max + 1, 4, 4)
+    blocked = np.sort(hermitian_eig(blocks).eigenvalues.ravel())
     assert np.max(np.abs(blocked - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [-1.0, 1.0])
 def test_top_edge_sector_is_a_truncation_artifact(q):
-    # the bottom edge is the k = 0 level; the top edge repeats +-E(0) only
-    # because its ladder partner at level n_max + 1 was cut away
+    # block 0 holds both edges: the higher spin at level 0 is the k = 0
+    # level, and the other spin at level n_max repeats +-E(0) only because
+    # its ladder partner at level n_max + 1 was cut away
     params = PhysicalParams(q=q)
-    _, edges = landau_sectors(UniformBField(2.0), 0.4, 20, params)
-    np.testing.assert_array_equal(edges.levels, [[0, 0], [20, 20]])
+    blocks = landau_sectors(UniformBField(2.0), 0.4, 20, params)
+    np.testing.assert_array_equal(np.sort(sector_rows(20, q)[0] // 4), [0, 0, 20, 20])
     e0 = 1.0 + 0.4**2 / 2.0
-    ev = hermitian_eig(edges.hamiltonian).eigenvalues
-    np.testing.assert_allclose(ev, [[-e0, e0], [-e0, e0]], atol=1e-14)
+    ev = hermitian_eig(blocks[0]).eigenvalues
+    np.testing.assert_allclose(ev, [-e0, -e0, e0, e0], atol=1e-14)
+    # every other block lies away from +-E(0)
+    assert np.min(np.abs(np.abs(hermitian_eig(blocks[1:]).eigenvalues) - e0)) > 1.0
 
 
 def test_landau_sectors_validation():

@@ -78,6 +78,31 @@ def test_every_public_definition_is_used():
     assert unused == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a private helper shared across modules is a second way in to what one
+    # public function should build; dunders such as __version__ are public
+    private = []
+    for path in sorted((SRC / "negspin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "negspin"):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
+
+
+def test_library_example_prints_what_it_documents():
+    proc = subprocess.run(
+        [sys.executable, "-c", _library_example()],
+        capture_output=True, text=True, cwd=SRC.parent,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[-1.5 -1.5  1.5  1.5]"
+    assert lines[2] == "(5, 4, 4)"
+
+
 # start-up path -> (code run in a fresh interpreter, exit code, heavy modules loaded)
 START_UP = {
     "import": ("import negspin.cli", 0, []),
