@@ -20,8 +20,6 @@ _EXPORTS = {
     "dirac_representation": "clifford",
     "PhysicalParams": "spectral",
     "correspondence_check": "spectral",
-    "expectation_report": "spectral",
-    "free_spectrum": "spectral",
     "hamiltonian": "spectral",
     "helicity_eigenstates": "spectral",
     "lorentz_transform": "spectral",

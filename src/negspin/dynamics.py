@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
+# Relative gap below which two component energies count as one level: the
+# members of a degenerate pair differ by a few ulp of |E|.
+DEGENERACY_RTOL = 1e-12
 # A spectral peak must top the median magnitude by this factor to count.
 DETECTION_FLOOR_FACTOR = 10.0
 CONSTANT_AMPLITUDE_TOL = 1e-12
@@ -56,7 +59,8 @@ class Superposition:
         params: PhysicalParams = PhysicalParams(),
         which: str = "nonrel",
     ) -> "Superposition":
-        """Weights index the four labeled eigenstates sorted by (energy, label)."""
+        """Weights index the four columns of ``helicity_eigenstates``, ordered
+        by (branch, helicity)."""
         if np.shape(p) != (3,):
             raise ValueError(f"a superposition has one momentum 3-vector, got shape {np.shape(p)}")
         w = np.ascontiguousarray(weights, dtype=np.complex128)
@@ -70,18 +74,19 @@ class Superposition:
         _, exponent = np.frexp(np.max(np.abs(w)))
         w = np.ldexp(w.view(float), -exponent).view(np.complex128)
         scale = np.linalg.norm(w)
-        labeled = helicity_eigenstates(p, params, which)
+        states = helicity_eigenstates(p, params, which)
         return cls(
             coefficients=w[kept] / scale,
-            energies=labeled.energies[kept],
-            spinors=labeled.spinors[:, kept],
+            energies=states.eigenvalues[kept],
+            spinors=states.eigenvectors[:, kept],
         )
 
-    def distinct_energies(self, tol: float = 1e-12) -> np.ndarray:
-        """The component energies, ascending, with those within ``tol`` merged."""
+    def distinct_energies(self) -> np.ndarray:
+        """The component energies, ascending, with those within a relative
+        1e-12 of one another merged."""
         found: list[float] = []
         for e in self.energies.tolist():
-            if not any(abs(e - f) <= tol for f in found):
+            if not any(abs(e - f) <= DEGENERACY_RTOL * max(abs(e), abs(f)) for f in found):
                 found.append(e)
         return np.sort(found)
 

@@ -1,4 +1,4 @@
-"""Free-particle Hamiltonians, their spectra, and eigenstate expectations.
+"""Free-particle Hamiltonians, their helicity eigenstates, and boosts.
 
 Two 4x4 momentum-space Hamiltonians share the anticommuting-matrix basis:
 
@@ -7,9 +7,10 @@ Two 4x4 momentum-space Hamiltonians share the anticommuting-matrix basis:
   eigenvalues +-(m0 c^2 + p^2 / 2 m0), i.e. a nonrelativistic dispersion on
   both the positive and the negative branch.
 
-Each eigenvalue is doubly degenerate; within a degenerate pair eigenvectors
-are labeled by helicity (projection of spin on the momentum direction), or by
-spin-z when the momentum vanishes.
+Each eigenvalue is doubly degenerate.  ``helicity_eigenstates`` returns the
+``hermitian_eig`` decomposition with each degenerate pair ordered by
+helicity (projection of spin on the momentum direction), or by spin-z when
+the momentum vanishes.
 """
 
 from __future__ import annotations
@@ -28,13 +29,9 @@ from .clifford import (
 from .matrix_core import EigenDecomposition, expect, hermitian_eig, matrix_dot
 
 __all__ = [
-    "ExpectationReport",
-    "LabeledEigenstates",
     "PhysicalParams",
     "closed_form_energies",
     "correspondence_check",
-    "expectation_report",
-    "free_spectrum",
     "hamiltonian",
     "helicity_eigenstates",
     "lorentz_transform",
@@ -95,44 +92,24 @@ def closed_form_energies(p_mag, params: PhysicalParams, which: str):
     return (-e, e)
 
 
-def free_spectrum(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> EigenDecomposition:
-    """Diagonalize the chosen Hamiltonian: ascending eigenvalues (..., 4), the
-    negative branch first, with eigenvector columns (..., 4, 4)."""
-    return hermitian_eig(hamiltonian(p, params, which))
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledEigenstates:
-    """Four eigenstates per momentum, ordered (negative branch, label -1),
-    (negative, +1), (positive, -1), (positive, +1).
-
-    ``energies`` and ``helicities`` have shape (..., 4); column ``j`` of
-    ``spinors`` (..., 4, 4) is state ``j``.  ``label_kind`` (shape (...)) is
-    "helicity" for p != 0 and "spin_z" at p = 0, where helicity is undefined
-    and the spin projection on z labels the pair.
-    """
-
-    energies: np.ndarray
-    helicities: np.ndarray
-    spinors: np.ndarray
-    label_kind: np.ndarray
-
-
 def _state_index(branch, helicity):
-    """Position of the (branch, helicity) state in a LabeledEigenstates."""
+    """Column of the (branch, helicity) state in ``helicity_eigenstates``."""
     return (branch + 1) + (helicity + 1) // 2
 
 
-def helicity_eigenstates(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> LabeledEigenstates:
+def helicity_eigenstates(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> EigenDecomposition:
     """Simultaneous eigenstates of the Hamiltonian and the spin projector.
 
-    Within each doubly degenerate energy eigenspace the spin projector
-    (Sigma.p_hat, or Sigma_z at p = 0) is diagonalized in the subspace, so
-    the returned spinors never depend on how the backend oriented the
-    degenerate pair.  Broadcasts over momenta of shape (..., 3).
+    The eigenvalues are ``hermitian_eig``'s, ascending.  Column j of the
+    eigenvectors (..., 4, 4) is the state (branch, helicity) = (-, -1),
+    (-, +1), (+, -1), (+, +1).  Within each doubly degenerate energy
+    eigenspace the spin projector (Sigma.p_hat, or Sigma_z at p = 0, where
+    helicity is undefined) is diagonalized in the subspace, so the columns
+    never depend on how the backend oriented the degenerate pair.
+    Broadcasts over momenta of shape (..., 3).
     """
     p = _as_momenta(p)
-    sol = free_spectrum(p, params, which)
+    sol = hermitian_eig(hamiltonian(p, params, which))
     p_mag = np.linalg.norm(p, axis=-1)
     moving = p_mag > 0.0
     direction = np.where(
@@ -151,60 +128,8 @@ def helicity_eigenstates(p, params: PhysicalParams = PhysicalParams(), which: st
     if np.any(np.abs(labels - (-1.0, 1.0, -1.0, 1.0)) > 1e-9):
         raise RuntimeError(f"spin labels did not quantize to -1, +1 per pair: {labels!r}")
     spinors = np.concatenate(rotated, axis=-1)
-    helicities = np.rint(labels).astype(int)
-    for a in (spinors, helicities):
-        a.setflags(write=False)
-    return LabeledEigenstates(
-        energies=sol.eigenvalues,
-        helicities=helicities,
-        spinors=spinors,
-        label_kind=np.where(moving, "helicity", "spin_z"),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ExpectationReport:
-    """Explicit spinor expectations on one labeled eigenstate."""
-
-    energy: float
-    branch: int
-    helicity: int
-    mean_alpha: np.ndarray
-    mean_beta: float
-    mean_i_beta_gamma5: float
-
-
-def expectation_report(
-    p,
-    params: PhysicalParams = PhysicalParams(),
-    which: str = "nonrel",
-    branch: int = 1,
-    helicity: int = 1,
-) -> ExpectationReport:
-    """<alpha_i>, <beta>, <i beta gamma5> computed from the spinor itself.
-
-    On an energy eigenstate the anticommutators {H, O} pin these to
-    <alpha> = c p / E and <beta> = m0 c^2 / E for both Hamiltonians, plus
-    <i beta gamma5> = p^2 / (2 m0 E) for ``nonrel`` (it vanishes for
-    ``dirac``).  The function reports the raw spinor values; the identities
-    are asserted by the callers and the test suite.
-    """
-    if branch not in (-1, 1) or helicity not in (-1, 1):
-        raise ValueError("branch and helicity must each be +1 or -1")
-    labeled = helicity_eigenstates(p, params, which)
-    j = _state_index(branch, helicity)
-    b = dirac_representation()
-    psi = labeled.spinors[..., j]
-    mean_alpha = np.stack([expect(psi, a) for a in b.alpha], axis=-1)
-    mean_alpha.setflags(write=False)
-    return ExpectationReport(
-        energy=labeled.energies[..., j],
-        branch=branch,
-        helicity=helicity,
-        mean_alpha=mean_alpha,
-        mean_beta=expect(psi, b.beta),
-        mean_i_beta_gamma5=expect(psi, b.i_beta_gamma5),
-    )
+    spinors.setflags(write=False)
+    return EigenDecomposition(eigenvalues=sol.eigenvalues, eigenvectors=spinors)
 
 
 def lorentz_transform(
@@ -256,12 +181,12 @@ def correspondence_check(
     branch = np.asarray(branch)
     if not np.all(np.isin(branch, (-1, 1))):
         raise ValueError("branch must be +1 or -1")
-    labeled = helicity_eigenstates(p, params, which="dirac")
+    states = helicity_eigenstates(p, params, which="dirac")
     b = dirac_representation()
-    psi = np.swapaxes(labeled.spinors, -1, -2)  # (..., state, component)
+    psi = np.swapaxes(states.eigenvectors, -1, -2)  # (..., state, component)
     v = params.c * np.stack([expect(psi, a) for a in b.alpha], axis=-1)
     rhs = np.sum(v * p[..., None, :], axis=-1) + params.m0 * params.c**2 * expect(psi, b.beta)
-    resid = np.abs(labeled.energies - rhs) / np.abs(labeled.energies)
+    resid = np.abs(states.eigenvalues - rhs) / np.abs(states.eigenvalues)
     entries = []
     for hel in (-1, 1):
         per_branch = np.where(branch > 0, resid[..., _state_index(1, hel)],

@@ -24,13 +24,13 @@ from negspin.fields import (
     landau_levels_analytic,
     pauli_reduction_check,
 )
-from negspin.matrix_core import hermitian_eig, residual_norm
+from negspin.matrix_core import expect, hermitian_eig, residual_norm
 from negspin.spectral import (
     PhysicalParams,
     closed_form_energies,
     correspondence_check,
-    expectation_report,
     hamiltonian,
+    helicity_eigenstates,
 )
 from oracles import (
     all_passed,
@@ -41,6 +41,7 @@ from oracles import (
 )
 
 PARAMS = PhysicalParams()
+BASIS = dirac_representation()
 
 
 def verdict(label: str, ok: bool, detail: str = ""):
@@ -105,15 +106,15 @@ def test_eigenstate_expectations_and_boost_correspondence():
         p = rng.uniform(-2.0, 2.0, 3)
         p2 = float(p @ p)
         for which in ("dirac", "nonrel"):
-            for branch in (-1, 1):
-                for helicity in (-1, 1):
-                    rep = expectation_report(p, PARAMS, which, branch, helicity)
-                    e = rep.energy
-                    scale = max(1.0, abs(e))
-                    worst = max(worst, float(np.max(np.abs(rep.mean_alpha - p / e))) / scale)
-                    worst = max(worst, abs(rep.mean_beta - 1.0 / e) / scale)
-                    want_s = p2 / (2.0 * e) if which == "nonrel" else 0.0
-                    worst = max(worst, abs(rep.mean_i_beta_gamma5 - want_s) / scale)
+            states = helicity_eigenstates(p, PARAMS, which)
+            for j in range(4):  # every (branch, helicity) column
+                e, psi = states.eigenvalues[j], states.eigenvectors[:, j]
+                scale = max(1.0, abs(e))
+                mean_alpha = np.array([expect(psi, a) for a in BASIS.alpha])
+                worst = max(worst, float(np.max(np.abs(mean_alpha - p / e))) / scale)
+                worst = max(worst, abs(expect(psi, BASIS.beta) - 1.0 / e) / scale)
+                want_s = p2 / (2.0 * e) if which == "nonrel" else 0.0
+                worst = max(worst, abs(expect(psi, BASIS.i_beta_gamma5) - want_s) / scale)
     worst_corr = 0.0
     corr_ok = True
     for _ in range(20):

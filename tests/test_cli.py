@@ -168,6 +168,20 @@ def test_zitter_single_state_no_oscillation(capsys):
     assert report["results"]["measured_omega"] is None
 
 
+@pytest.mark.parametrize("flags", [
+    ["--p", "0.3,0.2,100"],
+    ["--p", "0,0,1e3"],
+    ["--units", "custom", "--c", "100", "--p", "0.3,0.2,1"],
+])
+def test_zitter_one_degenerate_pair_has_no_oscillation(capsys, flags):
+    # the two states of one branch differ by a few ulp of |E| ~ 1e4, which
+    # is one level, not a gap of ~1e-12 with a period longer than the window
+    code, report = run_json(capsys, ["zitter", *flags, "--weights", "1,1,0,0"])
+    assert code == EXIT_OK
+    assert report["checks"][0]["name"] == "no_oscillation_expected"
+    assert len(report["results"]["distinct_energies"]) == 1
+
+
 def test_zitter_without_peak_prints_strict_json(capsys):
     # alpha1 has no interference term here: no peak, measured frequency read as 0
     code, report = run_json(capsys, ["zitter", "--observable", "alpha1"])

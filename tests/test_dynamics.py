@@ -35,9 +35,9 @@ def test_from_weights_normalizes():
 
 
 def test_superposition_rejects_unnormalized_components():
-    labeled = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
+    states = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
     with pytest.raises(ValueError):
-        Superposition(np.array([2.0]), labeled.energies[:1], labeled.spinors[:, :1])
+        Superposition(np.array([2.0]), states.eigenvalues[:1], states.eigenvectors[:, :1])
 
 
 def test_distinct_energies_collapses_degenerate_pairs():
@@ -108,8 +108,8 @@ def test_series_matches_two_level_closed_form():
     """The sampled mean must equal the textbook two-state interference
     formula: sum of diagonal weights plus a single rotating cross term."""
     rng = np.random.default_rng(21)
-    labeled = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
-    (e_lo, e_hi), (psi_lo, psi_hi) = labeled.energies[[1, 3]], labeled.spinors[:, [1, 3]].T
+    states = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
+    (e_lo, e_hi), (psi_lo, psi_hi) = states.eigenvalues[[1, 3]], states.eigenvectors[:, [1, 3]].T
     for _ in range(5):
         w = rng.uniform(-1.0, 1.0, 2)
         weights = (0.0, w[0], 0.0, w[1])

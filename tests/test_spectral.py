@@ -1,16 +1,14 @@
-"""Free-particle spectra, labeled eigenstates, expectation identities, boosts."""
+"""Free-particle spectra, helicity eigenstates, expectation identities, boosts."""
 
 import numpy as np
 import pytest
 
 from negspin.clifford import PAULI, dirac_representation
-from negspin.matrix_core import residual_norm
+from negspin.matrix_core import expect, hermitian_eig, residual_norm
 from negspin.spectral import (
     PhysicalParams,
     closed_form_energies,
     correspondence_check,
-    expectation_report,
-    free_spectrum,
     hamiltonian,
     helicity_eigenstates,
     lorentz_transform,
@@ -18,6 +16,9 @@ from negspin.spectral import (
 from oracles import all_passed
 
 PARAMS = PhysicalParams()
+BASIS = dirac_representation()
+# columns of helicity_eigenstates: (branch, helicity) = (-,-1), (-,+1), (+,-1), (+,+1)
+LABELS = (-1, 1, -1, 1)
 
 
 def random_momenta(seed, count, scale=2.0):
@@ -41,7 +42,7 @@ def test_momentum_shape_validation():
 
 def test_unknown_hamiltonian_kind_rejected():
     with pytest.raises(ValueError):
-        free_spectrum((0.0, 0.0, 1.0), PARAMS, which="cubic")
+        helicity_eigenstates((0.0, 0.0, 1.0), PARAMS, which="cubic")
     with pytest.raises(ValueError):
         hamiltonian((0.0, 0.0, 1.0), PARAMS, which="cubic")
 
@@ -64,7 +65,7 @@ def test_closed_form_oracles():
 def test_free_spectrum_matches_closed_form_both_kinds():
     for which in ("dirac", "nonrel"):
         for p in random_momenta(11, 15):
-            sol = free_spectrum(p, PARAMS, which)
+            sol = hermitian_eig(hamiltonian(p, PARAMS, which))
             em, ep = closed_form_energies(float(np.linalg.norm(p)), PARAMS, which)
             target = np.array([em, em, ep, ep])
             rel = np.max(np.abs(sol.eigenvalues - target) / np.abs(target))
@@ -103,7 +104,7 @@ def test_anticommutators_with_hamiltonian():
 def test_spectrum_with_heavier_mass():
     # |p| = 1, m0 = 2: quadratic branch sits at 2 + 1/4
     heavy = PhysicalParams(m0=2.0)
-    sol = free_spectrum((0.0, 0.0, 1.0), heavy, "nonrel")
+    sol = hermitian_eig(hamiltonian((0.0, 0.0, 1.0), heavy, "nonrel"))
     np.testing.assert_allclose(sol.eigenvalues, [-2.25, -2.25, 2.25, 2.25], atol=1e-12)
 
 
@@ -112,14 +113,12 @@ def test_helicity_labels_and_eigenvector_property():
     for which in ("dirac", "nonrel"):
         for p in random_momenta(17, 8):
             h = hamiltonian(p, PARAMS, which)
-            labeled = helicity_eigenstates(p, PARAMS, which)
-            assert labeled.label_kind == "helicity"
-            assert labeled.spinors.shape == (4, 4)
-            assert tuple(labeled.helicities) == (-1, 1, -1, 1)
+            states = helicity_eigenstates(p, PARAMS, which)
+            assert states.eigenvectors.shape == (4, 4)
             phat = p / np.linalg.norm(p)
             sigma_phat = sum(phat[i] * spin[i] for i in range(3))
             for energy, helicity, spinor in zip(
-                labeled.energies, labeled.helicities, labeled.spinors.T
+                states.eigenvalues, LABELS, states.eigenvectors.T
             ):
                 assert np.max(np.abs(h @ spinor - energy * spinor)) < 1e-12
                 hel = np.vdot(spinor, sigma_phat @ spinor).real
@@ -129,40 +128,45 @@ def test_helicity_labels_and_eigenvector_property():
 
 def test_labeled_states_are_orthonormal():
     for p in random_momenta(43, 5):
-        labeled = helicity_eigenstates(p, PARAMS, "nonrel")
-        block = labeled.spinors
+        block = helicity_eigenstates(p, PARAMS, "nonrel").eigenvectors
         overlap = block.conj().T @ block
         assert residual_norm(overlap, np.eye(4)) < 1e-10
 
 
 def test_zero_momentum_falls_back_to_spin_z():
-    labeled = helicity_eigenstates((0.0, 0.0, 0.0), PARAMS, "nonrel")
-    assert labeled.label_kind == "spin_z"
-    np.testing.assert_allclose(labeled.energies, [-1.0, -1.0, 1.0, 1.0], atol=1e-14)
+    states = helicity_eigenstates((0.0, 0.0, 0.0), PARAMS, "nonrel")
+    sigma_z = np.kron(np.eye(2), PAULI[2])
+    for label, spinor in zip(LABELS, states.eigenvectors.T):
+        assert np.max(np.abs(sigma_z @ spinor - label * spinor)) < 1e-12
+    np.testing.assert_allclose(states.eigenvalues, [-1.0, -1.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_expectation_oracle_at_unit_momentum():
     # nonrel, p = (0,0,1), positive branch: E = 3/2 and the three mean values
     # are 2/3, 2/3, 1/3; they reassemble E as p.<alpha> + <beta> + p^2/2 <s>
-    rep = expectation_report((0.0, 0.0, 1.0), PARAMS, "nonrel", branch=1, helicity=1)
-    assert abs(rep.energy - 1.5) < 1e-12
-    np.testing.assert_allclose(rep.mean_alpha, [0.0, 0.0, 2.0 / 3.0], atol=1e-12)
-    assert abs(rep.mean_beta - 2.0 / 3.0) < 1e-12
-    assert abs(rep.mean_i_beta_gamma5 - 1.0 / 3.0) < 1e-12
-    reassembled = rep.mean_alpha[2] + rep.mean_beta + 0.5 * rep.mean_i_beta_gamma5
-    assert abs(reassembled - rep.energy) < 1e-12
+    states = helicity_eigenstates((0.0, 0.0, 1.0), PARAMS, "nonrel")
+    energy, psi = states.eigenvalues[3], states.eigenvectors[:, 3]  # (+, +1)
+    mean_alpha = np.array([expect(psi, a) for a in BASIS.alpha])
+    mean_beta, mean_s = expect(psi, BASIS.beta), expect(psi, BASIS.i_beta_gamma5)
+    assert abs(energy - 1.5) < 1e-12
+    np.testing.assert_allclose(mean_alpha, [0.0, 0.0, 2.0 / 3.0], atol=1e-12)
+    assert abs(mean_beta - 2.0 / 3.0) < 1e-12
+    assert abs(mean_s - 1.0 / 3.0) < 1e-12
+    reassembled = mean_alpha[2] + mean_beta + 0.5 * mean_s
+    assert abs(reassembled - energy) < 1e-12
 
 
 def test_rest_frame_expectations():
-    rep = expectation_report((0.0, 0.0, 0.0), PARAMS, "nonrel", branch=1, helicity=1)
-    np.testing.assert_allclose(rep.mean_alpha, np.zeros(3), atol=1e-14)
-    assert abs(rep.mean_beta - 1.0) < 1e-14
+    psi = helicity_eigenstates((0.0, 0.0, 0.0), PARAMS, "nonrel").eigenvectors[:, 3]  # (+, +1)
+    np.testing.assert_allclose([expect(psi, a) for a in BASIS.alpha], np.zeros(3), atol=1e-14)
+    assert abs(expect(psi, BASIS.beta) - 1.0) < 1e-14
 
 
 def test_negative_branch_flips_mean_beta():
-    rep = expectation_report((0.0, 0.0, 1.0), PARAMS, "nonrel", branch=-1, helicity=1)
-    assert abs(rep.energy + 1.5) < 1e-12
-    assert abs(rep.mean_beta + 2.0 / 3.0) < 1e-12
+    states = helicity_eigenstates((0.0, 0.0, 1.0), PARAMS, "nonrel")
+    energy, psi = states.eigenvalues[1], states.eigenvectors[:, 1]  # (-, +1)
+    assert abs(energy + 1.5) < 1e-12
+    assert abs(expect(psi, BASIS.beta) + 2.0 / 3.0) < 1e-12
 
 
 def test_expectation_identities_random_momenta():
@@ -172,21 +176,13 @@ def test_expectation_identities_random_momenta():
     for which in ("dirac", "nonrel"):
         for p in random_momenta(23, 12):
             p2 = float(p @ p)
-            for branch in (-1, 1):
-                for helicity in (-1, 1):
-                    rep = expectation_report(p, PARAMS, which, branch, helicity)
-                    e = rep.energy
-                    assert np.max(np.abs(rep.mean_alpha - p / e)) < 1e-10
-                    assert abs(rep.mean_beta - 1.0 / e) < 1e-10
-                    want_s = p2 / (2.0 * e) if which == "nonrel" else 0.0
-                    assert abs(rep.mean_i_beta_gamma5 - want_s) < 1e-10
-
-
-def test_expectation_report_validates_labels():
-    with pytest.raises(ValueError):
-        expectation_report((0.0, 0.0, 1.0), PARAMS, "nonrel", branch=0, helicity=1)
-    with pytest.raises(ValueError):
-        expectation_report((0.0, 0.0, 1.0), PARAMS, "nonrel", branch=1, helicity=2)
+            states = helicity_eigenstates(p, PARAMS, which)
+            for e, psi in zip(states.eigenvalues, states.eigenvectors.T):
+                mean_alpha = np.array([expect(psi, a) for a in BASIS.alpha])
+                assert np.max(np.abs(mean_alpha - p / e)) < 1e-10
+                assert abs(expect(psi, BASIS.beta) - 1.0 / e) < 1e-10
+                want_s = p2 / (2.0 * e) if which == "nonrel" else 0.0
+                assert abs(expect(psi, BASIS.i_beta_gamma5) - want_s) < 1e-10
 
 
 def test_lorentz_transform_rest_frame_oracle():
@@ -265,11 +261,8 @@ def test_helicity_eigenstates_stack_equals_each_momentum():
         stacked = helicity_eigenstates(momenta, PARAMS, which)
         for i, p in enumerate(momenta):
             single = helicity_eigenstates(p, PARAMS, which)
-            np.testing.assert_array_equal(stacked.energies[i], single.energies)
-            np.testing.assert_array_equal(stacked.helicities[i], single.helicities)
-            np.testing.assert_array_equal(stacked.spinors[i], single.spinors)
-            assert stacked.label_kind[i] == single.label_kind
-    assert list(stacked.label_kind) == ["helicity"] * 5 + ["spin_z"]
+            np.testing.assert_array_equal(stacked.eigenvalues[i], single.eigenvalues)
+            np.testing.assert_array_equal(stacked.eigenvectors[i], single.eigenvectors)
 
 
 def test_correspondence_check_broadcasts_momenta_and_branches():
