@@ -18,7 +18,6 @@ _EXPORTS = {
     "CheckEntry": "clifford",
     "DiracBasis": "clifford",
     "dirac_representation": "clifford",
-    "PhysicalParams": "spectral",
     "correspondence_check": "spectral",
     "hamiltonian": "spectral",
     "helicity_eigenstates": "spectral",

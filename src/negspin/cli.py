@@ -14,7 +14,9 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 rejected input.
 
 This module loads no numpy: flags, config files and the units check are
-answered before ``main`` imports the commands.
+answered before ``main`` imports the commands.  It also computes the
+scales of the unit system (``unit_scales``), which ``negspin.commands``
+applies.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 import numbers
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 
@@ -37,6 +40,45 @@ UNIT_KEYS = ("m0", "c", "hbar", "q")
 
 class UsageError(Exception):
     """Bad flags, bad config keys, or rejected parameter combinations."""
+
+
+class Units(NamedTuple):
+    """The scales of a unit system; the library computes in units of them."""
+
+    energy: float  # m0 c^2
+    momentum: float  # m0 c
+    length: float  # hbar / (m0 c)
+    time: float  # hbar / (m0 c^2)
+    charge: float  # hbar c, the unit of Z in -Z/r
+    velocity: float  # c
+
+
+def unit_scales(cfg: dict) -> Units:
+    """The scales of cfg's unit system; each is exactly 1.0 in natural units.
+
+    Rejects m0, c or hbar that is not positive, and a scale that float64
+    rounds to 0 or to infinity, naming it.
+    """
+    m0, c, hbar = cfg["m0"], cfg["c"], cfg["hbar"]
+    if not (m0 > 0 and c > 0 and hbar > 0):
+        raise UsageError("m0, c and hbar must all be positive")
+
+    def checked(name: str, value: float) -> float:
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"unit scale {name} = {value:g} is not a positive finite float64")
+        return value
+
+    momentum = m0 * c
+    # (m0 c) c is positive and finite only if m0 c is, so both divisions are safe
+    energy = checked("m0*c^2", momentum * c)
+    return Units(
+        energy=energy,
+        momentum=momentum,
+        length=checked("hbar/(m0*c)", hbar / momentum),
+        time=checked("hbar/(m0*c^2)", hbar / energy),
+        charge=checked("hbar*c", hbar * c),
+        velocity=c,
+    )
 
 
 def _cast_float(s: str) -> float:
@@ -213,6 +255,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise UsageError(
             f"--units natural fixes {UNIT_KEYS}; pass --units custom to set {sorted(clash)}"
         )
+    unit_scales(cfg)
     return cfg
 
 

@@ -1,17 +1,21 @@
-"""The seven command bodies behind ``negspin.cli``.
+"""The seven command bodies behind ``negspin.cli``; the only module that
+applies a unit system.
 
 ``cli.main`` imports this module, and with it numpy, only once the flags
 and config file have been cast and resolved, so an input the front
-rejects never pays for it.  Each ``_cmd_*`` takes the resolved config and the unit
-system and returns a payload {"results", "checks", "csv_header",
-"csv_rows"}, which ``cli`` renders.
+rejects never pays for it.  The library computes in m0 = c = hbar = 1.
+Each ``_cmd_*`` takes the resolved config, in the user's units, and their
+scales (``cli.unit_scales``).  It divides each input by its scale on the
+way in, and multiplies results, CSV columns and what its checks compare
+by theirs on the way out.  It returns a payload {"results", "checks",
+"csv_header", "csv_rows"}, which ``cli`` renders.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cli import UNIT_KEYS, UsageError
+from .cli import Units, UsageError, unit_scales
 from .clifford import (
     CheckEntry,
     dirac_representation,
@@ -23,7 +27,6 @@ from .dynamics import Superposition, dominant_frequency, observable_series
 from .fields import (
     MIN_OSCILLATOR_LEVELS,
     RadialGrid,
-    UniformBField,
     coulomb_radial_spectrum,
     draw_reduction_trials,
     landau_levels_analytic,
@@ -32,7 +35,6 @@ from .fields import (
 )
 from .matrix_core import ConvergenceError, hermitian_eig
 from .spectral import (
-    PhysicalParams,
     closed_form_energies,
     correspondence_check,
     hamiltonian,
@@ -49,7 +51,7 @@ def _checks_table(checks: list[CheckEntry]) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _cmd_identities(cfg: dict, params: PhysicalParams) -> dict:
+def _cmd_identities(cfg: dict, units: Units) -> dict:
     basis = dirac_representation()
     checks = [*verify_clifford_identities(basis), *verify_gamma_properties(basis)]
     header, rows = _checks_table(checks)
@@ -61,16 +63,17 @@ def _cmd_identities(cfg: dict, params: PhysicalParams) -> dict:
     }
 
 
-def _cmd_dispersion(cfg: dict, params: PhysicalParams) -> dict:
+def _cmd_dispersion(cfg: dict, units: Units) -> dict:
     if cfg["steps"] < 2:
         raise UsageError("steps must be at least 2")
     if not cfg["pmax"] > 0.0:
         raise UsageError("pmax must be positive")
     which = cfg["which"]
     p_mag = cfg["pmax"] * np.arange(cfg["steps"]) / (cfg["steps"] - 1)
-    momenta = np.outer(p_mag, (0.0, 0.0, 1.0))
-    e_minus, e_plus = closed_form_energies(p_mag, params, which)
-    eigenvalues = hermitian_eig(hamiltonian(momenta, params, which)).eigenvalues
+    p_natural = p_mag / units.momentum
+    e_minus, e_plus = (units.energy * e for e in closed_form_energies(p_natural, which))
+    momenta = np.outer(p_natural, (0.0, 0.0, 1.0))
+    eigenvalues = units.energy * hermitian_eig(hamiltonian(momenta, which)).eigenvalues
     closed = np.stack([e_minus, e_minus, e_plus, e_plus], axis=-1)
     worst = np.max(np.abs(eigenvalues - closed) / np.maximum(1.0, np.abs(closed)))
     rows = np.column_stack([p_mag, eigenvalues, e_minus, e_plus]).tolist()
@@ -96,7 +99,7 @@ def _count_within(ascending: np.ndarray, targets: np.ndarray, tol: float) -> np.
             - np.searchsorted(ascending, targets - tol, side="left"))
 
 
-def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
+def _cmd_landau(cfg: dict, units: Units) -> dict:
     if cfg["k_max"] < 0:
         raise UsageError("k_max must be nonnegative")
     if cfg["k_max"] > cfg["n_max"] - 4:
@@ -104,12 +107,17 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
             f"k_max = {cfg['k_max']} is not interior for n_max = {cfg['n_max']}; "
             f"raise n_max to at least {max(cfg['k_max'] + 4, MIN_OSCILLATOR_LEVELS)}"
         )
-    field = UniformBField(cfg["b"])
+    if not cfg["b"] > 0.0:
+        raise UsageError("field magnitude b must be positive")
+    # the field strength lambda = hbar q b / c, in units of (m0 c)^2
+    lam = cfg["q"] * cfg["b"] * units.length / units.energy
+    pz = cfg["pz"] / units.momentum
     # built first: it rejects n_max outside its range before any per-level work
-    blocks = landau_sectors(field, cfg["pz"], cfg["n_max"], params)
-    analytic = landau_levels_analytic(field, cfg["pz"], cfg["k_max"], params)
+    blocks = landau_sectors(lam, pz, cfg["n_max"])
+    analytic = landau_levels_analytic(lam, pz, cfg["k_max"])
+    e_plus, e_minus = units.energy * analytic.energy_plus, units.energy * analytic.energy_minus
     tol = 1e-6
-    top = float(analytic.energy_plus[-1])
+    top = float(e_plus[-1])
     if np.finfo(float).eps * top >= tol:
         raise UsageError(
             f"level k = {cfg['k_max']} sits at E = {top:.3g}, where float64 cannot resolve "
@@ -117,8 +125,8 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
         )
     # every level +-E(k) must stand more than 2 tol from its neighbours, the
     # next rung and the other branch, or one eigenvalue counts for several
-    spacing = params.hbar * analytic.omega_c
-    branch_gap = 2.0 * float(analytic.energy_plus[0])
+    spacing = units.energy * analytic.omega_c
+    branch_gap = 2.0 * float(e_plus[0])
     if not min(spacing, branch_gap) > 2.0 * tol:
         raise UsageError(
             f"levels closer than twice the {tol:g} level tolerance: ladder spacing "
@@ -128,8 +136,7 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
     # pair lost its ladder partner and is a truncation artifact, so one
     # eigenvalue per branch of it joins the level matching
     solved = hermitian_eig(blocks).eigenvalues
-    eigenvalues = np.sort(np.concatenate([solved[0, [0, -1]], solved[1:].ravel()]))
-    e_plus, e_minus = analytic.energy_plus, analytic.energy_minus
+    eigenvalues = units.energy * np.sort(np.concatenate([solved[0, [0, -1]], solved[1:].ravel()]))
     near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
     resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
     checks = []
@@ -139,7 +146,7 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
     checks.append(entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8))
     return {
         "results": {
-            "omega_c": analytic.omega_c,
+            "omega_c": analytic.omega_c / units.time,
             "pz": cfg["pz"],
             "n_max": cfg["n_max"],
             "matrix_dimension": solved.size,
@@ -162,27 +169,30 @@ def _cmd_landau(cfg: dict, params: PhysicalParams) -> dict:
     }
 
 
-def _cmd_coulomb(cfg: dict, params: PhysicalParams) -> dict:
+def _cmd_coulomb(cfg: dict, units: Units) -> dict:
     if cfg["n_levels"] < 1:
         raise UsageError("n_levels must be at least 1")
-    grid = RadialGrid(r_max=cfg["r_max"], n_points=cfg["n_points"])
-    energies = coulomb_radial_spectrum(cfg["z"], cfg["l"], grid, params, cfg["n_levels"])
-    rest = params.m0 * params.c**2
+    z = cfg["z"] / units.charge
+    grid = RadialGrid(r_max=cfg["r_max"] / units.length, n_points=cfg["n_points"])
+    energies = coulomb_radial_spectrum(z, cfg["l"], grid, cfg["n_levels"])
     checks = []
     rows = []
     for i, e_num in enumerate(energies):
         n = cfg["l"] + 1 + i
-        binding = params.m0 * cfg["z"] ** 2 / (2.0 * params.hbar**2 * n**2)
-        e_closed = rest - binding
+        binding = z**2 / (2.0 * n**2)
+        e_closed = 1.0 - binding
+        # a relative error: the same number in every unit system
         rel = abs(e_num - e_closed) / max(abs(e_closed), binding)
         checks.append(entry(f"level_n{n}_relative_error", rel, 1e-3))
-        # the negative branch is the energy mirror
-        rows.append([n, float(e_num), e_closed, rel, float(-e_num)])
+        # E_minus_numeric is the sign-flipped copy of E_plus_numeric, not a
+        # computed level: no negative-branch operator is solved
+        e_num = units.energy * float(e_num)
+        rows.append([n, e_num, units.energy * e_closed, rel, -e_num])
     return {
         "results": {
             "z": cfg["z"],
             "l": cfg["l"],
-            "grid_spacing": grid.spacing,
+            "grid_spacing": units.length * grid.spacing,
             "n_points": cfg["n_points"],
         },
         "checks": checks,
@@ -203,7 +213,7 @@ def _check_sampling(t_max: float, n_samples: int, omega: float) -> None:
                          f"{int(t_max * omega / np.pi) + 1} or a shorter t_max")
 
 
-def _cmd_zitter(cfg: dict, params: PhysicalParams) -> dict:
+def _cmd_zitter(cfg: dict, units: Units) -> dict:
     if cfg["n_samples"] < 64:
         raise UsageError("n_samples must be at least 64")
     if not cfg["t_max"] > 0.0:
@@ -216,18 +226,22 @@ def _cmd_zitter(cfg: dict, params: PhysicalParams) -> dict:
         "beta": basis.beta,
         "ibgamma5": basis.i_beta_gamma5,
     }
-    sup = Superposition.from_weights(cfg["p"], cfg["weights"], params, which="nonrel")
+    p = np.divide(cfg["p"], units.momentum)
+    sup = Superposition.from_weights(p, cfg["weights"], which="nonrel")
     energies = sup.distinct_energies()
+    # angular frequencies (E_a - E_b) / hbar
     gaps = sorted(
-        abs(a - b) / params.hbar
+        abs(a - b) / units.time
         for i, a in enumerate(energies)
         for b in energies[:i]
     )
     if gaps:
         _check_sampling(cfg["t_max"], cfg["n_samples"], gaps[-1])
     times, values = observable_series(sup, observables[cfg["observable"]],
-                                      cfg["t_max"], cfg["n_samples"], params)
+                                      cfg["t_max"] / units.time, cfg["n_samples"])
     measured = dominant_frequency(times, values)
+    if measured is not None:
+        measured /= units.time
     if gaps:
         analytic = gaps[-1]
         # no peak reads as a measured frequency of 0: relative error 1, failing
@@ -241,13 +255,13 @@ def _cmd_zitter(cfg: dict, params: PhysicalParams) -> dict:
             "observable": cfg["observable"],
             "measured_omega": measured,
             "analytic_omega": analytic,
-            "distinct_energies": energies.tolist(),
+            "distinct_energies": (units.energy * energies).tolist(),
             "t_max": cfg["t_max"],
             "n_samples": cfg["n_samples"],
         },
         "checks": checks,
         "csv_header": ["t", "value"],
-        "csv_rows": np.column_stack([times, values]).tolist(),
+        "csv_rows": np.column_stack([units.time * times, values]).tolist(),
     }
 
 
@@ -262,15 +276,15 @@ def _sweep_momenta(count: int, pmax: float) -> np.ndarray:
     return (j * pmax / count)[:, None] * direction
 
 
-def _cmd_lorentz(cfg: dict, params: PhysicalParams) -> dict:
+def _cmd_lorentz(cfg: dict, units: Units) -> dict:
     if cfg["sweep"] < 0:
         raise UsageError("sweep must be nonnegative")
     if cfg["sweep"] > 0:
         if not cfg["pmax"] > 0.0:
             raise UsageError("pmax must be positive")
         branches = (-1, 1)
-        momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"])[:, None, :]
-        labels = correspondence_check(momenta, params, np.array(branches))
+        momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"] / units.momentum)[:, None, :]
+        labels = correspondence_check(momenta, np.array(branches))
         # one check per (momentum, branch): worst of the two labels
         worst = np.maximum(*(e.residual for e in labels))
         tolerance = labels[0].tolerance
@@ -286,11 +300,14 @@ def _cmd_lorentz(cfg: dict, params: PhysicalParams) -> dict:
             "csv_header": header,
             "csv_rows": rows,
         }
-    e_out, p_out = lorentz_transform(cfg["e_prime"], cfg["p_prime"], cfg["v"], params)
-    e_back, p_back = lorentz_transform(e_out, p_out, tuple(-x for x in cfg["v"]), params)
+    v = np.divide(cfg["v"], units.velocity)
+    e_out, p_out = lorentz_transform(
+        cfg["e_prime"] / units.energy, np.divide(cfg["p_prime"], units.momentum), v)
+    e_back, p_back = lorentz_transform(e_out, p_out, -v)
+    e_out, p_out = units.energy * e_out, units.momentum * p_out
     roundtrip = max(
-        abs(e_back - cfg["e_prime"]),
-        float(np.max(np.abs(p_back - np.asarray(cfg["p_prime"])))),
+        abs(units.energy * e_back - cfg["e_prime"]),
+        float(np.max(np.abs(units.momentum * p_back - np.asarray(cfg["p_prime"])))),
     )
     checks = [entry("roundtrip_residual", roundtrip, 1e-12)]
     return {
@@ -308,18 +325,19 @@ def _cmd_lorentz(cfg: dict, params: PhysicalParams) -> dict:
     }
 
 
-def _cmd_reduction(cfg: dict, params: PhysicalParams) -> dict:
+def _cmd_reduction(cfg: dict, units: Units) -> dict:
+    """The chain's only scale is m0 c^2, so the trials are drawn in units of
+    m0 c and m0 c^2 and the unit system does not enter."""
     if cfg["trials"] < 1:
         raise UsageError("trials must be at least 1")
     if cfg["seed"] < 0:
         raise UsageError("seed must be nonnegative")
     rng = np.random.default_rng(cfg["seed"])
-    rest = params.m0 * params.c**2
     p, v0, phi = draw_reduction_trials(rng, cfg["trials"])
-    e_trial = v0 + rest + np.sum(p * p, axis=-1) / (2.0 * params.m0)
+    e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0
     if cfg["wrong_energy"]:
-        e_trial += 0.2 * rest
-    chain = pauli_reduction_check(p, v0, e_trial, params, phi=phi)
+        e_trial += 0.2
+    chain = pauli_reduction_check(p, v0, e_trial, phi=phi)
     failed = np.zeros(cfg["trials"], dtype=bool)
     for e in chain:
         failed |= ~e.passed
@@ -351,12 +369,11 @@ _COMMANDS = {
 
 def run(command: str, cfg: dict) -> dict:
     """Run one command on its resolved config and return its payload."""
-    # cfg holds PhysicalParams' own defaults unless --units custom set them
-    params = PhysicalParams(**{key: cfg[key] for key in UNIT_KEYS})
+    units = unit_scales(cfg)
     # an overflow or invalid operation raises rather than printing a
     # warning and carrying inf/nan into the report
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _COMMANDS[command](cfg, params)
+            return _COMMANDS[command](cfg, units)
     except ConvergenceError as err:
         raise UsageError(str(err)) from err

@@ -2,9 +2,10 @@
 
 A superposition of energy eigenstates at a shared momentum evolves by pure
 phases, so any observable expectation is a trigonometric polynomial in t
-whose frequencies are energy differences over hbar.  Mixing the positive and
-the negative branch produces the interference oscillation at
-(E_plus - E_minus)/hbar; a single eigenstate produces none.
+whose frequencies are energy differences.  Mixing the positive and the
+negative branch produces the interference oscillation at E_plus - E_minus;
+a single eigenstate produces none.  Natural units as in ``spectral``: times
+are in hbar/(m0 c^2) and angular frequencies in m0 c^2/hbar.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import expect, residual_norm
-from .spectral import PhysicalParams, helicity_eigenstates
+from .spectral import helicity_eigenstates
 
 __all__ = [
     "Superposition",
@@ -52,13 +53,7 @@ class Superposition:
             raise ValueError(f"superposition norm is {total!r}, expected 1")
 
     @classmethod
-    def from_weights(
-        cls,
-        p,
-        weights,
-        params: PhysicalParams = PhysicalParams(),
-        which: str = "nonrel",
-    ) -> "Superposition":
+    def from_weights(cls, p, weights, which: str = "nonrel") -> "Superposition":
         """Weights index the four columns of ``helicity_eigenstates``, ordered
         by (branch, helicity)."""
         if np.shape(p) != (3,):
@@ -74,7 +69,7 @@ class Superposition:
         _, exponent = np.frexp(np.max(np.abs(w)))
         w = np.ldexp(w.view(float), -exponent).view(np.complex128)
         scale = np.linalg.norm(w)
-        states = helicity_eigenstates(p, params, which)
+        states = helicity_eigenstates(p, which)
         return cls(
             coefficients=w[kept] / scale,
             energies=states.eigenvalues[kept],
@@ -91,14 +86,14 @@ class Superposition:
         return np.sort(found)
 
 
-def evolve(sup: Superposition, t, params: PhysicalParams = PhysicalParams()) -> np.ndarray:
-    """Phase evolution: sum of c_i psi_i exp(-i E_i t / hbar).
+def evolve(sup: Superposition, t) -> np.ndarray:
+    """Phase evolution: sum of c_i psi_i exp(-i E_i t).
 
     ``t`` may be an array of times; the states come back stacked, (..., 4).
     """
     t = np.asarray(t, dtype=float)[..., None]
     return sum(
-        c * psi * np.exp(-1j * e * t / params.hbar)
+        c * psi * np.exp(-1j * e * t)
         for c, e, psi in zip(sup.coefficients, sup.energies, sup.spinors.T)
     )
 
@@ -108,7 +103,6 @@ def observable_series(
     observable: np.ndarray,
     t_max: float,
     n_samples: int,
-    params: PhysicalParams = PhysicalParams(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expectation of a Hermitian observable at uniform times, as (times, values).
 
@@ -125,7 +119,7 @@ def observable_series(
     if residual_norm(observable, observable.conj().T) > 1e-12:
         raise ValueError("observable must be Hermitian")
     times = np.arange(n_samples) * (t_max / n_samples)
-    return times, expect(evolve(sup, times, params), observable)
+    return times, expect(evolve(sup, times), observable)
 
 
 def dominant_frequency(times, values) -> float | None:

@@ -1,23 +1,26 @@
 """External-field spectra and the reduction to a two-component wave equation.
 
+Natural units as in ``spectral``, lengths in hbar/(m0 c); a magnetic field
+enters as one signed strength lambda = hbar q b / c, in units of (m0 c)^2.
 Three problem families:
 
 * uniform magnetic field along z in the symmetric gauge, solved in a
   truncated single-oscillator basis and cross-checked against the closed-form
-  level ladder E(k) = m0 c^2 + hbar omega_c k + pz^2 / 2 m0.  The operator
-  only couples states of equal conserved index, and each such sector is the
-  free 4x4 Hamiltonian at a transverse momentum sqrt(2 |hbar q b / c| N), so
+  level ladder E(k) = 1 + |lambda| k + pz^2 / 2.  The operator only couples
+  states of equal conserved index, and each such sector is the free 4x4
+  Hamiltonian at a transverse momentum sqrt(2 |lambda| N), so
   ``landau_sectors`` builds the n_max + 1 blocks with ``hamiltonian``; the
-  tests check them against the dense truncated matrix;
+  tests check them against the dense truncated matrix.  Its negative branch
+  mirrors the positive one: the spectrum is paired, E and -E;
 * an attractive -Z/r potential on a radial grid (3-point finite differences,
   Dirichlet ends), cross-checked against the closed-form -Z^2/2n^2 ladder.
   Its lowest levels come from Sturm counts of the tridiagonal matrix, O(n)
-  each (``matrix_core.tridiagonal_lowest``), so no scipy is loaded;
+  each (``matrix_core.tridiagonal_lowest``), so no scipy is loaded.  Only
+  the positive branch is solved; no negative-branch level is computed;
 * the momentum-space rearrangement chain that eliminates the lower spinor
   and leaves the two-component kinetic-energy relation, verified as exact
   matrix identities at a trial energy.
 
-Negative-branch spectra are energy mirrors of the positive branch throughout.
 Truncated-basis assertions are made on interior oscillator levels only; edge
 levels are reported, never tested.
 """
@@ -31,12 +34,11 @@ import numpy as np
 
 from .clifford import I4, PAULI, CheckEntry, dirac_representation, entry
 from .matrix_core import matrix_dot, residual_norm, tridiagonal_lowest
-from .spectral import PhysicalParams, hamiltonian
+from .spectral import hamiltonian
 
 __all__ = [
     "LandauSpectrum",
     "RadialGrid",
-    "UniformBField",
     "coulomb_radial_spectrum",
     "draw_reduction_trials",
     "landau_levels_analytic",
@@ -49,24 +51,14 @@ MIN_OSCILLATOR_LEVELS = 8
 # Largest truncation accepted; a cold landau run at this size peaks near 200 MB.
 MAX_OSCILLATOR_LEVELS = 10**5
 # Empirical accuracy guard for the radial grid: the spacing in Bohr radii,
-# spacing * m0 Z / hbar^2, must stay below.
+# spacing * Z (spacing * m0 Z / hbar^2 in any units), must stay below.
 GRID_GUARD = 0.05
-
-
-@dataclass(frozen=True)
-class UniformBField:
-    """Field magnitude b > 0 along +z (symmetric gauge is implied)."""
-
-    b: float
-
-    def __post_init__(self):
-        if not self.b > 0.0:
-            raise ValueError("field magnitude b must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class LandauSpectrum:
-    """Ladder levels k = 0..k_max: energies +-E(k) and multiplicity, one entry per k."""
+    """Ladder levels k = 0..k_max: energies +-E(k) and multiplicity, one entry
+    per k; omega_c = |lambda| is the ladder spacing."""
 
     omega_c: float
     k: np.ndarray
@@ -106,65 +98,56 @@ def _check_truncation(n_max: int) -> None:
         raise ValueError(f"n_max = {n_max} exceeds the largest truncation {MAX_OSCILLATOR_LEVELS}")
 
 
-def _landau_lambda(field: UniformBField, params: PhysicalParams) -> float:
-    """hbar q b / c, the commutator [Pi_x, Pi_y] over i."""
-    if params.q == 0.0:
-        raise ValueError("charge q must be nonzero for a magnetic problem")
-    return params.hbar * params.q * field.b / params.c
+def _landau_lambda(lam: float) -> float:
+    """The field strength lambda = hbar q b / c, the commutator [Pi_x, Pi_y]
+    over i, checked nonzero and finite."""
+    if lam == 0.0:
+        raise ValueError("field strength lambda = hbar q b / c must be nonzero")
+    if not math.isfinite(lam):
+        raise ValueError(f"field strength lambda = {lam} is not finite")
+    return lam
 
 
-def landau_sectors(
-    field: UniformBField,
-    pz: float,
-    n_max: int,
-    params: PhysicalParams = PhysicalParams(),
-) -> np.ndarray:
+def landau_sectors(lam: float, pz: float, n_max: int) -> np.ndarray:
     """The truncated Landau operator as n_max + 1 free 4x4 blocks, in O(n_max).
 
-    The operator is c alpha.Pi + m0 c^2 beta + i beta gamma5 (alpha.Pi)^2/(2 m0)
-    on oscillator levels 0..n_max, with (alpha.Pi)^2 the square of the
-    truncated alpha.Pi.
+    The operator is alpha.Pi + beta + i beta gamma5 (alpha.Pi)^2 / 2 on
+    oscillator levels 0..n_max, with (alpha.Pi)^2 the square of the
+    truncated alpha.Pi and [Pi_x, Pi_y] = i lam.
 
     alpha.Pi only couples spin up at level n to spin down at level n + 1
-    (q < 0) or n - 1 (q > 0), so the basis splits into sectors that never
+    (lam < 0) or n - 1 (lam > 0), so the basis splits into sectors that never
     meet.  In sector N the spin that sits higher is at level N and the other
     at level N - 1, and the ladder element sqrt(N) and the sign wiring of
     Pi_x and Pi_y combine to k_N alpha_x on every spin-flip entry, with
-    k_N = sqrt(2 |lambda| N), lambda = hbar q b / c.  So block N is the free
-    ``hamiltonian`` at momentum (k_N, 0, pz), in natural spinor order; state
+    k_N = sqrt(2 |lam| N).  So block N is the free ``hamiltonian`` at
+    momentum (k_N, 0, pz), in natural spinor order; state
     s of block N is row 4 level + s of the dense (oscillator level) x
     (4-spinor) matrix, level = (N - 1 + [spin of s sits higher]) mod (n_max + 1).
     Returns the stack (n_max + 1, 4, 4).
 
     Block 0 (k = 0) holds both edges: the higher spin at level 0, whose
-    +-(m0 c^2 + pz^2/2m0) pair is the k = 0 level, and the other spin at
+    +-(1 + pz^2/2) pair is the k = 0 level, and the other spin at
     level n_max, whose identical pair is a truncation artifact, since its
     ladder partner at level n_max + 1 was cut away.
     """
     _check_truncation(n_max)
-    k = np.sqrt(2.0 * abs(_landau_lambda(field, params)) * np.arange(n_max + 1))
+    k = np.sqrt(2.0 * abs(_landau_lambda(lam)) * np.arange(n_max + 1))
     momenta = np.stack([k, np.zeros_like(k), np.full_like(k, pz)], axis=-1)
-    return hamiltonian(momenta, params, "nonrel")
+    return hamiltonian(momenta, "nonrel")
 
 
-def landau_levels_analytic(
-    field: UniformBField,
-    pz: float,
-    k_max: int,
-    params: PhysicalParams = PhysicalParams(),
-) -> LandauSpectrum:
-    """Closed-form ladder E(k) = m0 c^2 + hbar omega_c k + pz^2/(2 m0).
+def landau_levels_analytic(lam: float, pz: float, k_max: int) -> LandauSpectrum:
+    """Closed-form ladder E(k) = 1 + omega_c k + pz^2/2, omega_c = |lam|.
 
-    omega_c = |q| b / (m0 c).  k = 0 is reached by a single
-    (level, spin) combination, every k >= 1 by two, hence the multiplicity.
+    k = 0 is reached by a single (level, spin) combination, every k >= 1 by
+    two, hence the multiplicity.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    if params.q == 0.0:
-        raise ValueError("charge q must be nonzero for a magnetic problem")
-    omega_c = abs(params.q) * field.b / (params.m0 * params.c)
+    omega_c = abs(_landau_lambda(lam))
     k = np.arange(k_max + 1)
-    e_plus = params.m0 * params.c**2 + params.hbar * omega_c * k + pz**2 / (2.0 * params.m0)
+    e_plus = 1.0 + omega_c * k + pz**2 / 2.0
     return LandauSpectrum(
         omega_c=omega_c,
         k=k,
@@ -178,17 +161,16 @@ def coulomb_radial_spectrum(
     z: float,
     l: int,
     grid: RadialGrid = RadialGrid(),
-    params: PhysicalParams = PhysicalParams(),
     n_levels: int = 3,
 ) -> np.ndarray:
-    """Lowest levels of m0 c^2 - hbar^2/(2 m0) (d^2/dr^2 - l(l+1)/r^2) - Z/r.
+    """Lowest levels of 1 - (d^2/dr^2 - l(l+1)/r^2) / 2 - Z/r.
 
+    Z is in units of hbar c and r in hbar/(m0 c), so one Bohr radius is 1/Z.
     3-point finite differences for u = r phi on the Dirichlet grid, solved
     by ``tridiagonal_lowest`` to a few eps ||T||, as LAPACK's stebz.
-    Returns the ``n_levels`` ascending energies, read-only; the negative
-    branch is their energy mirror.  Rejects grids whose spacing reaches
-    0.05 Bohr radii hbar^2/(m0 Z), where the stencil error is no longer
-    trusted.
+    Returns the ``n_levels`` ascending positive-branch energies, read-only;
+    no negative-branch level is computed.  Rejects grids whose spacing
+    reaches 0.05 Bohr radii, where the stencil error is no longer trusted.
     """
     if not z > 0.0:
         raise ValueError("z must be positive")
@@ -199,23 +181,17 @@ def coulomb_radial_spectrum(
     if n_levels > grid.n_points:
         raise ValueError(f"n_levels = {n_levels} exceeds the {grid.n_points} grid points")
     h = grid.spacing
-    per_bohr = params.m0 * z / params.hbar**2  # one over the Bohr radius hbar^2/(m0 Z)
-    if not h * per_bohr < GRID_GUARD:
-        needed = grid.r_max * per_bohr / GRID_GUARD
+    if not h * z < GRID_GUARD:
+        needed = grid.r_max * z / GRID_GUARD
         hint = (f"use n_points >= {math.ceil(needed)}" if math.isfinite(needed)
                 else "no float64 grid resolves it")
         raise ValueError(
-            f"grid too coarse: spacing*m0*Z/hbar^2 = {h * per_bohr:.4g} >= {GRID_GUARD}; "
+            f"grid too coarse: spacing*m0*Z/hbar^2 = {h * z:.4g} >= {GRID_GUARD}; "
             f"{hint} at r_max = {grid.r_max}"
         )
     r = grid.nodes
-    kin = params.hbar**2 / (2.0 * params.m0 * h * h)
-    diagonal = (
-        2.0 * kin
-        + params.m0 * params.c**2
-        + params.hbar**2 * l * (l + 1) / (2.0 * params.m0 * r * r)
-        - z / r
-    )
+    kin = 1.0 / (2.0 * h * h)
+    diagonal = 2.0 * kin + 1.0 + l * (l + 1) / (2.0 * r * r) - z / r
     energies = tridiagonal_lowest(diagonal, -kin, n_levels)
     energies.setflags(write=False)
     return energies
@@ -246,23 +222,16 @@ def draw_reduction_trials(rng: np.random.Generator, trials: int):
     return -2.0 + 4.0 * u[:, :3], -1.0 + 2.0 * u[:, 3], _disc_spinor(u[:, 4:].reshape(trials, 2, 2))
 
 
-def pauli_reduction_check(
-    p,
-    v0,
-    e_trial,
-    params: PhysicalParams = PhysicalParams(),
-    *,
-    phi,
-) -> tuple[CheckEntry, ...]:
+def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
     """Verify the elimination chain from the 4x4 wave equation down to the
     two-component kinetic-energy relation, in momentum representation with a
-    constant potential v0.
+    constant potential v0, in units where m0 c^2 = 1.
 
     Entries, in chain order:
 
     * ``rearrange_operator_plus`` / ``rearrange_operator_minus``: moving the
       i beta gamma5 term across turns (E - v0) I - H_free into
-      (E - v0) gamma1_proj - (c alpha.p + m0 c^2 gamma2_op); an operator
+      (E - v0) gamma1_proj - (alpha.p + gamma2_op); an operator
       identity at either branch sign of the trial energy.
     * ``eigenvector_satisfies_rearranged``: positive-branch eigenvectors of
       the full Hamiltonian + v0 are annihilated by the rearranged operator
@@ -273,10 +242,10 @@ def pauli_reduction_check(
       direction).
     * ``transport_by_gamma2``: left-multiplying by gamma2_op and substituting
       Psi = gamma2_op Phi produces the (I + beta) form of the equation.
-    * ``lower_row_elimination``: with chi = -(i m0 c^2 + c sigma.p) phi
-      / (m0 c^2) the lower block row vanishes identically (any energy).
+    * ``lower_row_elimination``: with chi = -(i + sigma.p) phi the lower
+      block row vanishes identically (any energy).
     * ``kinetic_energy_relation``: the upper block row reduces to
-      (E - v0 - m0 c^2 - p^2/2m0) phi = 0; its reported residual equals the
+      (E - v0 - 1 - p^2/2) phi = 0; its reported residual equals the
       trial-energy error for a normalized phi.
 
     ``phi`` is the upper 2-spinor, normalized here.  Broadcasts over
@@ -287,22 +256,17 @@ def pauli_reduction_check(
     """
     v0 = np.asarray(v0, dtype=float)[..., None, None]
     e_trial = np.asarray(e_trial, dtype=float)[..., None, None]
-    h_full = hamiltonian(p, params, "nonrel") + v0 * I4
+    h_full = hamiltonian(p, "nonrel") + v0 * I4
     p = np.asarray(p, dtype=float)
     basis = dirac_representation()
     ap = matrix_dot(p, basis.alpha)
-    m0c2 = params.m0 * params.c**2
     g1, g2 = basis.gamma1_proj, basis.gamma2_op
 
     def rearranged(e):
-        return (e - v0) * g1 - params.c * ap - m0c2 * g2
+        return (e - v0) * g1 - ap - g2
 
     def direct(e):
-        free = (
-            params.c * ap
-            + m0c2 * basis.beta
-            + basis.i_beta_gamma5 * ((e - v0) - m0c2)
-        )
+        free = ap + basis.beta + basis.i_beta_gamma5 * ((e - v0) - 1.0)
         return (e - v0) * I4 - free
 
     entries = []
@@ -338,7 +302,7 @@ def pauli_reduction_check(
               np.max(np.where(kept[..., None, :], maps_back, 0.0), axis=(-2, -1)), 1e-10)
     )
 
-    transported = (e_trial - v0) * (I4 + basis.beta) + params.c * ap - m0c2 * g2
+    transported = (e_trial - v0) * (I4 + basis.beta) + ap - g2
     entries.append(
         entry("transport_by_gamma2",
               residual_norm(transported @ g2, g2 @ rearranged(e_trial)), 1e-12)
@@ -352,7 +316,7 @@ def pauli_reduction_check(
         raise ValueError("phi must be nonzero")
     phi = phi / norm
     sigma_p = matrix_dot(p, PAULI)
-    chi = (-(1j * m0c2 * np.eye(2) + params.c * sigma_p) @ phi[..., None])[..., 0] / m0c2
+    chi = (-(1j * np.eye(2) + sigma_p) @ phi[..., None])[..., 0]
     psi = np.concatenate(np.broadcast_arrays(phi, chi), axis=-1)
     rows = (transported @ psi[..., None])[..., 0]
     entries.append(entry("lower_row_elimination", np.max(np.abs(rows[..., 2:]), axis=-1), 1e-12))

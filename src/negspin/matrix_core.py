@@ -138,7 +138,7 @@ def hermitian_eig(h) -> EigenDecomposition:
 
 
 class _SturmCounter:
-    """Sturm counts of tridiag(1, c, 1) - x by odd-even cyclic reduction.
+    """Sturm counts of tridiag(1, diagonal, 1) - x by odd-even cyclic reduction.
 
     The even-indexed rows are not coupled to each other, so their diagonal
     entries are pivots, and eliminating them leaves a tridiagonal Schur
@@ -152,9 +152,9 @@ class _SturmCounter:
     reused by every batch.
     """
 
-    def __init__(self, c: np.ndarray, pivmin: float, max_shifts: int):
-        n = c.shape[0]
-        self.c, self.pivmin = c, pivmin
+    def __init__(self, diagonal: np.ndarray, pivmin: float, max_shifts: int):
+        n = diagonal.shape[0]
+        self.diagonal, self.pivmin = diagonal, pivmin
         self.batch = max(1, min(max_shifts, STURM_BATCH_ELEMENTS // n))
         half = (self.batch, (n + 1) // 2)
         self.rows = np.empty((self.batch, n))
@@ -169,7 +169,7 @@ class _SturmCounter:
 
     def _batch(self, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s, pivmin = len(shifts), self.pivmin
-        a = np.subtract(self.c, shifts[:, None], out=self.rows[:s])
+        a = np.subtract(self.diagonal, shifts[:, None], out=self.rows[:s])
         spare = self.half_rows
         e2 = None  # squared off-diagonals: all 1 before the first reduction
         count = np.zeros(s, dtype=np.intp)

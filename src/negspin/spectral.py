@@ -1,11 +1,14 @@
 """Free-particle Hamiltonians, their helicity eigenstates, and boosts.
 
-Two 4x4 momentum-space Hamiltonians share the anticommuting-matrix basis:
+Everything here is in natural units, m0 = c = hbar = 1: energies in units
+of m0 c^2, momenta in m0 c, velocities in c.  ``negspin.commands`` converts
+to and from other unit systems.  Two 4x4 momentum-space Hamiltonians share
+the anticommuting-matrix basis:
 
-* ``dirac``:  c alpha.p + m0 c^2 beta, eigenvalues +-sqrt(c^2 p^2 + m0^2 c^4)
-* ``nonrel``: c alpha.p + m0 c^2 beta + i beta gamma5 (alpha.p)^2 / (2 m0),
-  eigenvalues +-(m0 c^2 + p^2 / 2 m0), i.e. a nonrelativistic dispersion on
-  both the positive and the negative branch.
+* ``dirac``:  alpha.p + beta, eigenvalues +-sqrt(p^2 + 1)
+* ``nonrel``: alpha.p + beta + i beta gamma5 (alpha.p)^2 / 2, eigenvalues
+  +-(1 + p^2 / 2), i.e. a nonrelativistic dispersion on both the positive
+  and the negative branch.
 
 Each eigenvalue is doubly degenerate.  ``helicity_eigenstates`` returns the
 ``hermitian_eig`` decomposition with each degenerate pair ordered by
@@ -14,8 +17,6 @@ the momentum vanishes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .clifford import (
 from .matrix_core import EigenDecomposition, expect, hermitian_eig, matrix_dot
 
 __all__ = [
-    "PhysicalParams",
     "closed_form_energies",
     "correspondence_check",
     "hamiltonian",
@@ -40,24 +40,6 @@ __all__ = [
 HAMILTONIANS = ("dirac", "nonrel")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Unit system: rest mass, light speed, reduced Planck constant, charge.
-
-    The defaults are the natural units used throughout the tests
-    (m0 = c = hbar = 1, q = -1).  q keeps its sign.
-    """
-
-    m0: float = 1.0
-    c: float = 1.0
-    hbar: float = 1.0
-    q: float = -1.0
-
-    def __post_init__(self):
-        if not (self.m0 > 0 and self.c > 0 and self.hbar > 0):
-            raise ValueError("m0, c and hbar must all be positive")
-
-
 def _as_momenta(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.ndim < 1 or v.shape[-1] != 3:
@@ -65,28 +47,28 @@ def _as_momenta(p) -> np.ndarray:
     return v
 
 
-def hamiltonian(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> np.ndarray:
+def hamiltonian(p, which: str = "nonrel") -> np.ndarray:
     """The chosen Hamiltonian at momenta p of shape (..., 3), as (..., 4, 4).
 
-    ``dirac``: c alpha.p + m0 c^2 beta;
-    ``nonrel``: c alpha.p + m0 c^2 beta + i beta gamma5 (alpha.p)^2 / (2 m0).
+    ``dirac``: alpha.p + beta;
+    ``nonrel``: alpha.p + beta + i beta gamma5 (alpha.p)^2 / 2.
     """
     if which not in HAMILTONIANS:
         raise ValueError(f"unknown hamiltonian {which!r}; expected one of {HAMILTONIANS}")
     b = dirac_representation()
     ap = matrix_dot(_as_momenta(p), b.alpha)
-    h = params.c * ap + params.m0 * params.c**2 * b.beta
+    h = ap + b.beta
     if which == "nonrel":
-        h = h + b.i_beta_gamma5 @ ap @ ap / (2.0 * params.m0)
+        h = h + b.i_beta_gamma5 @ ap @ ap / 2.0
     return h
 
 
-def closed_form_energies(p_mag, params: PhysicalParams, which: str):
+def closed_form_energies(p_mag, which: str):
     """(negative, positive) branch energies at momentum magnitudes |p|."""
     if which == "dirac":
-        e = np.hypot(params.c * p_mag, params.m0 * params.c**2)
+        e = np.hypot(p_mag, 1.0)
     elif which == "nonrel":
-        e = params.m0 * params.c**2 + p_mag**2 / (2.0 * params.m0)
+        e = 1.0 + p_mag**2 / 2.0
     else:
         raise ValueError(f"unknown hamiltonian {which!r}; expected one of {HAMILTONIANS}")
     return (-e, e)
@@ -97,7 +79,7 @@ def _state_index(branch, helicity):
     return (branch + 1) + (helicity + 1) // 2
 
 
-def helicity_eigenstates(p, params: PhysicalParams = PhysicalParams(), which: str = "nonrel") -> EigenDecomposition:
+def helicity_eigenstates(p, which: str = "nonrel") -> EigenDecomposition:
     """Simultaneous eigenstates of the Hamiltonian and the spin projector.
 
     The eigenvalues are ``hermitian_eig``'s, ascending.  Column j of the
@@ -109,7 +91,7 @@ def helicity_eigenstates(p, params: PhysicalParams = PhysicalParams(), which: st
     Broadcasts over momenta of shape (..., 3).
     """
     p = _as_momenta(p)
-    sol = hermitian_eig(hamiltonian(p, params, which))
+    sol = hermitian_eig(hamiltonian(p, which))
     p_mag = np.linalg.norm(p, axis=-1)
     moving = p_mag > 0.0
     direction = np.where(
@@ -132,13 +114,8 @@ def helicity_eigenstates(p, params: PhysicalParams = PhysicalParams(), which: st
     return EigenDecomposition(eigenvalues=sol.eigenvalues, eigenvectors=spinors)
 
 
-def lorentz_transform(
-    e_prime: float,
-    p_prime,
-    velocity,
-    params: PhysicalParams = PhysicalParams(),
-) -> tuple[float, np.ndarray]:
-    """Boost an (energy, momentum) pair by a frame velocity.
+def lorentz_transform(e_prime: float, p_prime, velocity) -> tuple[float, np.ndarray]:
+    """Boost an (energy, momentum) pair by a frame velocity (in units of c).
 
     The momentum line is applied first, then the energy line
     ``E = v.p + E' / gamma``; both hold for negative E' unchanged.
@@ -150,25 +127,20 @@ def lorentz_transform(
             f"momentum and velocity must be 3-vectors, got shapes {p_prime.shape}, {v.shape}"
         )
     v2 = float(v @ v)
-    c2 = params.c**2
-    if v2 >= c2:
-        raise ValueError(f"superluminal frame velocity: |v|^2 = {v2} >= c^2 = {c2}")
-    gamma = 1.0 / np.sqrt(1.0 - v2 / c2)
+    if v2 >= 1.0:
+        raise ValueError(f"superluminal frame velocity: |v|^2 = {v2} >= c^2 = 1.0")
+    gamma = 1.0 / np.sqrt(1.0 - v2)
     if v2 > 0.0:
         parallel = (gamma - 1.0) * v * float(p_prime @ v) / v2
     else:
         parallel = np.zeros(3)
-    p = p_prime + parallel + gamma * v * e_prime / c2
+    p = p_prime + parallel + gamma * v * e_prime
     e = float(v @ p) + e_prime / gamma
     return e, p
 
 
-def correspondence_check(
-    p,
-    params: PhysicalParams = PhysicalParams(),
-    branch=1,
-) -> tuple[CheckEntry, ...]:
-    """E = v.p + m0 c^2 / gamma with v := <c alpha>, 1/gamma := <beta>.
+def correspondence_check(p, branch=1) -> tuple[CheckEntry, ...]:
+    """E = v.p + 1 / gamma with v := <alpha>, 1/gamma := <beta>.
 
     Both expectations come from explicit Dirac eigenstates of the requested
     branch (one check per helicity label), so the identity is exercised on
@@ -181,11 +153,11 @@ def correspondence_check(
     branch = np.asarray(branch)
     if not np.all(np.isin(branch, (-1, 1))):
         raise ValueError("branch must be +1 or -1")
-    states = helicity_eigenstates(p, params, which="dirac")
+    states = helicity_eigenstates(p, which="dirac")
     b = dirac_representation()
     psi = np.swapaxes(states.eigenvectors, -1, -2)  # (..., state, component)
-    v = params.c * np.stack([expect(psi, a) for a in b.alpha], axis=-1)
-    rhs = np.sum(v * p[..., None, :], axis=-1) + params.m0 * params.c**2 * expect(psi, b.beta)
+    v = np.stack([expect(psi, a) for a in b.alpha], axis=-1)
+    rhs = np.sum(v * p[..., None, :], axis=-1) + expect(psi, b.beta)
     resid = np.abs(states.eigenvalues - rhs) / np.abs(states.eigenvalues)
     entries = []
     for hel in (-1, 1):

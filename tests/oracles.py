@@ -19,13 +19,11 @@ import numpy as np
 from negspin.clifford import CheckEntry, dirac_representation, entry
 from negspin.fields import (
     RadialGrid,
-    UniformBField,
     _check_truncation,
     _disc_spinor,
     _landau_lambda,
     landau_sectors,
 )
-from negspin.spectral import PhysicalParams
 
 
 def all_passed(entries) -> bool:
@@ -55,14 +53,15 @@ def _ladder_down(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
 
 
-def _pi_matrices(field: UniformBField, n_max: int, params: PhysicalParams):
+def _pi_matrices(lam: float, n_max: int):
     """Truncated kinetic-momentum components from oscillator ladder elements.
 
-    [Pi_x, Pi_y] = i hbar q b / c fixes the sign wiring: for q < 0 the
-    lowering operator is (Pi_x + i Pi_y)/sqrt(2|lam|), for q > 0 it is the
-    conjugate combination.  Both components are Hermitian by construction.
+    [Pi_x, Pi_y] = i lam, lam = hbar q b / c, fixes the sign wiring: for
+    lam < 0 the lowering operator is (Pi_x + i Pi_y)/sqrt(2|lam|), for
+    lam > 0 it is the conjugate combination.  Both components are Hermitian
+    by construction.
     """
-    lam = _landau_lambda(field, params)
+    lam = _landau_lambda(lam)
     a = _ladder_down(n_max + 1)
     ad = a.conj().T
     scale = np.sqrt(abs(lam) / 2.0)
@@ -71,11 +70,10 @@ def _pi_matrices(field: UniformBField, n_max: int, params: PhysicalParams):
     return pi_x, pi_y
 
 
-def alpha_pi_matrix(field: UniformBField, pz: float, n_max: int,
-                    params: PhysicalParams) -> np.ndarray:
+def alpha_pi_matrix(lam: float, pz: float, n_max: int) -> np.ndarray:
     """alpha.Pi on the truncated (oscillator level) x (4-spinor) basis."""
     basis = dirac_representation()
-    pi_x, pi_y = _pi_matrices(field, n_max, params)
+    pi_x, pi_y = _pi_matrices(lam, n_max)
     identity_osc = np.eye(n_max + 1, dtype=np.complex128)
     return (
         np.kron(pi_x, basis.alpha[0])
@@ -84,13 +82,8 @@ def alpha_pi_matrix(field: UniformBField, pz: float, n_max: int,
     )
 
 
-def landau_hamiltonian_matrix(
-    field: UniformBField,
-    pz: float,
-    n_max: int,
-    params: PhysicalParams = PhysicalParams(),
-) -> np.ndarray:
-    """Full operator c alpha.Pi + m0 c^2 beta + i beta gamma5 (alpha.Pi)^2/(2 m0).
+def landau_hamiltonian_matrix(lam: float, pz: float, n_max: int) -> np.ndarray:
+    """Full operator alpha.Pi + beta + i beta gamma5 (alpha.Pi)^2 / 2, natural units.
 
     Basis ordering is (oscillator level n = 0..n_max) x (4-spinor), the
     4-spinor factor carrying the block convention of the matrix basis (a
@@ -100,33 +93,28 @@ def landau_hamiltonian_matrix(
     _check_truncation(n_max)
     basis = dirac_representation()
     identity_osc = np.eye(n_max + 1, dtype=np.complex128)
-    a = alpha_pi_matrix(field, pz, n_max, params)
+    a = alpha_pi_matrix(lam, pz, n_max)
     return (
-        params.c * a
-        + params.m0 * params.c**2 * np.kron(identity_osc, basis.beta)
-        + np.kron(identity_osc, basis.i_beta_gamma5) @ a @ a / (2.0 * params.m0)
+        a
+        + np.kron(identity_osc, basis.beta)
+        + np.kron(identity_osc, basis.i_beta_gamma5) @ a @ a / 2.0
     )
 
 
-def sector_rows(n_max: int, q: float) -> np.ndarray:
+def sector_rows(n_max: int, lam: float) -> np.ndarray:
     """Dense row of state s of Landau block N, as an (n_max + 1, 4) array.
 
     The row is 4 level + s, with level = (N - 1 + [spin of s sits higher])
-    mod (n_max + 1); spin up (s = 0, 2) sits higher for q > 0, spin down
-    (s = 1, 3) for q < 0.
+    mod (n_max + 1); spin up (s = 0, 2) sits higher for lam > 0, spin down
+    (s = 1, 3) for lam < 0.
     """
-    higher = (np.arange(4) % 2 == 0) == (q > 0)
+    higher = (np.arange(4) % 2 == 0) == (lam > 0)
     levels = (np.arange(n_max + 1)[:, None] - 1 + higher) % (n_max + 1)
     return 4 * levels + np.arange(4)
 
 
-def square_identity_check(
-    field: UniformBField,
-    pz: float,
-    n_max: int,
-    params: PhysicalParams = PhysicalParams(),
-) -> tuple[CheckEntry, ...]:
-    """H^2 = (m0 c^2 + (alpha.Pi)^2 / 2 m0)^2 and [H, S] = 0 on interior columns.
+def square_identity_check(lam: float, pz: float, n_max: int) -> tuple[CheckEntry, ...]:
+    """H^2 = (1 + (alpha.Pi)^2 / 2)^2 and [H, S] = 0 on interior columns.
 
     Checked block by block: H from ``landau_sectors``, alpha.Pi cut from the
     dense ``alpha_pi_matrix`` at the ``sector_rows`` of each block.
@@ -134,10 +122,10 @@ def square_identity_check(
     count is reported as its own entry (residual = count, tolerance = the
     expected 2 levels x 4 components).
     """
-    h = landau_sectors(field, pz, n_max, params)
-    rows = sector_rows(n_max, params.q)
-    a = alpha_pi_matrix(field, pz, n_max, params)[rows[:, :, None], rows[:, None, :]]
-    s = params.m0 * params.c**2 * np.eye(4) + a @ a / (2.0 * params.m0)
+    h = landau_sectors(lam, pz, n_max)
+    rows = sector_rows(n_max, lam)
+    a = alpha_pi_matrix(lam, pz, n_max)[rows[:, :, None], rows[:, None, :]]
+    s = np.eye(4) + a @ a / 2.0
     interior = (rows // 4 <= n_max - 2)[:, None, :]
     square_resid = float(np.max(np.abs(h @ h - s @ s), where=interior, initial=0.0))
     commute_resid = float(np.max(np.abs(h @ s - s @ h), where=interior, initial=0.0))
@@ -148,9 +136,10 @@ def square_identity_check(
     )
 
 
-def coulomb_grid_levels(z: float, l: int, grid: RadialGrid, params: PhysicalParams,
+def coulomb_grid_levels(z: float, l: int, grid: RadialGrid,
                         n_levels: int) -> tuple[np.ndarray, float]:
-    """Lowest levels of the Coulomb finite-difference matrix from scipy's stebz.
+    """Lowest levels of the Coulomb finite-difference matrix from scipy's stebz,
+    in natural units.
 
     Also returns the accuracy bound 4 eps max_i(|d_i| + 2|e|) that two
     bisection solvers of the matrix should agree within.
@@ -158,9 +147,8 @@ def coulomb_grid_levels(z: float, l: int, grid: RadialGrid, params: PhysicalPara
     from scipy.linalg import eigh_tridiagonal
 
     r = grid.nodes
-    kin = params.hbar**2 / (2.0 * params.m0 * grid.spacing**2)
-    diagonal = (2.0 * kin + params.m0 * params.c**2
-                + params.hbar**2 * l * (l + 1) / (2.0 * params.m0 * r * r) - z / r)
+    kin = 1.0 / (2.0 * grid.spacing**2)
+    diagonal = 2.0 * kin + 1.0 + l * (l + 1) / (2.0 * r * r) - z / r
     levels = eigh_tridiagonal(diagonal, np.full(grid.n_points - 1, -kin), eigvals_only=True,
                               select="i", select_range=(0, n_levels - 1))
     bound = 4.0 * np.finfo(float).eps * float(np.max(np.abs(diagonal) + 2.0 * kin))

@@ -19,14 +19,12 @@ from negspin.clifford import (
 from negspin.dynamics import Superposition, dominant_frequency, observable_series
 from negspin.fields import (
     RadialGrid,
-    UniformBField,
     coulomb_radial_spectrum,
     landau_levels_analytic,
     pauli_reduction_check,
 )
 from negspin.matrix_core import expect, hermitian_eig, residual_norm
 from negspin.spectral import (
-    PhysicalParams,
     closed_form_energies,
     correspondence_check,
     hamiltonian,
@@ -40,7 +38,6 @@ from oracles import (
     square_identity_check,
 )
 
-PARAMS = PhysicalParams()
 BASIS = dirac_representation()
 
 
@@ -82,9 +79,9 @@ def test_free_spectra_match_closed_forms():
     worst_square = 0.0
     for which in ("dirac", "nonrel"):
         for p in momenta:
-            h = hamiltonian(p, PARAMS, which)
+            h = hamiltonian(p, which)
             ev = hermitian_eig(h).eigenvalues
-            em, ep = closed_form_energies(float(np.linalg.norm(p)), PARAMS, which)
+            em, ep = closed_form_energies(float(np.linalg.norm(p)), which)
             target = np.array([em, em, ep, ep])
             worst_rel = max(worst_rel, float(np.max(np.abs(ev - target) / np.abs(target))))
             sq = residual_norm(h @ h, ep**2 * np.eye(4)) / ep**2
@@ -106,7 +103,7 @@ def test_eigenstate_expectations_and_boost_correspondence():
         p = rng.uniform(-2.0, 2.0, 3)
         p2 = float(p @ p)
         for which in ("dirac", "nonrel"):
-            states = helicity_eigenstates(p, PARAMS, which)
+            states = helicity_eigenstates(p, which)
             for j in range(4):  # every (branch, helicity) column
                 e, psi = states.eigenvalues[j], states.eigenvectors[:, j]
                 scale = max(1.0, abs(e))
@@ -120,7 +117,7 @@ def test_eigenstate_expectations_and_boost_correspondence():
     for _ in range(20):
         p = rng.uniform(-2.0, 2.0, 3)
         for branch in (-1, 1):
-            report = correspondence_check(p, PARAMS, branch)
+            report = correspondence_check(p, branch)
             corr_ok = corr_ok and all_passed(report)
             worst_corr = max(worst_corr, max(e.residual for e in report))
     ok = worst < 1e-10 and corr_ok and worst_corr < 1e-10
@@ -139,15 +136,15 @@ def test_magnetic_ladder_matches_truncated_matrix():
     worst_square = 0.0
     for b in (1.0, 2.0):
         for pz in (0.0, 1.0):
-            field = UniformBField(b)
-            analytic = landau_levels_analytic(field, pz, 3, PARAMS)
-            ev = hermitian_eig(landau_hamiltonian_matrix(field, pz, 40, PARAMS)).eigenvalues
+            lam = -b  # hbar q b / c at q = -1
+            analytic = landau_levels_analytic(lam, pz, 3)
+            ev = hermitian_eig(landau_hamiltonian_matrix(lam, pz, 40)).eigenvalues
             for e_plus, e_minus in zip(analytic.energy_plus, analytic.energy_minus):
                 worst_level = max(worst_level, float(np.min(np.abs(ev - e_plus))))
                 worst_level = max(worst_level, float(np.min(np.abs(ev - e_minus))))
             ordered = np.sort(ev)
             worst_pair = max(worst_pair, float(np.max(np.abs(ordered + ordered[::-1]))))
-            report = square_identity_check(field, pz, 40, PARAMS)
+            report = square_identity_check(lam, pz, 40)
             worst_square = max(worst_square,
                                entry_named(report, "square_identity_interior").residual)
     ok = worst_level < 1e-6 and worst_pair < 1e-8 and worst_square < 1e-10
@@ -161,7 +158,7 @@ def test_magnetic_ladder_matches_truncated_matrix():
 def test_radial_levels_match_closed_form_at_second_order():
     """First three bound levels at 1e-3 on the default grid, and error ratio
     approximately 4 under exact grid-spacing halving."""
-    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 3)
+    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 3)
     worst_rel = 0.0
     for i, e_num in enumerate(energies):
         n = i + 1
@@ -169,7 +166,7 @@ def test_radial_levels_match_closed_form_at_second_order():
         worst_rel = max(worst_rel, abs(e_num - closed) / abs(closed))
     errs = []
     for n_points in (6000, 12001):
-        ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, n_points), PARAMS, 1)[0]
+        ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, n_points), 1)[0]
         errs.append(abs(ground - 0.5))
     ratio = errs[0] / errs[1]
     ok = worst_rel < 1e-3 and 3.5 <= ratio <= 4.5
@@ -194,13 +191,13 @@ def test_reduction_chain_on_random_draws():
         e_trial = v0 + 1.0 + float(p @ p) / 2.0
         if first_draw is None:
             first_draw = (p, v0, phi, e_trial)
-        report = pauli_reduction_check(p, v0, e_trial, PARAMS, phi=phi)
+        report = pauli_reduction_check(p, v0, e_trial, phi=phi)
         all_pass = all_pass and all_passed(report)
         for e in report:
             if e.name != "nullspace_dimension":
                 worst = max(worst, e.residual)
     p, v0, phi, e_trial = first_draw
-    control = pauli_reduction_check(p, v0, e_trial + 0.2, PARAMS, phi=phi)
+    control = pauli_reduction_check(p, v0, e_trial + 0.2, phi=phi)
     ok = all_pass and worst < 1e-10 and not all_passed(control)
     verdict(
         "reduction chain on 100 draws (tol 1e-10) with failing control",
@@ -214,12 +211,12 @@ def test_interference_frequency_tracks_energy_gap():
     2.0 at small momentum, absent for a single eigenstate. 1 percent gates."""
     basis = dirac_representation()
     obs = basis.alpha[2]
-    sup = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0), PARAMS)
-    omega_unit = dominant_frequency(*observable_series(sup, obs, 20.0, 512, PARAMS))
-    sup_small = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0), PARAMS)
-    omega_small = dominant_frequency(*observable_series(sup_small, obs, 40.0, 512, PARAMS))
-    sup_single = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), PARAMS)
-    omega_none = dominant_frequency(*observable_series(sup_single, obs, 20.0, 512, PARAMS))
+    sup = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0))
+    omega_unit = dominant_frequency(*observable_series(sup, obs, 20.0, 512))
+    sup_small = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0))
+    omega_small = dominant_frequency(*observable_series(sup_small, obs, 40.0, 512))
+    sup_single = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0))
+    omega_none = dominant_frequency(*observable_series(sup_single, obs, 20.0, 512))
     rel_unit = abs(omega_unit - 3.0) / 3.0 if omega_unit else np.inf
     rel_small = abs(omega_small - 2.0) / 2.0 if omega_small else np.inf
     ok = rel_unit < 0.01 and rel_small < 0.01 and omega_none is None

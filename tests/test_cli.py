@@ -1,13 +1,14 @@
 """End-to-end command contract: flags, config files, exit codes, output bytes."""
 
 import json
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from negspin import __version__
 from negspin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from negspin.fields import UniformBField, landau_levels_analytic
-from negspin.spectral import PhysicalParams
 
 
 def reject_constant(token):
@@ -88,11 +89,9 @@ def test_landau_counted_multiplicity_matches_analytic(capsys, q, pz):
     )
     assert code == EXIT_OK
     results = report["results"]
-    analytic = landau_levels_analytic(
-        UniformBField(1.0), float(pz), 5, PhysicalParams(q=float(q))
-    )
-    expected = analytic.multiplicity.tolist()
-    # block 0 holds +-E(0) twice; its top-edge copy is excluded, so k = 0 counts once
+    # one (level, spin) pair reaches k = 0 and two reach every k >= 1; block 0
+    # holds +-E(0) twice, and its top-edge copy is excluded, so k = 0 counts once
+    expected = [1, 2, 2, 2, 2, 2]
     assert results["counted_multiplicity_plus"] == expected
     assert results["counted_multiplicity_minus"] == expected
     assert results["edge_states"] == 2
@@ -311,6 +310,113 @@ def test_custom_units_are_used(capsys):
     assert report["params"]["m0"] == 2.0
 
 
+def test_dispersion_with_heavier_mass(capsys):
+    # |p| = 1, m0 = 2: the quadratic branch sits at m0 c^2 + p^2/2m0 = 2 + 1/4
+    code = main(["dispersion", "--units", "custom", "--m0", "2", "--pmax", "1", "--steps", "2",
+                 "--format", "csv"])
+    last = [float(x) for x in capsys.readouterr().out.splitlines()[-1].split(",")]
+    assert code == EXIT_OK
+    assert last[0] == 1.0
+    np.testing.assert_allclose(last[1:5], [-2.25, -2.25, 2.25, 2.25], rtol=0.0, atol=1e-12)
+
+
+def test_non_positive_units_are_rejected(capsys):
+    for flag in ("--m0=0", "--c=-1", "--hbar=0"):
+        err = one_line_usage_error(capsys, ["identities", "--units", "custom", flag])
+        assert "m0, c and hbar must all be positive" in err
+
+
+# a unit system far from natural units, and its scales as the front forms them
+M0, C, HBAR, Q = 2.5, 3.0, 0.7, -0.8
+CUSTOM_UNITS = ["--units", "custom", f"--m0={M0!r}", f"--c={C!r}", f"--hbar={HBAR!r}",
+                f"--q={Q!r}"]
+MOMENTUM = M0 * C
+ENERGY = MOMENTUM * C
+LENGTH, TIME, CHARGE = HBAR / MOMENTUM, HBAR / ENERGY, HBAR * C
+
+
+def _vec(*xs) -> str:
+    return ",".join(repr(float(x)) for x in xs)
+
+
+# (command, flags in custom units, the same inputs in natural units,
+#  {results key: scale}, {CSV column: scale}); the scale takes a natural-unit
+# output to the custom unit system
+COVARIANCE_CASES = [
+    ("dispersion",
+     ["--pmax=1.7", "--steps", "7"], [f"--pmax={1.7 / MOMENTUM!r}", "--steps", "7"],
+     {}, {"p": MOMENTUM, **{col: ENERGY for col in
+                            ("E1", "E2", "E3", "E4", "E_minus_closed", "E_plus_closed")}}),
+    ("landau",
+     ["--b=1.3", "--pz=0.4", "--n-max", "30"],
+     [f"--b={abs(Q * 1.3 * LENGTH / ENERGY)!r}", f"--pz={0.4 / MOMENTUM!r}", "--n-max", "30"],
+     {"omega_c": 1.0 / TIME, "pz": MOMENTUM},
+     {"E_plus_analytic": ENERGY, "E_plus_numeric": ENERGY, "E_minus_analytic": ENERGY,
+      "E_minus_numeric": ENERGY, "multiplicity": 1.0}),
+    # 60 Bohr radii hbar^2/(m0 Z) on 6000 points
+    ("coulomb",
+     ["--z=0.9", "--l", "1", f"--r-max={60 * HBAR**2 / (M0 * 0.9)!r}"],
+     [f"--z={0.9 / CHARGE!r}", "--l", "1", f"--r-max={60 * HBAR**2 / (M0 * 0.9) / LENGTH!r}"],
+     {"grid_spacing": LENGTH},
+     {"E_plus_numeric": ENERGY, "E_plus_closed": ENERGY, "relative_error": 1.0,
+      "E_minus_numeric": ENERGY}),
+    ("zitter",
+     [f"--p={_vec(0.3, -0.2, 2.0)}", f"--t-max={20 * TIME!r}"],
+     [f"--p={_vec(0.3 / MOMENTUM, -0.2 / MOMENTUM, 2.0 / MOMENTUM)}",
+      f"--t-max={20 * TIME / TIME!r}"],
+     {"measured_omega": 1.0 / TIME, "analytic_omega": 1.0 / TIME, "distinct_energies": ENERGY},
+     {"t": TIME, "value": 1.0}),
+    ("lorentz",
+     [f"--v={_vec(0.5 * C, -0.3 * C, 0.1 * C)}", "--e-prime=-4.2",
+      f"--p-prime={_vec(1.0, 2.0, -3.0)}"],
+     [f"--v={_vec(0.5 * C / C, -0.3 * C / C, 0.1 * C / C)}", f"--e-prime={-4.2 / ENERGY!r}",
+      f"--p-prime={_vec(1.0 / MOMENTUM, 2.0 / MOMENTUM, -3.0 / MOMENTUM)}"],
+     {"e": ENERGY, "p": MOMENTUM},
+     {"E": ENERGY, "px": MOMENTUM, "py": MOMENTUM, "pz": MOMENTUM}),
+]
+
+
+def _assert_scaled(custom, natural, scale):
+    """custom == scale * natural to within 4 ulps of the larger."""
+    custom, natural = np.asarray(custom, dtype=float), scale * np.asarray(natural, dtype=float)
+    gap = np.abs(custom - natural)
+    assert np.all(gap <= 4 * np.finfo(float).eps * np.maximum(np.abs(custom), np.abs(natural)))
+
+
+def _both_formats(capsys, argv):
+    code, report = run_json(capsys, argv)
+    assert main([*argv, "--format", "csv"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    return code, report, {col: rows[:, j] for j, col in enumerate(header)}
+
+
+@pytest.mark.parametrize("case", COVARIANCE_CASES, ids=lambda case: case[0])
+def test_custom_units_equal_natural_units_at_converted_inputs(capsys, case):
+    command, custom_flags, natural_flags, result_scales, column_scales = case
+    code, report, columns = _both_formats(capsys, [command, *CUSTOM_UNITS, *custom_flags])
+    n_code, n_report, n_columns = _both_formats(capsys, [command, *natural_flags])
+    assert code == n_code == EXIT_OK
+    assert ([(c["name"], c["tolerance"]) for c in report["checks"]]
+            == [(c["name"], c["tolerance"]) for c in n_report["checks"]])
+    for key, scale in result_scales.items():
+        _assert_scaled(report["results"][key], n_report["results"][key], scale)
+    assert columns.keys() == n_columns.keys()
+    for column, scale in column_scales.items():
+        _assert_scaled(columns[column], n_columns[column], scale)
+
+
+def test_reduction_does_not_depend_on_the_unit_system(capsys):
+    # the chain's only scale is m0 c^2, so its trials are drawn in units of
+    # m0 c and m0 c^2, and a small m0 c^2 no longer fails at roundoff
+    code, custom = run_json(capsys, ["reduction", "--units", "custom", "--c", "1e3"])
+    _, natural = run_json(capsys, ["reduction"])
+    assert code == EXIT_OK
+    assert custom["results"] == natural["results"]
+    assert custom["checks"] == natural["checks"]
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     capsys.readouterr()
@@ -374,6 +480,19 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["reduction", "--trials", "100000000000000"], "too large to allocate"),
     (["zitter", "--n-samples", "100000000000000"], "too large to allocate"),
     (["coulomb", "--n-points", "100000000000000"], "too large to allocate"),
+    # a unit scale that float64 rounds to 0 or to infinity is named
+    (["lorentz", "--units", "custom", "--c", "1e-300", "--v", "0,0,0"],
+     "unit scale m0*c^2 = 0 is not a positive finite float64"),
+    (["dispersion", "--units", "custom", "--c", "1e300"],
+     "unit scale m0*c^2 = inf is not a positive finite float64"),
+    (["identities", "--units", "custom", "--hbar", "1e-300", "--m0", "1e10", "--c", "1e20"],
+     "unit scale hbar/(m0*c) = 0 "),
+    (["identities", "--units", "custom", "--hbar", "1e-300", "--c", "1e20"],
+     "unit scale hbar/(m0*c^2) = 0 "),
+    (["identities", "--units", "custom", "--hbar", "1e300", "--c", "1e10"],
+     "unit scale hbar*c = inf "),
+    (["landau", "--b", "0"], "field magnitude b must be positive"),
+    (["landau", "--units", "custom", "--q", "0"], "lambda = hbar q b / c must be nonzero"),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)
@@ -395,3 +514,36 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
     cfg.write_text("pmax=-inf\n")
     assert main(["dispersion", "--config", str(cfg)]) == EXIT_USAGE
     assert "finite" in capsys.readouterr().err
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The argv of every ``negspin ...`` line in the README's shell blocks."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in text.split("```sh\n")[1:]:
+        for line in block.split("```", 1)[0].splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["negspin"]:
+                examples.append(argv[1:])
+    return examples
+
+
+README_CLI_EXAMPLES = _readme_cli_examples()
+
+
+def test_readme_has_ten_cli_examples():
+    assert len(README_CLI_EXAMPLES) == 10
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", README_CLI_EXAMPLES, ids=" ".join)
+def test_readme_cli_example_exits_as_documented(tmp_path, argv, fmt):
+    # the last --format and --out win, so every example writes into tmp_path
+    out = tmp_path / f"report.{fmt}"
+    code = main([*argv, "--format", fmt, "--out", str(out)])
+    assert code == (EXIT_CHECK_FAILED if "--wrong-energy" in argv else EXIT_OK)
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        json.loads(text, parse_constant=reject_constant)
+    else:
+        assert len(text.splitlines()) >= 2

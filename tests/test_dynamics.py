@@ -10,58 +10,57 @@ from negspin.dynamics import (
     evolve,
     observable_series,
 )
-from negspin.spectral import PhysicalParams, helicity_eigenstates
+from negspin.spectral import helicity_eigenstates
 
-PARAMS = PhysicalParams()
 BASIS = dirac_representation()
 P_UNIT = (0.0, 0.0, 1.0)
 
 
 def test_from_weights_requires_four_entries():
     with pytest.raises(ValueError):
-        Superposition.from_weights(P_UNIT, (1.0, 0.0), PARAMS)
+        Superposition.from_weights(P_UNIT, (1.0, 0.0))
 
 
 def test_from_weights_rejects_all_zero():
     with pytest.raises(ValueError):
-        Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 0.0), PARAMS)
+        Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 0.0))
 
 
 def test_from_weights_normalizes():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 3.0, 0.0, 4.0), PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.0, 3.0, 0.0, 4.0))
     total = np.sum(np.abs(sup.coefficients) ** 2)
     assert abs(total - 1.0) < 1e-12
     assert len(sup.coefficients) == 2
 
 
 def test_superposition_rejects_unnormalized_components():
-    states = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
+    states = helicity_eigenstates(P_UNIT, "nonrel")
     with pytest.raises(ValueError):
         Superposition(np.array([2.0]), states.eigenvalues[:1], states.eigenvectors[:, :1])
 
 
 def test_distinct_energies_collapses_degenerate_pairs():
-    sup = Superposition.from_weights(P_UNIT, (1.0, 1.0, 1.0, 1.0), PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (1.0, 1.0, 1.0, 1.0))
     assert sup.distinct_energies().tolist() == [-1.5, 1.5]
 
 
 def test_evolve_matches_single_state_phase():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0), PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0))
     t = 0.8
     expected = sup.coefficients[0] * np.exp(-1j * sup.energies[0] * t) * sup.spinors[:, 0]
-    np.testing.assert_allclose(evolve(sup, t, PARAMS), expected, atol=1e-15)
+    np.testing.assert_allclose(evolve(sup, t), expected, atol=1e-15)
 
 
 def test_evolve_preserves_norm():
-    sup = Superposition.from_weights(P_UNIT, (0.5, -1.0, 0.25, 2.0), PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.5, -1.0, 0.25, 2.0))
     for t in np.linspace(0.0, 12.0, 7):
-        psi = evolve(sup, float(t), PARAMS)
+        psi = evolve(sup, float(t))
         assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
 
 def test_observable_series_grid_and_reality():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0), PARAMS)
-    times, values = observable_series(sup, BASIS.alpha[2], 8.0, 16, PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
+    times, values = observable_series(sup, BASIS.alpha[2], 8.0, 16)
     assert times.shape == values.shape == (16,)
     assert times[0] == 0.0
     # endpoint excluded: t_k = k t_max / n
@@ -70,36 +69,36 @@ def test_observable_series_grid_and_reality():
 
 
 def test_observable_series_validation():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0), PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        observable_series(sup, BASIS.alpha[2], 8.0, 8, PARAMS)
+        observable_series(sup, BASIS.alpha[2], 8.0, 8)
     with pytest.raises(ValueError):
-        observable_series(sup, BASIS.alpha[2], 0.0, 16, PARAMS)
+        observable_series(sup, BASIS.alpha[2], 0.0, 16)
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
-        observable_series(sup, skew, 8.0, 16, PARAMS)
+        observable_series(sup, skew, 8.0, 16)
 
 
 def test_identity_observable_gives_unit_series():
-    sup = Superposition.from_weights(P_UNIT, (0.5, 1.0, -0.5, 1.0), PARAMS)
-    _, values = observable_series(sup, np.eye(4), 5.0, 16, PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.5, 1.0, -0.5, 1.0))
+    _, values = observable_series(sup, np.eye(4), 5.0, 16)
     assert np.max(np.abs(values - 1.0)) < 1e-12
 
 
 def test_single_eigenstate_series_is_stationary_mean():
     # stationary state: series pinned at the eigenstate expectation p3/E
-    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0), PARAMS)
-    _, values = observable_series(sup, BASIS.alpha[2], 10.0, 32, PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0))
+    _, values = observable_series(sup, BASIS.alpha[2], 10.0, 32)
     assert np.max(np.abs(values - 2.0 / 3.0)) < 1e-12
 
 
 def test_equal_mix_time_average_over_whole_periods():
     # sampled over exactly three periods the cross term sums to zero, so the
     # mean is the weight-average of the two stationary expectations (here 0)
-    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0), PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
     t_max = 3.0 * 2.0 * np.pi / 3.0
-    _, values = observable_series(sup, BASIS.alpha[2], t_max, 128, PARAMS)
+    _, values = observable_series(sup, BASIS.alpha[2], t_max, 128)
     mean = float(np.mean(values))
     assert abs(mean) < 1e-12
 
@@ -108,20 +107,20 @@ def test_series_matches_two_level_closed_form():
     """The sampled mean must equal the textbook two-state interference
     formula: sum of diagonal weights plus a single rotating cross term."""
     rng = np.random.default_rng(21)
-    states = helicity_eigenstates(P_UNIT, PARAMS, "nonrel")
+    states = helicity_eigenstates(P_UNIT, "nonrel")
     (e_lo, e_hi), (psi_lo, psi_hi) = states.eigenvalues[[1, 3]], states.eigenvectors[:, [1, 3]].T
     for _ in range(5):
         w = rng.uniform(-1.0, 1.0, 2)
         weights = (0.0, w[0], 0.0, w[1])
         if abs(w[0]) < 1e-6 or abs(w[1]) < 1e-6:
             continue
-        sup = Superposition.from_weights(P_UNIT, weights, PARAMS)
+        sup = Superposition.from_weights(P_UNIT, weights)
         obs = BASIS.alpha[2]
         c1, c2 = sup.coefficients
         o11 = np.vdot(psi_lo, obs @ psi_lo).real
         o22 = np.vdot(psi_hi, obs @ psi_hi).real
         o12 = np.vdot(psi_lo, obs @ psi_hi)
-        times, values = observable_series(sup, obs, 10.0, 64, PARAMS)
+        times, values = observable_series(sup, obs, 10.0, 64)
         for t, value in zip(times, values):
             phase = np.exp(1j * (e_lo - e_hi) * t)
             want = (
@@ -167,8 +166,8 @@ def test_dominant_frequency_input_validation():
 
 def test_branch_mixture_oscillates_at_energy_gap():
     # p = (0,0,1): gap between branches is 2 (1 + 1/2) = 3
-    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0), PARAMS)
-    times, values = observable_series(sup, BASIS.alpha[2], 20.0, 512, PARAMS)
+    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
+    times, values = observable_series(sup, BASIS.alpha[2], 20.0, 512)
     omega = dominant_frequency(times, values)
     assert abs(omega - 3.0) / 3.0 < 0.01
     # cross-check the spectral estimate by counting zero crossings
@@ -179,11 +178,11 @@ def test_branch_mixture_oscillates_at_energy_gap():
 
 
 def test_gap_approaches_twice_rest_energy_at_small_momentum():
-    sup = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0), PARAMS)
-    omega = dominant_frequency(*observable_series(sup, BASIS.alpha[2], 40.0, 512, PARAMS))
+    sup = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0))
+    omega = dominant_frequency(*observable_series(sup, BASIS.alpha[2], 40.0, 512))
     assert abs(omega - 2.0) / 2.0 < 0.01
 
 
 def test_single_eigenstate_shows_no_oscillation():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0), PARAMS)
-    assert dominant_frequency(*observable_series(sup, BASIS.alpha[2], 20.0, 512, PARAMS)) is None
+    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0))
+    assert dominant_frequency(*observable_series(sup, BASIS.alpha[2], 20.0, 512)) is None

@@ -1,12 +1,16 @@
-"""Magnetic ladder, attractive-potential radial levels, reduction chain."""
+"""Magnetic ladder, attractive-potential radial levels, reduction chain.
+
+The library is in natural units, so a field enters as lam = hbar q b / c,
+which is q b here; lam = -b is the default charge q = -1.
+"""
 
 import numpy as np
 import pytest
 
+from negspin.cli import main
 from negspin.fields import (
     MAX_OSCILLATOR_LEVELS,
     RadialGrid,
-    UniformBField,
     coulomb_radial_spectrum,
     draw_reduction_trials,
     landau_levels_analytic,
@@ -14,7 +18,6 @@ from negspin.fields import (
     pauli_reduction_check,
 )
 from negspin.matrix_core import hermitian_eig, residual_norm
-from negspin.spectral import PhysicalParams
 from oracles import (
     all_passed,
     alpha_pi_matrix,
@@ -26,7 +29,6 @@ from oracles import (
     square_identity_check,
 )
 
-PARAMS = PhysicalParams()
 # upper spinor of the single-draw reduction tests
 PHI = disc_spinor(np.random.default_rng(0), 2)
 
@@ -43,10 +45,11 @@ REDUCTION_ENTRY_NAMES = (
 
 
 def test_field_validation():
-    with pytest.raises(ValueError):
-        UniformBField(0.0)
-    with pytest.raises(ValueError):
-        UniformBField(-1.0)
+    for lam in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            landau_sectors(lam, 0.0, 12)
+        with pytest.raises(ValueError, match="not finite"):
+            landau_levels_analytic(lam, 0.0, 3)
 
 
 def test_radial_grid_spacing_and_nodes():
@@ -66,27 +69,27 @@ def test_radial_grid_validation():
 
 
 def test_landau_matrix_is_hermitian_and_sized():
-    h = landau_hamiltonian_matrix(UniformBField(1.0), 0.5, 12, PARAMS)
+    h = landau_hamiltonian_matrix(-1.0, 0.5, 12)
     assert h.shape == (52, 52)
     assert residual_norm(h, h.conj().T) == 0.0
 
 
 def test_landau_matrix_rejects_small_basis():
     with pytest.raises(ValueError):
-        landau_hamiltonian_matrix(UniformBField(1.0), 0.0, 7, PARAMS)
+        landau_hamiltonian_matrix(-1.0, 0.0, 7)
 
 
 def test_landau_requires_charge():
-    chargeless = PhysicalParams(q=0.0)
-    with pytest.raises(ValueError):
-        landau_hamiltonian_matrix(UniformBField(1.0), 0.0, 12, chargeless)
-    with pytest.raises(ValueError):
-        landau_levels_analytic(UniformBField(1.0), 0.0, 3, chargeless)
+    # q = 0 gives lam = 0: no magnetic problem
+    with pytest.raises(ValueError, match="nonzero"):
+        landau_hamiltonian_matrix(0.0, 0.0, 12)
+    with pytest.raises(ValueError, match="nonzero"):
+        landau_levels_analytic(0.0, 0.0, 3)
 
 
 def test_analytic_ladder_oracle():
     # b = 1, pz = 0, natural units: omega_c = 1 and E_+(k) = 1 + k
-    spectrum = landau_levels_analytic(UniformBField(1.0), 0.0, 3, PARAMS)
+    spectrum = landau_levels_analytic(-1.0, 0.0, 3)
     assert spectrum.omega_c == 1.0
     assert spectrum.k.tolist() == [0, 1, 2, 3]
     np.testing.assert_allclose(spectrum.energy_plus, [1.0, 2.0, 3.0, 4.0])
@@ -95,7 +98,7 @@ def test_analytic_ladder_oracle():
 
 
 def test_analytic_ladder_with_axial_momentum():
-    spectrum = landau_levels_analytic(UniformBField(2.0), 1.0, 2, PARAMS)
+    spectrum = landau_levels_analytic(-2.0, 1.0, 2)
     assert spectrum.omega_c == 2.0
     # rest + k omega_c + pz^2/2
     np.testing.assert_allclose(spectrum.energy_plus, [1.5, 3.5, 5.5])
@@ -103,9 +106,8 @@ def test_analytic_ladder_with_axial_momentum():
 
 @pytest.mark.parametrize("b,pz", [(1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)])
 def test_truncated_matrix_reproduces_interior_levels(b, pz):
-    field = UniformBField(b)
-    analytic = landau_levels_analytic(field, pz, 3, PARAMS)
-    ev = hermitian_eig(landau_hamiltonian_matrix(field, pz, 40, PARAMS)).eigenvalues
+    analytic = landau_levels_analytic(-b, pz, 3)
+    ev = hermitian_eig(landau_hamiltonian_matrix(-b, pz, 40)).eigenvalues
     for e_plus, e_minus in zip(analytic.energy_plus, analytic.energy_minus):
         assert np.min(np.abs(ev - e_plus)) < 1e-10
         assert np.min(np.abs(ev - e_minus)) < 1e-10
@@ -113,11 +115,10 @@ def test_truncated_matrix_reproduces_interior_levels(b, pz):
 
 def test_interior_levels_stable_under_larger_basis():
     # adding oscillator levels must not move the resolved ladder
-    field = UniformBField(1.0)
-    analytic = landau_levels_analytic(field, 0.5, 2, PARAMS)
+    analytic = landau_levels_analytic(-1.0, 0.5, 2)
     resolved = []
     for n_max in (40, 60):
-        ev = hermitian_eig(landau_hamiltonian_matrix(field, 0.5, n_max, PARAMS)).eigenvalues
+        ev = hermitian_eig(landau_hamiltonian_matrix(-1.0, 0.5, n_max)).eigenvalues
         resolved.append([float(ev[np.argmin(np.abs(ev - e_plus))])
                          for e_plus in analytic.energy_plus])
     assert np.max(np.abs(np.array(resolved[0]) - resolved[1])) < 1e-6
@@ -126,21 +127,21 @@ def test_interior_levels_stable_under_larger_basis():
 def test_weak_field_approaches_free_spectrum():
     # at b = 1e-3 the lowest positive level sits within half a ladder step
     # of the free value m0 c^2 + pz^2/2m0
-    field = UniformBField(1e-3)
-    ev = hermitian_eig(landau_hamiltonian_matrix(field, 0.4, 20, PARAMS)).eigenvalues
+    b = 1e-3
+    ev = hermitian_eig(landau_hamiltonian_matrix(-b, 0.4, 20)).eigenvalues
     free_value = 1.0 + 0.4**2 / 2.0
     lowest_positive = float(ev[ev > 0.0][0])
-    assert abs(lowest_positive - free_value) < field.b / 2.0
+    assert abs(lowest_positive - free_value) < b / 2.0
 
 
 def test_spectrum_is_globally_paired():
-    ev = hermitian_eig(landau_hamiltonian_matrix(UniformBField(1.0), 0.3, 24, PARAMS)).eigenvalues
+    ev = hermitian_eig(landau_hamiltonian_matrix(-1.0, 0.3, 24)).eigenvalues
     ordered = np.sort(ev)
     assert np.max(np.abs(ordered + ordered[::-1])) < 1e-8
 
 
 def test_square_identity_report():
-    report = square_identity_check(UniformBField(1.0), 0.0, 40, PARAMS)
+    report = square_identity_check(-1.0, 0.0, 40)
     assert all_passed(report)
     assert entry_named(report, "square_identity_interior").residual < 1e-10
     assert entry_named(report, "h_s_commutator_interior").residual < 1e-10
@@ -148,14 +149,14 @@ def test_square_identity_report():
     assert entry_named(report, "excluded_edge_states").residual == 8.0
 
 
-@pytest.mark.parametrize("q", [-1.0, 1.0])
-def test_sectors_partition_the_dense_matrix(q):
-    params = PhysicalParams(q=q)
-    n_max = 13
-    dense = landau_hamiltonian_matrix(UniformBField(1.3), 0.4, n_max, params)
-    blocks = landau_sectors(UniformBField(1.3), 0.4, n_max, params)
+# the sign of lam (of the charge q) decides which spin sits higher in a sector
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_sectors_partition_the_dense_matrix(sign):
+    lam, n_max = 1.3 * sign, 13
+    dense = landau_hamiltonian_matrix(lam, 0.4, n_max)
+    blocks = landau_sectors(lam, 0.4, n_max)
     assert blocks.shape == (n_max + 1, 4, 4)
-    rows = sector_rows(n_max, q)
+    rows = sector_rows(n_max, lam)
     np.testing.assert_array_equal(np.sort(rows.ravel()), np.arange(dense.shape[0]))
     same_sector = np.zeros(dense.shape, dtype=bool)
     for idx, block in zip(rows, blocks):
@@ -166,26 +167,23 @@ def test_sectors_partition_the_dense_matrix(q):
 
 
 @pytest.mark.parametrize("n_max", [8, 13, 40, 120])
-@pytest.mark.parametrize("q", [-1.0, 1.0])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("pz", [0.0, 0.4])
-def test_sector_spectrum_matches_dense_oracle(n_max, q, pz):
-    params = PhysicalParams(q=q)
-    field = UniformBField(1.0)
-    dense = np.linalg.eigvalsh(landau_hamiltonian_matrix(field, pz, n_max, params))
-    blocks = landau_sectors(field, pz, n_max, params)
+def test_sector_spectrum_matches_dense_oracle(n_max, sign, pz):
+    dense = np.linalg.eigvalsh(landau_hamiltonian_matrix(sign, pz, n_max))
+    blocks = landau_sectors(sign, pz, n_max)
     assert blocks.shape == (n_max + 1, 4, 4)
     blocked = np.sort(hermitian_eig(blocks).eigenvalues.ravel())
     assert np.max(np.abs(blocked - dense)) <= 1e-12
 
 
-@pytest.mark.parametrize("q", [-1.0, 1.0])
-def test_top_edge_sector_is_a_truncation_artifact(q):
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_top_edge_sector_is_a_truncation_artifact(sign):
     # block 0 holds both edges: the higher spin at level 0 is the k = 0
     # level, and the other spin at level n_max repeats +-E(0) only because
     # its ladder partner at level n_max + 1 was cut away
-    params = PhysicalParams(q=q)
-    blocks = landau_sectors(UniformBField(2.0), 0.4, 20, params)
-    np.testing.assert_array_equal(np.sort(sector_rows(20, q)[0] // 4), [0, 0, 20, 20])
+    blocks = landau_sectors(2.0 * sign, 0.4, 20)
+    np.testing.assert_array_equal(np.sort(sector_rows(20, sign)[0] // 4), [0, 0, 20, 20])
     e0 = 1.0 + 0.4**2 / 2.0
     ev = hermitian_eig(blocks[0]).eigenvalues
     np.testing.assert_allclose(ev, [-e0, -e0, e0, e0], atol=1e-14)
@@ -194,20 +192,19 @@ def test_top_edge_sector_is_a_truncation_artifact(q):
 
 
 def test_landau_sectors_validation():
-    with pytest.raises(ValueError, match="q"):
-        landau_sectors(UniformBField(1.0), 0.0, 12, PhysicalParams(q=0.0))
+    with pytest.raises(ValueError, match="nonzero"):
+        landau_sectors(0.0, 0.0, 12)
     with pytest.raises(ValueError, match="coarse"):
-        landau_sectors(UniformBField(1.0), 0.0, 7, PARAMS)
+        landau_sectors(-1.0, 0.0, 7)
     with pytest.raises(ValueError, match="largest"):
-        landau_sectors(UniformBField(1.0), 0.0, MAX_OSCILLATOR_LEVELS + 1, PARAMS)
+        landau_sectors(-1.0, 0.0, MAX_OSCILLATOR_LEVELS + 1)
 
 
-@pytest.mark.parametrize("q", [-1.0, 1.0])
-def test_square_identity_per_sector_matches_dense(q):
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_square_identity_per_sector_matches_dense(sign):
     # the same identity evaluated on the dense oracle, interior columns only
-    params = PhysicalParams(q=q)
-    field, pz, n_max = UniformBField(1.5), 0.4, 16
-    report = square_identity_check(field, pz, n_max, params)
+    lam, pz, n_max = 1.5 * sign, 0.4, 16
+    report = square_identity_check(lam, pz, n_max)
     assert [(e.name, e.tolerance) for e in report] == [
         ("square_identity_interior", 1e-10),
         ("h_s_commutator_interior", 1e-10),
@@ -215,8 +212,8 @@ def test_square_identity_per_sector_matches_dense(q):
     ]
     assert all_passed(report)
     assert entry_named(report, "excluded_edge_states").residual == 8.0
-    h = landau_hamiltonian_matrix(field, pz, n_max, params)
-    a = alpha_pi_matrix(field, pz, n_max, params)
+    h = landau_hamiltonian_matrix(lam, pz, n_max)
+    a = alpha_pi_matrix(lam, pz, n_max)
     s = np.eye(h.shape[0]) + a @ a / 2.0
     interior = np.repeat(np.arange(n_max + 1), 4) <= n_max - 2
     dense_square = np.max(np.abs((h @ h - s @ s)[:, interior]))
@@ -225,7 +222,7 @@ def test_square_identity_per_sector_matches_dense(q):
 
 
 def test_coulomb_ground_levels_match_closed_form():
-    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 3)
+    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 3)
     assert np.all(np.diff(energies) > 0.0)
     for i, e in enumerate(energies):
         n = i + 1
@@ -237,7 +234,7 @@ def test_coulomb_ground_levels_match_closed_form():
 
 def test_coulomb_ground_state_frozen_value():
     # finite differences on the default grid land within 2e-5 of 0.5
-    ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 1)[0]
+    ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 1)[0]
     assert abs(ground - 0.5000124952) < 1e-8
 
 
@@ -246,36 +243,36 @@ def test_coulomb_second_order_convergence():
     # the ground-state error by about 4
     err = []
     for n_points in (1499, 2999):
-        ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, n_points), PARAMS, 1)[0]
+        ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, n_points), 1)[0]
         err.append(abs(ground - 0.5))
     ratio = err[0] / err[1]
     assert 3.5 < ratio < 4.5
 
 
 def test_coulomb_higher_charge_and_angular_momentum():
-    ground = coulomb_radial_spectrum(2.0, 0, RadialGrid(40.0, 8000), PARAMS, 1)[0]
+    ground = coulomb_radial_spectrum(2.0, 0, RadialGrid(40.0, 8000), 1)[0]
     assert abs(ground - (1.0 - 2.0)) < 2e-3
-    ground = coulomb_radial_spectrum(1.0, 1, RadialGrid(), PARAMS, 1)[0]
+    ground = coulomb_radial_spectrum(1.0, 1, RadialGrid(), 1)[0]
     # lowest level with l = 1 is n = 2
     assert abs(ground - 0.875) < 1e-4
 
 
 def test_coulomb_validation():
     with pytest.raises(ValueError):
-        coulomb_radial_spectrum(0.0, 0, RadialGrid(), PARAMS, 1)
+        coulomb_radial_spectrum(0.0, 0, RadialGrid(), 1)
     with pytest.raises(ValueError):
-        coulomb_radial_spectrum(1.0, -1, RadialGrid(), PARAMS, 1)
+        coulomb_radial_spectrum(1.0, -1, RadialGrid(), 1)
     with pytest.raises(ValueError):
-        coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 0)
+        coulomb_radial_spectrum(1.0, 0, RadialGrid(), 0)
 
 
 def test_coulomb_coarse_grid_rejected_with_guidance():
     with pytest.raises(ValueError, match="n_points"):
-        coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 100), PARAMS, 1)
+        coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 100), 1)
 
 
 # (z, l, r_max, n_points, n_levels, m0, c, hbar): natural and custom units,
-# every grid inside the Bohr-radius guard
+# every grid inside the Bohr-radius guard (spacing * m0 Z / hbar^2 < 0.05)
 COULOMB_ORACLE_CASES = [
     (1.0, 0, 60.0, 6000, 3, 1.0, 1.0, 1.0),
     (1.0, 0, 60.0, 6000, 10, 1.0, 1.0, 1.0),
@@ -288,19 +285,26 @@ COULOMB_ORACLE_CASES = [
 
 
 @pytest.mark.parametrize("z, l, r_max, n_points, n_levels, m0, c, hbar", COULOMB_ORACLE_CASES)
-def test_coulomb_levels_match_lapack_oracle(z, l, r_max, n_points, n_levels, m0, c, hbar):
+def test_coulomb_levels_match_lapack_oracle(capsys, z, l, r_max, n_points, n_levels, m0, c, hbar):
+    # through the command, which scales Z by hbar c, r by hbar/(m0 c) and the
+    # levels by m0 c^2; the oracle solves the same natural-unit matrix
     pytest.importorskip("scipy")
-    params = PhysicalParams(m0=m0, c=c, hbar=hbar)
-    grid = RadialGrid(r_max, n_points)
-    energies = coulomb_radial_spectrum(z, l, grid, params, n_levels)
-    expected, bound = coulomb_grid_levels(z, l, grid, params, n_levels)
+    code = main(["coulomb", "--units", "custom", f"--m0={m0!r}", f"--c={c!r}",
+                 f"--hbar={hbar!r}", f"--z={z!r}", "--l", str(l), f"--r-max={r_max!r}",
+                 "--n-points", str(n_points), "--n-levels", str(n_levels), "--format", "csv"])
+    lines = capsys.readouterr().out.splitlines()
+    # levels past the box's reach fail the closed-form check; the grid levels are still compared
+    assert code in (0, 1)
+    energies = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    grid = RadialGrid(r_max / (hbar / (m0 * c)), n_points)
+    expected, bound = coulomb_grid_levels(z / (hbar * c), l, grid, n_levels)
     assert energies.shape == (n_levels,)
-    assert np.max(np.abs(energies - expected)) <= bound
+    assert np.max(np.abs(energies - m0 * c * c * expected)) <= m0 * c * c * bound
 
 
 def test_coulomb_level_does_not_depend_on_levels_asked_for():
-    three = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 3)
-    ten = coulomb_radial_spectrum(1.0, 0, RadialGrid(), PARAMS, 10)
+    three = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 3)
+    ten = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 10)
     assert np.array_equal(three, ten[:3])
 
 
@@ -321,7 +325,7 @@ def test_reduction_chain_passes_on_consistent_energy():
         v0 = float(rng.uniform(-1.0, 1.0))
         phi = disc_spinor(rng, 2)
         e_trial = v0 + 1.0 + float(p @ p) / 2.0
-        report = pauli_reduction_check(p, v0, e_trial, PARAMS, phi=phi)
+        report = pauli_reduction_check(p, v0, e_trial, phi=phi)
         assert tuple(e.name for e in report) == REDUCTION_ENTRY_NAMES
         assert all_passed(report), [e for e in report if not e.passed]
         for e in report:
@@ -333,7 +337,7 @@ def test_reduction_chain_flags_wrong_energy():
     p = np.array([0.5, 0.0, -0.25])
     v0 = -0.2
     e_good = v0 + 1.0 + float(p @ p) / 2.0
-    report = pauli_reduction_check(p, v0, e_good + 0.2, PARAMS, phi=PHI)
+    report = pauli_reduction_check(p, v0, e_good + 0.2, phi=PHI)
     assert not all_passed(report)
     # the residual of the two-component energy relation is exactly the offset
     assert abs(entry_named(report, "kinetic_energy_relation").residual - 0.2) < 1e-12
@@ -351,14 +355,14 @@ def test_reduction_chain_flags_wrong_energy():
 def test_reduction_chain_at_rest():
     # p = 0: the lower spinor reduces to -i phi and the elimination rows
     # vanish identically
-    report = pauli_reduction_check((0.0, 0.0, 0.0), 0.0, 1.0, PARAMS, phi=PHI)
+    report = pauli_reduction_check((0.0, 0.0, 0.0), 0.0, 1.0, phi=PHI)
     assert all_passed(report)
     assert entry_named(report, "lower_row_elimination").residual < 1e-14
     assert entry_named(report, "kinetic_energy_relation").residual < 1e-14
 
 
 def test_reduction_nullspace_dimension_is_two():
-    report = pauli_reduction_check((0.1, 0.2, 0.3), 0.0, 1.0 + 0.07, PARAMS, phi=PHI)
+    report = pauli_reduction_check((0.1, 0.2, 0.3), 0.0, 1.0 + 0.07, phi=PHI)
     assert entry_named(report, "nullspace_dimension").residual == 0.0
 
 
@@ -367,10 +371,10 @@ def test_reduction_stack_equals_each_draw():
     p, v0, phi = draw_reduction_trials(rng, 12)
     e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0
     e_trial[::3] += 0.2  # mix in failing trials
-    stacked = pauli_reduction_check(p, v0, e_trial, PARAMS, phi=phi)
+    stacked = pauli_reduction_check(p, v0, e_trial, phi=phi)
     assert tuple(e.name for e in stacked) == REDUCTION_ENTRY_NAMES
     for i in range(12):
-        single = pauli_reduction_check(p[i], v0[i], e_trial[i], PARAMS, phi=phi[i])
+        single = pauli_reduction_check(p[i], v0[i], e_trial[i], phi=phi[i])
         for a, b in zip(single, stacked):
             assert a.residual == b.residual[i], a.name
             assert a.passed == b.passed[i], a.name
@@ -389,6 +393,6 @@ def test_reduction_draws_follow_documented_order():
 
 def test_reduction_phi_validation():
     with pytest.raises(ValueError):
-        pauli_reduction_check((0.1, 0.2, 0.3), 0.0, 1.07, PARAMS, phi=np.zeros(2))
+        pauli_reduction_check((0.1, 0.2, 0.3), 0.0, 1.07, phi=np.zeros(2))
     with pytest.raises(ValueError):
-        pauli_reduction_check((0.1, 0.2, 0.3), 0.0, 1.07, PARAMS, phi=np.ones(3))
+        pauli_reduction_check((0.1, 0.2, 0.3), 0.0, 1.07, phi=np.ones(3))

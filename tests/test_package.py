@@ -86,6 +86,35 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+UNIT_NAMES = {"params", "m0", "c", "hbar", "q"}
+
+
+def test_core_takes_no_unit_and_does_not_import_cli():
+    # the core computes in m0 = c = hbar = 1; negspin.commands alone applies
+    # a unit system, so no core function takes a unit (a dataclass field is
+    # an __init__ parameter too) and no core module reaches the front
+    found = []
+    for module in MODULES:
+        tree = ast.parse((SRC / "negspin" / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                found += [f"{module}: parameter {p.arg}" for p in params
+                          if p is not None and p.arg in UNIT_NAMES]
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{module}: field {f.target.id}" for f in node.body
+                          if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                          and f.target.id in UNIT_NAMES]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[-1], *(a.name for a in node.names)]
+                found += [f"{module}: imports cli" for name in names if name == "cli"]
+            elif isinstance(node, ast.Import):
+                found += [f"{module}: imports cli" for a in node.names
+                          if a.name.split(".")[-1] == "cli"]
+    assert found == []
+
+
 def test_library_example_prints_what_it_documents():
     proc = subprocess.run(
         [sys.executable, "-c", _library_example()],
@@ -107,6 +136,8 @@ START_UP = {
              "runpy.run_module('negspin', run_name='__main__')", 0, []),
     "non-finite": (MAIN.format(argv=["lorentz", "--v", "nan,0,0"]), 2, []),
     "unknown-config-key": (MAIN.format(argv=["dispersion", "--config", "{config}"]), 2, []),
+    "non-positive-units": (MAIN.format(argv=["identities", "--units", "custom", "--m0", "-1"]),
+                           2, []),
     # the controls: a computing command does load numpy, and only numpy
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
     "coulomb": (MAIN.format(argv=["coulomb"]), 0, ["numpy"]),
