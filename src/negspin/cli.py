@@ -6,9 +6,10 @@ table or a JSON report
 
     {"command", "params", "results", "checks", "version"}
 
-with one {"name", "residual", "tolerance", "pass"} object per check.  Output
-carries no timestamps and floats are printed with 17 significant digits, so
-identical configurations produce byte-identical files.
+with one {"name", "residual", "tolerance", "pass"} object per check; a
+command without a table of its own writes its checks as that CSV table.
+Output carries no timestamps and floats are printed with 17 significant
+digits, so identical configurations produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 rejected input.
@@ -36,6 +37,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 UNIT_KEYS = ("m0", "c", "hbar", "q")
+_CHECK_COLUMNS = ("name", "residual", "tolerance", "pass")
 
 
 class UsageError(Exception):
@@ -211,6 +213,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    """``--flag VALUE`` as ``--flag=VALUE`` for each flag that takes a value, so
+    a value with a leading minus (``--v -0.6,0,0``) is not read as a flag."""
+    schema = COMMAND_SCHEMA.get(argv[0]) if argv else None
+    if schema is None:
+        return argv
+    flags = {"--config", *("--" + key.replace("_", "-") for key in (*SHARED_SCHEMA, *schema)
+                           if key != "wrong_energy")}
+    joined, tokens = argv[:1], iter(argv[1:])
+    for token in tokens:
+        value = next(tokens, None) if token in flags else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -235,7 +252,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace) -> tuple[dict, Units]:
     schema = {**SHARED_SCHEMA, **COMMAND_SCHEMA[args.command]}
     cfg = {key: default for key, (_, default) in schema.items()}
     provided: set[str] = set()
@@ -255,8 +272,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise UsageError(
             f"--units natural fixes {UNIT_KEYS}; pass --units custom to set {sorted(clash)}"
         )
-    unit_scales(cfg)
-    return cfg
+    return cfg, unit_scales(cfg)
 
 
 def _fmt(value) -> str:
@@ -278,15 +294,15 @@ def _echo_params(command: str, cfg: dict) -> dict:
 
 
 def _render(command: str, cfg: dict, payload: dict) -> str:
+    checks = [(e.name, e.residual, e.tolerance, e.passed) for e in payload["checks"]]
     if cfg["format"] == "csv":
-        lines = [",".join(payload["csv_header"])]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in payload["csv_rows"])
-        return "\n".join(lines) + "\n"
+        table = [payload.get("csv_header", _CHECK_COLUMNS), *payload.get("csv_rows", checks)]
+        return "".join(",".join(_fmt(cell) for cell in row) + "\n" for row in table)
     report = {
         "command": command,
         "params": _echo_params(command, cfg),
         "results": payload["results"],
-        "checks": [e.as_dict() for e in payload["checks"]],
+        "checks": [dict(zip(_CHECK_COLUMNS, check)) for check in checks],
         "version": __version__,
     }
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
@@ -303,18 +319,18 @@ def _write_output(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = _resolve(args)
+        cfg, units = _resolve(args)
         # numpy loads here, once the front has accepted every flag
         from . import commands
 
-        payload = commands.run(args.command, cfg)
+        payload = commands.run(args.command, cfg, units)
         text = _render(args.command, cfg, payload)
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

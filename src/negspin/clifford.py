@@ -47,32 +47,23 @@ for _m in (*PAULI, I2, I4):
 
 @dataclass(frozen=True, eq=False)
 class CheckEntry:
-    """One named residual check; passes when residual <= tolerance.
-
-    A check run on stacked inputs holds one residual and one pass flag per
-    stacked entry (arrays of the stack's shape); otherwise a float and a bool.
-    """
+    """One named residual check; ``passed`` is residual <= tolerance, derived,
+    so a NaN residual fails.  On stacked inputs the residual is an array of
+    the stack's shape and ``passed`` one flag per entry, else a float and a
+    bool.  ``negspin.cli`` alone renders a check."""
 
     name: str
     residual: float | np.ndarray
     tolerance: float
-    passed: bool | np.ndarray
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+    @property
+    def passed(self) -> bool | np.ndarray:
+        return self.residual <= self.tolerance
 
 
 def entry(name: str, residual, tolerance: float) -> CheckEntry:
     residual = np.asarray(residual, dtype=float)
-    tolerance = float(tolerance)
-    if residual.ndim == 0:
-        return CheckEntry(name, float(residual), tolerance, bool(residual <= tolerance))
-    return CheckEntry(name, residual, tolerance, residual <= tolerance)
+    return CheckEntry(name, float(residual) if residual.ndim == 0 else residual, float(tolerance))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,17 +7,16 @@ rejects never pays for it.  The library computes in m0 = c = hbar = 1.
 Each ``_cmd_*`` takes the resolved config, in the user's units, and their
 scales (``cli.unit_scales``).  It divides each input by its scale on the
 way in, and multiplies results, CSV columns and what its checks compare
-by theirs on the way out.  It returns a payload {"results", "checks",
-"csv_header", "csv_rows"}, which ``cli`` renders.
+by theirs on the way out.  It returns {"results", "checks"}, plus
+"csv_header" and "csv_rows" if it has a table of its own, for ``cli``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cli import Units, UsageError, unit_scales
+from .cli import Units, UsageError
 from .clifford import (
-    CheckEntry,
     dirac_representation,
     entry,
     verify_clifford_identities,
@@ -45,22 +44,10 @@ from .spectral import (
 MIN_PERIODS = 4
 
 
-def _checks_table(checks: list[CheckEntry]) -> tuple[list[str], list[list]]:
-    header = ["name", "residual", "tolerance", "pass"]
-    rows = [[e.name, e.residual, e.tolerance, e.passed] for e in checks]
-    return header, rows
-
-
 def _cmd_identities(cfg: dict, units: Units) -> dict:
     basis = dirac_representation()
     checks = [*verify_clifford_identities(basis), *verify_gamma_properties(basis)]
-    header, rows = _checks_table(checks)
-    return {
-        "results": {"total_checks": len(checks)},
-        "checks": checks,
-        "csv_header": header,
-        "csv_rows": rows,
-    }
+    return {"results": {"total_checks": len(checks)}, "checks": checks}
 
 
 def _cmd_dispersion(cfg: dict, units: Units) -> dict:
@@ -100,8 +87,6 @@ def _count_within(ascending: np.ndarray, targets: np.ndarray, tol: float) -> np.
 
 
 def _cmd_landau(cfg: dict, units: Units) -> dict:
-    if cfg["k_max"] < 0:
-        raise UsageError("k_max must be nonnegative")
     if cfg["k_max"] > cfg["n_max"] - 4:
         raise UsageError(
             f"k_max = {cfg['k_max']} is not interior for n_max = {cfg['n_max']}; "
@@ -114,8 +99,9 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
     pz = cfg["pz"] / units.momentum
     # built first: it rejects n_max outside its range before any per-level work
     blocks = landau_sectors(lam, pz, cfg["n_max"])
-    analytic = landau_levels_analytic(lam, pz, cfg["k_max"])
-    e_plus, e_minus = units.energy * analytic.energy_plus, units.energy * analytic.energy_minus
+    k = np.arange(cfg["k_max"] + 1)
+    e_plus = units.energy * landau_levels_analytic(lam, pz, cfg["k_max"])
+    e_minus = -e_plus
     tol = 1e-6
     top = float(e_plus[-1])
     if np.finfo(float).eps * top >= tol:
@@ -125,7 +111,7 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
         )
     # every level +-E(k) must stand more than 2 tol from its neighbours, the
     # next rung and the other branch, or one eigenvalue counts for several
-    spacing = units.energy * analytic.omega_c
+    spacing = units.energy * abs(lam)
     branch_gap = 2.0 * float(e_plus[0])
     if not min(spacing, branch_gap) > 2.0 * tol:
         raise UsageError(
@@ -140,13 +126,13 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
     near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
     resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
     checks = []
-    for k, r_plus, r_minus in zip(analytic.k, resid_plus, resid_minus):
-        checks.append(entry(f"level_k{k}_plus_residual", r_plus, tol))
-        checks.append(entry(f"level_k{k}_minus_residual", r_minus, tol))
+    for level, r_plus, r_minus in zip(k, resid_plus, resid_minus):
+        checks.append(entry(f"level_k{level}_plus_residual", r_plus, tol))
+        checks.append(entry(f"level_k{level}_minus_residual", r_minus, tol))
     checks.append(entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8))
     return {
         "results": {
-            "omega_c": analytic.omega_c / units.time,
+            "omega_c": abs(lam) / units.time,
             "pz": cfg["pz"],
             "n_max": cfg["n_max"],
             "matrix_dimension": solved.size,
@@ -162,16 +148,15 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
             "E_minus_analytic", "E_minus_numeric", "residual_minus",
             "multiplicity",
         ],
+        # one (level, spin) pair reaches k = 0 and two reach every k >= 1
         "csv_rows": list(zip(
-            analytic.k, e_plus, near_plus, resid_plus, e_minus, near_minus, resid_minus,
-            analytic.multiplicity,
+            k, e_plus, near_plus, resid_plus, e_minus, near_minus, resid_minus,
+            np.where(k == 0, 1, 2),
         )),
     }
 
 
 def _cmd_coulomb(cfg: dict, units: Units) -> dict:
-    if cfg["n_levels"] < 1:
-        raise UsageError("n_levels must be at least 1")
     z = cfg["z"] / units.charge
     grid = RadialGrid(r_max=cfg["r_max"] / units.length, n_points=cfg["n_points"])
     energies = coulomb_radial_spectrum(z, cfg["l"], grid, cfg["n_levels"])
@@ -293,13 +278,8 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
             for j, row in enumerate(worst, start=1)
             for branch, residual in zip(branches, row)
         ]
-        header, rows = _checks_table(checks)
-        return {
-            "results": {"mode": "correspondence_sweep", "sweep": cfg["sweep"], "pmax": cfg["pmax"]},
-            "checks": checks,
-            "csv_header": header,
-            "csv_rows": rows,
-        }
+        results = {"mode": "correspondence_sweep", "sweep": cfg["sweep"], "pmax": cfg["pmax"]}
+        return {"results": results, "checks": checks}
     v = np.divide(cfg["v"], units.velocity)
     e_out, p_out = lorentz_transform(
         cfg["e_prime"] / units.energy, np.divide(cfg["p_prime"], units.momentum), v)
@@ -338,21 +318,16 @@ def _cmd_reduction(cfg: dict, units: Units) -> dict:
     if cfg["wrong_energy"]:
         e_trial += 0.2
     chain = pauli_reduction_check(p, v0, e_trial, phi=phi)
-    failed = np.zeros(cfg["trials"], dtype=bool)
-    for e in chain:
-        failed |= ~e.passed
+    passed = np.logical_and.reduce([e.passed for e in chain])
     # one check per entry: its worst trial
     checks = [entry(e.name, np.max(e.residual), e.tolerance) for e in chain]
-    header, rows = _checks_table(checks)
     return {
         "results": {
             "trials": cfg["trials"],
             "wrong_energy": cfg["wrong_energy"],
-            "failed_trials": int(np.sum(failed)),
+            "failed_trials": int(np.sum(~passed)),
         },
         "checks": checks,
-        "csv_header": header,
-        "csv_rows": rows,
     }
 
 
@@ -367,9 +342,8 @@ _COMMANDS = {
 }
 
 
-def run(command: str, cfg: dict) -> dict:
-    """Run one command on its resolved config and return its payload."""
-    units = unit_scales(cfg)
+def run(command: str, cfg: dict, units: Units) -> dict:
+    """Run one command on its resolved config and units; return its payload."""
     # an overflow or invalid operation raises rather than printing a
     # warning and carrying inf/nan into the report
     try:

@@ -22,7 +22,8 @@ Three problem families:
   matrix identities at a trial energy.
 
 Truncated-basis assertions are made on interior oscillator levels only; edge
-levels are reported, never tested.
+levels are reported, never tested.  A rejection quotes only ratios that read
+the same in every unit system, such as the grid in Bohr radii.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .matrix_core import matrix_dot, residual_norm, tridiagonal_lowest
 from .spectral import hamiltonian
 
 __all__ = [
-    "LandauSpectrum",
     "RadialGrid",
     "coulomb_radial_spectrum",
     "draw_reduction_trials",
@@ -53,18 +53,6 @@ MAX_OSCILLATOR_LEVELS = 10**5
 # Empirical accuracy guard for the radial grid: the spacing in Bohr radii,
 # spacing * Z (spacing * m0 Z / hbar^2 in any units), must stay below.
 GRID_GUARD = 0.05
-
-
-@dataclass(frozen=True, eq=False)
-class LandauSpectrum:
-    """Ladder levels k = 0..k_max: energies +-E(k) and multiplicity, one entry
-    per k; omega_c = |lambda| is the ladder spacing."""
-
-    omega_c: float
-    k: np.ndarray
-    energy_plus: np.ndarray
-    energy_minus: np.ndarray
-    multiplicity: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,24 +125,12 @@ def landau_sectors(lam: float, pz: float, n_max: int) -> np.ndarray:
     return hamiltonian(momenta, "nonrel")
 
 
-def landau_levels_analytic(lam: float, pz: float, k_max: int) -> LandauSpectrum:
-    """Closed-form ladder E(k) = 1 + omega_c k + pz^2/2, omega_c = |lam|.
-
-    k = 0 is reached by a single (level, spin) combination, every k >= 1 by
-    two, hence the multiplicity.
-    """
+def landau_levels_analytic(lam: float, pz: float, k_max: int) -> np.ndarray:
+    """The positive-branch ladder E(k) = 1 + |lam| k + pz^2/2, k = 0..k_max,
+    as an array; omega_c = |lam| is its spacing and -E(k) the other branch."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    omega_c = abs(_landau_lambda(lam))
-    k = np.arange(k_max + 1)
-    e_plus = 1.0 + omega_c * k + pz**2 / 2.0
-    return LandauSpectrum(
-        omega_c=omega_c,
-        k=k,
-        energy_plus=e_plus,
-        energy_minus=-e_plus,
-        multiplicity=np.where(k == 0, 1, 2),
-    )
+    return 1.0 + abs(_landau_lambda(lam)) * np.arange(k_max + 1) + pz**2 / 2.0
 
 
 def coulomb_radial_spectrum(
@@ -187,7 +163,7 @@ def coulomb_radial_spectrum(
                 else "no float64 grid resolves it")
         raise ValueError(
             f"grid too coarse: spacing*m0*Z/hbar^2 = {h * z:.4g} >= {GRID_GUARD}; "
-            f"{hint} at r_max = {grid.r_max}"
+            f"{hint} at r_max = {grid.r_max * z:.6g} Bohr radii"
         )
     r = grid.nodes
     kin = 1.0 / (2.0 * h * h)

@@ -128,7 +128,7 @@ def lorentz_transform(e_prime: float, p_prime, velocity) -> tuple[float, np.ndar
         )
     v2 = float(v @ v)
     if v2 >= 1.0:
-        raise ValueError(f"superluminal frame velocity: |v|^2 = {v2} >= c^2 = 1.0")
+        raise ValueError(f"superluminal frame velocity: |v|^2/c^2 = {v2} >= 1")
     gamma = 1.0 / np.sqrt(1.0 - v2)
     if v2 > 0.0:
         parallel = (gamma - 1.0) * v * float(p_prime @ v) / v2

@@ -76,6 +76,18 @@ def test_landau_table_and_exit(capsys):
     assert len(lines) == 4
 
 
+def test_landau_csv_multiplicity_and_omega_c(capsys):
+    # one (level, spin) pair reaches k = 0 and two reach every k >= 1
+    assert main(["landau", "--b", "2", "--k-max", "4", "--format", "csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split(",")[-1] == "multiplicity"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["1", "2", "2", "2", "2"]
+    # the ladder spacing omega_c = |q| b in natural units
+    code, report = run_json(capsys, ["landau", "--b", "2", "--k-max", "4"])
+    assert code == EXIT_OK
+    assert report["results"]["omega_c"] == 2.0
+
+
 def test_landau_rejects_noninterior_levels(capsys):
     assert main(["landau", "--n-max", "10", "--k-max", "9"]) == EXIT_USAGE
     assert "n_max" in capsys.readouterr().err
@@ -417,6 +429,42 @@ def test_reduction_does_not_depend_on_the_unit_system(capsys):
     assert custom["checks"] == natural["checks"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["identities"],
+    ["lorentz", "--sweep", "10"],
+    ["reduction", "--trials", "20"],
+    ["reduction", "--trials", "1", "--wrong-energy"],
+], ids=" ".join)
+def test_checks_table_matches_json_checks(capsys, argv):
+    # a command without a table of its own writes its checks as the CSV table
+    code, report = run_json(capsys, argv)
+    assert main([*argv, "--format", "csv"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "name,residual,tolerance,pass"
+    assert len(lines) == len(report["checks"]) + 1
+    for line, check in zip(lines[1:], report["checks"]):
+        name, residual, tolerance, passed = line.split(",")
+        assert list(check) == ["name", "residual", "tolerance", "pass"]
+        assert (name, float(residual), float(tolerance), passed) == (
+            check["name"], check["residual"], check["tolerance"], str(check["pass"]).lower())
+    assert (code == EXIT_OK) == all(check["pass"] for check in report["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["lorentz", "--v", "-0.6,0,0"],
+    ["lorentz", "--e-prime", "-2", "--p-prime", "-1e-3,0,0"],
+    ["zitter", "--p", "-0.5,0,1"],
+    ["landau", "--pz", "-1e-3"],
+], ids=" ".join)
+def test_negative_value_after_a_space(capsys, argv):
+    # a value with a leading minus reads the same after a space as after "="
+    joined = [argv[0], *(f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2]))]
+    assert main(joined) == EXIT_OK
+    expected = capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == expected
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     capsys.readouterr()
@@ -493,6 +541,12 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
      "unit scale hbar*c = inf "),
     (["landau", "--b", "0"], "field magnitude b must be positive"),
     (["landau", "--units", "custom", "--q", "0"], "lambda = hbar q b / c must be nonzero"),
+    # the library's rejections quote ratios, the same numbers in every unit system
+    (["lorentz", "--units", "custom", "--c", "2", "--v", "3,0,0"],
+     "superluminal frame velocity: |v|^2/c^2 = 2.25 >= 1"),
+    (["coulomb", "--units", "custom", "--hbar", "0.1", "--m0", "1.5", "--z", "5",
+      "--r-max", "1.5", "--n-points", "1158"],
+     "use n_points >= 22500 at r_max = 1125 Bohr radii"),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)

@@ -11,7 +11,6 @@ from negspin.clifford import (
     I2,
     I4,
     PAULI,
-    CheckEntry,
     dirac_representation,
     entry,
     verify_clifford_identities,
@@ -157,9 +156,13 @@ def test_entry_pass_boundary():
     assert not entry("x", 1.0000001e-14, 1e-14).passed
 
 
-def test_check_entry_dict_uses_pass_key():
-    d = CheckEntry("x", 0.5, 1.0, True).as_dict()
-    assert d == {"name": "x", "residual": 0.5, "tolerance": 1.0, "pass": True}
+def test_nan_residual_never_passes():
+    # passed is derived from the residual, so a NaN residual reads as failed,
+    # alone and inside a stack
+    scalar = entry("x", np.nan, 1.0)
+    assert scalar.passed is False
+    stacked = entry("x", [0.5, np.nan, 2.0], 1.0)
+    assert stacked.passed.tolist() == [True, False, False]
 
 
 def test_basis_matrices_are_read_only():

@@ -88,29 +88,25 @@ def test_landau_requires_charge():
 
 
 def test_analytic_ladder_oracle():
-    # b = 1, pz = 0, natural units: omega_c = 1 and E_+(k) = 1 + k
-    spectrum = landau_levels_analytic(-1.0, 0.0, 3)
-    assert spectrum.omega_c == 1.0
-    assert spectrum.k.tolist() == [0, 1, 2, 3]
-    np.testing.assert_allclose(spectrum.energy_plus, [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose(spectrum.energy_minus, [-1.0, -2.0, -3.0, -4.0])
-    assert spectrum.multiplicity.tolist() == [1, 2, 2, 2]
+    # b = 1, pz = 0, natural units: omega_c = 1 and E_+(k) = 1 + k, k = 0..3;
+    # either charge sign gives the same ladder
+    np.testing.assert_allclose(landau_levels_analytic(-1.0, 0.0, 3), [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(landau_levels_analytic(1.0, 0.0, 3),
+                                  landau_levels_analytic(-1.0, 0.0, 3))
 
 
 def test_analytic_ladder_with_axial_momentum():
-    spectrum = landau_levels_analytic(-2.0, 1.0, 2)
-    assert spectrum.omega_c == 2.0
-    # rest + k omega_c + pz^2/2
-    np.testing.assert_allclose(spectrum.energy_plus, [1.5, 3.5, 5.5])
+    # rest + k omega_c + pz^2/2, omega_c = |lam| = 2
+    np.testing.assert_allclose(landau_levels_analytic(-2.0, 1.0, 2), [1.5, 3.5, 5.5])
 
 
 @pytest.mark.parametrize("b,pz", [(1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)])
 def test_truncated_matrix_reproduces_interior_levels(b, pz):
     analytic = landau_levels_analytic(-b, pz, 3)
     ev = hermitian_eig(landau_hamiltonian_matrix(-b, pz, 40)).eigenvalues
-    for e_plus, e_minus in zip(analytic.energy_plus, analytic.energy_minus):
+    for e_plus in analytic:
         assert np.min(np.abs(ev - e_plus)) < 1e-10
-        assert np.min(np.abs(ev - e_minus)) < 1e-10
+        assert np.min(np.abs(ev + e_plus)) < 1e-10
 
 
 def test_interior_levels_stable_under_larger_basis():
@@ -120,7 +116,7 @@ def test_interior_levels_stable_under_larger_basis():
     for n_max in (40, 60):
         ev = hermitian_eig(landau_hamiltonian_matrix(-1.0, 0.5, n_max)).eigenvalues
         resolved.append([float(ev[np.argmin(np.abs(ev - e_plus))])
-                         for e_plus in analytic.energy_plus])
+                         for e_plus in analytic])
     assert np.max(np.abs(np.array(resolved[0]) - resolved[1])) < 1e-6
 
 
