@@ -1,18 +1,20 @@
 """Deterministic command-line front end.
 
-Every subcommand resolves a flat configuration (defaults < config file <
-flags), runs its computation (``negspin.commands``), and emits either a CSV
-table or a JSON report
+Every subcommand takes exactly the keys it reads (``COMMAND_SCHEMA``), as
+flags or config-file keys, resolves a flat configuration (defaults < config
+file < flags), runs its computation (``negspin.commands``), and emits
+either a CSV table or a JSON report
 
     {"command", "params", "results", "checks", "version"}
 
-with one {"name", "residual", "tolerance", "pass"} object per check; a
-command without a table of its own writes its checks as that CSV table.
-Output carries no timestamps and floats are printed with 17 significant
-digits, so identical configurations produce byte-identical files.
+with the configuration less "out" as "params" and one {"name", "residual",
+"tolerance", "pass"} object per check; a command without a table of its
+own writes its checks as that CSV table.  Output carries no timestamps and
+floats are printed with 17 significant digits, so identical configurations
+produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-rejected input.
+rejected input, in one ``error:`` line.
 
 This module loads no numpy: flags, config files and the units check are
 answered before ``main`` imports the commands.  It also computes the
@@ -128,32 +130,36 @@ def _cast_choice(options: tuple[str, ...]):
     return cast
 
 
-# key -> (caster, default); shared keys first, then per command, in echo order.
-SHARED_SCHEMA = {
+# key -> (caster, default), in echo order: per command, the keys its ``_cmd_*``
+# reads.  The unit system is one group, on every command that scales.
+_UNITS = {
     "units": (_cast_choice(("natural", "custom")), "natural"),
     "m0": (_cast_float, 1.0),
     "c": (_cast_float, 1.0),
     "hbar": (_cast_float, 1.0),
-    "q": (_cast_float, -1.0),
-    "seed": (_cast_int, 0),
+}
+_OUTPUT = {
     "format": (_cast_choice(("csv", "json")), "json"),
     "out": (str, None),
 }
 
 COMMAND_SCHEMA = {
-    "identities": {},
+    "identities": _OUTPUT,
     "dispersion": {
+        **_UNITS, **_OUTPUT,
         "pmax": (_cast_float, 2.0),
         "steps": (_cast_int, 50),
         "which": (_cast_choice(("dirac", "nonrel")), "nonrel"),
     },
     "landau": {
+        **_UNITS, "q": (_cast_float, -1.0), **_OUTPUT,
         "b": (_cast_float, 1.0),
         "pz": (_cast_float, 0.0),
         "n_max": (_cast_int, 40),
         "k_max": (_cast_int, 3),
     },
     "coulomb": {
+        **_UNITS, **_OUTPUT,
         "z": (_cast_float, 1.0),
         "l": (_cast_int, 0),
         "r_max": (_cast_float, 60.0),
@@ -161,6 +167,7 @@ COMMAND_SCHEMA = {
         "n_levels": (_cast_int, 3),
     },
     "zitter": {
+        **_UNITS, **_OUTPUT,
         "p": (_cast_vec(3), (0.0, 0.0, 1.0)),
         "weights": (_cast_vec(4), (0.0, 1.0, 0.0, 1.0)),
         "observable": (
@@ -171,6 +178,7 @@ COMMAND_SCHEMA = {
         "n_samples": (_cast_int, 512),
     },
     "lorentz": {
+        **_UNITS, **_OUTPUT,
         "v": (_cast_vec(3), (0.0, 0.0, 0.0)),
         "e_prime": (_cast_float, 1.0),
         "p_prime": (_cast_vec(3), (0.0, 0.0, 0.0)),
@@ -178,18 +186,27 @@ COMMAND_SCHEMA = {
         "pmax": (_cast_float, 2.0),
     },
     "reduction": {
+        "seed": (_cast_int, 0), **_OUTPUT,
         "trials": (_cast_int, 100),
         "wrong_energy": (_cast_bool, False),
     },
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as a ``UsageError``, for ``main`` to print in one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="negspin",
         description="Spin-1/2 wave-operator checks: identities, spectra, dynamics.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
     help_text = {
         "identities": "verify the anticommutation table and derived-operator identities",
         "dispersion": "sweep |p| and tabulate eigenvalues against the closed forms",
@@ -200,14 +217,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "reduction": "two-component reduction chain on seeded random draws",
     }
     for command, schema in COMMAND_SCHEMA.items():
-        p = sub.add_parser(command, help=help_text[command])
+        p = sub.add_parser(command, help=help_text[command], allow_abbrev=False)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="flat key=value file; flags take precedence")
-        for key in (*SHARED_SCHEMA, *schema):
+        for key, (cast, _) in schema.items():
             flag = "--" + key.replace("_", "-")
-            if key == "wrong_energy":
-                p.add_argument(flag, dest=key, action="store_const", const="true",
-                               default=None, help="force a wrong trial energy (negative control)")
+            if cast is _cast_bool:  # a switch: takes no value
+                p.add_argument(flag, dest=key, action="store_const", const="true", default=None)
             else:
                 p.add_argument(flag, dest=key, default=None, metavar="VALUE")
     return parser
@@ -219,8 +235,8 @@ def _join_values(argv: list[str]) -> list[str]:
     schema = COMMAND_SCHEMA.get(argv[0]) if argv else None
     if schema is None:
         return argv
-    flags = {"--config", *("--" + key.replace("_", "-") for key in (*SHARED_SCHEMA, *schema)
-                           if key != "wrong_energy")}
+    flags = {"--config", *("--" + key.replace("_", "-") for key, (cast, _) in schema.items()
+                           if cast is not _cast_bool)}
     joined, tokens = argv[:1], iter(argv[1:])
     for token in tokens:
         value = next(tokens, None) if token in flags else None
@@ -252,8 +268,9 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> tuple[dict, Units]:
-    schema = {**SHARED_SCHEMA, **COMMAND_SCHEMA[args.command]}
+def _resolve(args: argparse.Namespace) -> tuple[dict, Units | None]:
+    """The command's config, and its unit system's scales (None if it has none)."""
+    schema = COMMAND_SCHEMA[args.command]
     cfg = {key: default for key, (_, default) in schema.items()}
     provided: set[str] = set()
     if args.config is not None:
@@ -263,10 +280,12 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, Units]:
             cfg[key] = schema[key][0](raw)
             provided.add(key)
     for key in schema:
-        raw = getattr(args, key, None)
+        raw = getattr(args, key)
         if raw is not None:
             cfg[key] = schema[key][0](raw)
             provided.add(key)
+    if "units" not in cfg:
+        return cfg, None
     clash = provided.intersection(UNIT_KEYS)
     if cfg["units"] == "natural" and clash:
         raise UsageError(
@@ -285,14 +304,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _echo_params(command: str, cfg: dict) -> dict:
-    echo = {key: cfg[key] for key in ("units", *UNIT_KEYS, "seed", "format")}
-    for key in COMMAND_SCHEMA[command]:
-        value = cfg[key]
-        echo[key] = list(value) if isinstance(value, tuple) else value
-    return echo
-
-
 def _render(command: str, cfg: dict, payload: dict) -> str:
     checks = [(e.name, e.residual, e.tolerance, e.passed) for e in payload["checks"]]
     if cfg["format"] == "csv":
@@ -300,7 +311,8 @@ def _render(command: str, cfg: dict, payload: dict) -> str:
         return "".join(",".join(_fmt(cell) for cell in row) + "\n" for row in table)
     report = {
         "command": command,
-        "params": _echo_params(command, cfg),
+        "params": {key: list(value) if isinstance(value, tuple) else value
+                   for key, value in cfg.items() if key != "out"},
         "results": payload["results"],
         "checks": [dict(zip(_CHECK_COLUMNS, check)) for check in checks],
         "version": __version__,
@@ -320,18 +332,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
         cfg, units = _resolve(args)
         # numpy loads here, once the front has accepted every flag
         from . import commands
 
         payload = commands.run(args.command, cfg, units)
         text = _render(args.command, cfg, payload)
+    except SystemExit:  # --help; the parser reports errors as UsageError
+        return EXIT_OK
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

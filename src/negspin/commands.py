@@ -5,7 +5,8 @@ applies a unit system.
 and config file have been cast and resolved, so an input the front
 rejects never pays for it.  The library computes in m0 = c = hbar = 1.
 Each ``_cmd_*`` takes the resolved config, in the user's units, and their
-scales (``cli.unit_scales``).  It divides each input by its scale on the
+scales (``cli.unit_scales``; None for ``identities`` and ``reduction``,
+which have no unit system).  It divides each input by its scale on the
 way in, and multiplies results, CSV columns and what its checks compare
 by theirs on the way out.  It returns {"results", "checks"}, plus
 "csv_header" and "csv_rows" if it has a table of its own, for ``cli``.
@@ -22,7 +23,7 @@ from .clifford import (
     verify_clifford_identities,
     verify_gamma_properties,
 )
-from .dynamics import Superposition, dominant_frequency, observable_series
+from .dynamics import CONSTANT_AMPLITUDE_TOL, Superposition, dominant_frequency, observable_series
 from .fields import (
     MIN_OSCILLATOR_LEVELS,
     RadialGrid,
@@ -44,7 +45,7 @@ from .spectral import (
 MIN_PERIODS = 4
 
 
-def _cmd_identities(cfg: dict, units: Units) -> dict:
+def _cmd_identities(cfg: dict, units: None) -> dict:
     basis = dirac_representation()
     checks = [*verify_clifford_identities(basis), *verify_gamma_properties(basis)]
     return {"results": {"total_checks": len(checks)}, "checks": checks}
@@ -204,26 +205,31 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
     if not cfg["t_max"] > 0.0:
         raise UsageError("t_max must be positive")
     basis = dirac_representation()
-    observables = {
+    observable = {
         "alpha1": basis.alpha[0],
         "alpha2": basis.alpha[1],
         "alpha3": basis.alpha[2],
         "beta": basis.beta,
         "ibgamma5": basis.i_beta_gamma5,
-    }
+    }[cfg["observable"]]
     p = np.divide(cfg["p"], units.momentum)
     sup = Superposition.from_weights(p, cfg["weights"], which="nonrel")
     energies = sup.distinct_energies()
-    # angular frequencies (E_a - E_b) / hbar
+    # the part u_a of the state in each level a; the pair (a, b) oscillates at
+    # the angular frequency (E_a - E_b) / hbar with amplitude 2 |<u_a|O|u_b>|,
+    # so a pair that the observable does not couple contributes no gap
+    level = np.argmin(np.abs(sup.energies[:, None] - energies), axis=1)
+    parts = [sup.spinors @ np.where(level == a, sup.coefficients, 0.0) for a in range(len(energies))]
     gaps = sorted(
-        abs(a - b) / units.time
-        for i, a in enumerate(energies)
-        for b in energies[:i]
+        abs(energies[a] - energies[b]) / units.time
+        for a in range(len(energies))
+        for b in range(a)
+        if 2.0 * abs(parts[a].conj() @ observable @ parts[b]) > CONSTANT_AMPLITUDE_TOL
     )
     if gaps:
         _check_sampling(cfg["t_max"], cfg["n_samples"], gaps[-1])
-    times, values = observable_series(sup, observables[cfg["observable"]],
-                                      cfg["t_max"] / units.time, cfg["n_samples"])
+    times, values = observable_series(sup, observable, cfg["t_max"] / units.time,
+                                      cfg["n_samples"])
     measured = dominant_frequency(times, values)
     if measured is not None:
         measured /= units.time
@@ -267,16 +273,12 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
     if cfg["sweep"] > 0:
         if not cfg["pmax"] > 0.0:
             raise UsageError("pmax must be positive")
-        branches = (-1, 1)
-        momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"] / units.momentum)[:, None, :]
-        labels = correspondence_check(momenta, np.array(branches))
-        # one check per (momentum, branch): worst of the two labels
-        worst = np.maximum(*(e.residual for e in labels))
-        tolerance = labels[0].tolerance
+        momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"] / units.momentum)
+        report = correspondence_check(momenta)
         checks = [
-            entry(f"p{j:03d}_branch{branch:+d}_correspondence", residual, tolerance)
-            for j, row in enumerate(worst, start=1)
-            for branch, residual in zip(branches, row)
+            entry(f"p{j:03d}_branch{branch:+d}_correspondence", residual, report.tolerance)
+            for j, row in enumerate(report.residual, start=1)
+            for branch, residual in zip((-1, 1), row)
         ]
         results = {"mode": "correspondence_sweep", "sweep": cfg["sweep"], "pmax": cfg["pmax"]}
         return {"results": results, "checks": checks}
@@ -305,9 +307,9 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
     }
 
 
-def _cmd_reduction(cfg: dict, units: Units) -> dict:
+def _cmd_reduction(cfg: dict, units: None) -> dict:
     """The chain's only scale is m0 c^2, so the trials are drawn in units of
-    m0 c and m0 c^2 and the unit system does not enter."""
+    m0 c and m0 c^2 and the command has no unit system."""
     if cfg["trials"] < 1:
         raise UsageError("trials must be at least 1")
     if cfg["seed"] < 0:
@@ -342,7 +344,7 @@ _COMMANDS = {
 }
 
 
-def run(command: str, cfg: dict, units: Units) -> dict:
+def run(command: str, cfg: dict, units: Units | None) -> dict:
     """Run one command on its resolved config and units; return its payload."""
     # an overflow or invalid operation raises rather than printing a
     # warning and carrying inf/nan into the report

@@ -74,11 +74,6 @@ def closed_form_energies(p_mag, which: str):
     return (-e, e)
 
 
-def _state_index(branch, helicity):
-    """Column of the (branch, helicity) state in ``helicity_eigenstates``."""
-    return (branch + 1) + (helicity + 1) // 2
-
-
 def helicity_eigenstates(p, which: str = "nonrel") -> EigenDecomposition:
     """Simultaneous eigenstates of the Hamiltonian and the spin projector.
 
@@ -139,29 +134,21 @@ def lorentz_transform(e_prime: float, p_prime, velocity) -> tuple[float, np.ndar
     return e, p
 
 
-def correspondence_check(p, branch=1) -> tuple[CheckEntry, ...]:
-    """E = v.p + 1 / gamma with v := <alpha>, 1/gamma := <beta>.
+def correspondence_check(p) -> CheckEntry:
+    """E = v.p + 1 / gamma with v := <alpha>, 1/gamma := <beta>, on both branches.
 
-    Both expectations come from explicit Dirac eigenstates of the requested
-    branch (one check per helicity label), so the identity is exercised on
-    the negative branch exactly as written, with no sign adjustments.
-    Broadcasts over momenta (..., 3) and branches; one diagonalization
-    serves both branches, e.g. momenta (n, 1, 3) with branch (-1, 1) give
-    residuals of shape (n, 2).
+    Both expectations come from explicit Dirac eigenstates, so the identity
+    is exercised on the negative branch exactly as written, with no sign
+    adjustments.  Broadcasts over momenta (..., 3); the residual has shape
+    (..., 2), one value per branch (-, +), each the worse of that branch's
+    two helicity states.
     """
     p = _as_momenta(p)
-    branch = np.asarray(branch)
-    if not np.all(np.isin(branch, (-1, 1))):
-        raise ValueError("branch must be +1 or -1")
     states = helicity_eigenstates(p, which="dirac")
     b = dirac_representation()
     psi = np.swapaxes(states.eigenvectors, -1, -2)  # (..., state, component)
     v = np.stack([expect(psi, a) for a in b.alpha], axis=-1)
     rhs = np.sum(v * p[..., None, :], axis=-1) + expect(psi, b.beta)
     resid = np.abs(states.eigenvalues - rhs) / np.abs(states.eigenvalues)
-    entries = []
-    for hel in (-1, 1):
-        per_branch = np.where(branch > 0, resid[..., _state_index(1, hel)],
-                              resid[..., _state_index(-1, hel)])
-        entries.append(entry(f"correspondence_helicity_{hel:+d}", per_branch, 1e-10))
-    return tuple(entries)
+    # the states are ordered (branch, helicity), so each branch is a pair of columns
+    return entry("correspondence", np.max(resid.reshape(*resid.shape[:-1], 2, 2), axis=-1), 1e-10)

@@ -116,10 +116,9 @@ def test_eigenstate_expectations_and_boost_correspondence():
     corr_ok = True
     for _ in range(20):
         p = rng.uniform(-2.0, 2.0, 3)
-        for branch in (-1, 1):
-            report = correspondence_check(p, branch)
-            corr_ok = corr_ok and all_passed(report)
-            worst_corr = max(worst_corr, max(e.residual for e in report))
+        report = correspondence_check(p)  # one residual per branch
+        corr_ok = corr_ok and all_passed([report])
+        worst_corr = max(worst_corr, float(np.max(report.residual)))
     ok = worst < 1e-10 and corr_ok and worst_corr < 1e-10
     verdict(
         "expectation identities + boost correspondence (tol 1e-10)",
@@ -233,7 +232,8 @@ CLI_MATRIX = {
     "dispersion": (["--steps", "9"], ["--steps", "1"], EXIT_USAGE),
     "landau": (["--n-max", "24", "--k-max", "2"], ["--n-max", "10", "--k-max", "9"], EXIT_USAGE),
     "coulomb": ([], ["--n-points", "100"], EXIT_USAGE),
-    "zitter": ([], ["--observable", "alpha1"], EXIT_CHECK_FAILED),
+    # sampled just above the Nyquist limit, the peak lands 1.5% off the gap
+    "zitter": ([], ["--t-max", "66", "--n-samples", "64"], EXIT_CHECK_FAILED),
     "lorentz": (["--v", "0.6,0,0"], ["--v", "1.5,0,0"], EXIT_USAGE),
     "reduction": (["--trials", "25"], ["--trials", "2", "--wrong-energy"], EXIT_CHECK_FAILED),
 }

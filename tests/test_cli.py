@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from negspin import __version__
-from negspin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from negspin.cli import COMMAND_SCHEMA, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
 def reject_constant(token):
@@ -194,13 +194,31 @@ def test_zitter_one_degenerate_pair_has_no_oscillation(capsys, flags):
 
 
 def test_zitter_without_peak_prints_strict_json(capsys):
-    # alpha1 has no interference term here: no peak, measured frequency read as 0
+    # alpha1 has no matrix element between these two states: no peak, and
+    # none expected; the missing frequency is a JSON null
     code, report = run_json(capsys, ["zitter", "--observable", "alpha1"])
-    assert code == EXIT_CHECK_FAILED
+    assert code == EXIT_OK
     assert report["results"]["measured_omega"] is None
+    assert report["results"]["analytic_omega"] == 0.0
     check = report["checks"][0]
-    assert check["name"] == "frequency_relative_error"
-    assert check["residual"] == 1.0 and check["pass"] is False
+    assert check["name"] == "no_oscillation_expected"
+    assert check["residual"] == 0.0 and check["pass"] is True
+
+
+@pytest.mark.parametrize("weights", ["1,0,0,1", "0,1,1,0"])
+def test_zitter_uncoupled_branches_have_no_oscillation(capsys, weights):
+    # opposite helicities on the two branches: alpha3 along p has no matrix
+    # element between them, so the series is flat and that is the answer
+    code, report = run_json(capsys, ["zitter", "--weights", weights])
+    assert code == EXIT_OK
+    assert report["checks"][0]["name"] == "no_oscillation_expected"
+    assert report["results"]["measured_omega"] is None
+    assert len(report["results"]["distinct_energies"]) == 2
+    # alpha1 does couple them, so the same mixture keeps the frequency check
+    code, report = run_json(capsys, ["zitter", "--weights", weights, "--observable", "alpha1"])
+    assert code == EXIT_OK
+    assert report["checks"][0]["name"] == "frequency_relative_error"
+    assert abs(report["results"]["measured_omega"] - 3.0) < 0.03
 
 
 def test_zitter_rejects_zero_weights(capsys):
@@ -310,7 +328,7 @@ def test_duplicate_config_key_rejected(tmp_path, capsys):
 
 
 def test_natural_units_conflict(capsys):
-    assert main(["identities", "--m0", "2.0"]) == EXIT_USAGE
+    assert main(["dispersion", "--m0", "2.0"]) == EXIT_USAGE
     assert "custom" in capsys.readouterr().err
 
 
@@ -334,14 +352,13 @@ def test_dispersion_with_heavier_mass(capsys):
 
 def test_non_positive_units_are_rejected(capsys):
     for flag in ("--m0=0", "--c=-1", "--hbar=0"):
-        err = one_line_usage_error(capsys, ["identities", "--units", "custom", flag])
+        err = one_line_usage_error(capsys, ["dispersion", "--units", "custom", flag])
         assert "m0, c and hbar must all be positive" in err
 
 
 # a unit system far from natural units, and its scales as the front forms them
 M0, C, HBAR, Q = 2.5, 3.0, 0.7, -0.8
-CUSTOM_UNITS = ["--units", "custom", f"--m0={M0!r}", f"--c={C!r}", f"--hbar={HBAR!r}",
-                f"--q={Q!r}"]
+CUSTOM_UNITS = ["--units", "custom", f"--m0={M0!r}", f"--c={C!r}", f"--hbar={HBAR!r}"]
 MOMENTUM = M0 * C
 ENERGY = MOMENTUM * C
 LENGTH, TIME, CHARGE = HBAR / MOMENTUM, HBAR / ENERGY, HBAR * C
@@ -360,7 +377,7 @@ COVARIANCE_CASES = [
      {}, {"p": MOMENTUM, **{col: ENERGY for col in
                             ("E1", "E2", "E3", "E4", "E_minus_closed", "E_plus_closed")}}),
     ("landau",
-     ["--b=1.3", "--pz=0.4", "--n-max", "30"],
+     [f"--q={Q!r}", "--b=1.3", "--pz=0.4", "--n-max", "30"],
      [f"--b={abs(Q * 1.3 * LENGTH / ENERGY)!r}", f"--pz={0.4 / MOMENTUM!r}", "--n-max", "30"],
      {"omega_c": 1.0 / TIME, "pz": MOMENTUM},
      {"E_plus_analytic": ENERGY, "E_plus_numeric": ENERGY, "E_minus_analytic": ENERGY,
@@ -419,14 +436,19 @@ def test_custom_units_equal_natural_units_at_converted_inputs(capsys, case):
         _assert_scaled(columns[column], n_columns[column], scale)
 
 
-def test_reduction_does_not_depend_on_the_unit_system(capsys):
+def test_reduction_takes_no_unit_system(capsys):
     # the chain's only scale is m0 c^2, so its trials are drawn in units of
-    # m0 c and m0 c^2, and a small m0 c^2 no longer fails at roundoff
-    code, custom = run_json(capsys, ["reduction", "--units", "custom", "--c", "1e3"])
-    _, natural = run_json(capsys, ["reduction"])
+    # m0 c and m0 c^2 and a unit flag would change nothing: it is rejected
+    for flags in (["--units", "custom", "--c", "1e3"], ["--units", "natural"], ["--q", "1"]):
+        err = one_line_usage_error(capsys, ["reduction", *flags])
+        assert f"unrecognized arguments: {flags[0]}" in err
+
+
+@pytest.mark.parametrize("command", COMMAND_SCHEMA)
+def test_params_echo_exactly_the_keys_the_command_takes(capsys, command):
+    code, report = run_json(capsys, [command])
     assert code == EXIT_OK
-    assert custom["results"] == natural["results"]
-    assert custom["checks"] == natural["checks"]
+    assert list(report["params"]) == [key for key in COMMAND_SCHEMA[command] if key != "out"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -455,6 +477,7 @@ def test_checks_table_matches_json_checks(capsys, argv):
     ["lorentz", "--e-prime", "-2", "--p-prime", "-1e-3,0,0"],
     ["zitter", "--p", "-0.5,0,1"],
     ["landau", "--pz", "-1e-3"],
+    ["lorentz", "--p-prime", "-1,0,0"],
 ], ids=" ".join)
 def test_negative_value_after_a_space(capsys, argv):
     # a value with a leading minus reads the same after a space as after "="
@@ -466,13 +489,11 @@ def test_negative_value_after_a_space(capsys, argv):
 
 
 def test_unknown_command_is_usage_error(capsys):
-    assert main(["no-such-command"]) == EXIT_USAGE
-    capsys.readouterr()
+    assert "invalid choice: 'no-such-command'" in one_line_usage_error(capsys, ["no-such-command"])
 
 
 def test_missing_command_is_usage_error(capsys):
-    assert main([]) == EXIT_USAGE
-    capsys.readouterr()
+    assert "required: command" in one_line_usage_error(capsys, [])
 
 
 def test_bad_vector_flag_rejected(capsys):
@@ -533,11 +554,11 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
      "unit scale m0*c^2 = 0 is not a positive finite float64"),
     (["dispersion", "--units", "custom", "--c", "1e300"],
      "unit scale m0*c^2 = inf is not a positive finite float64"),
-    (["identities", "--units", "custom", "--hbar", "1e-300", "--m0", "1e10", "--c", "1e20"],
+    (["dispersion", "--units", "custom", "--hbar", "1e-300", "--m0", "1e10", "--c", "1e20"],
      "unit scale hbar/(m0*c) = 0 "),
-    (["identities", "--units", "custom", "--hbar", "1e-300", "--c", "1e20"],
+    (["dispersion", "--units", "custom", "--hbar", "1e-300", "--c", "1e20"],
      "unit scale hbar/(m0*c^2) = 0 "),
-    (["identities", "--units", "custom", "--hbar", "1e300", "--c", "1e10"],
+    (["dispersion", "--units", "custom", "--hbar", "1e300", "--c", "1e10"],
      "unit scale hbar*c = inf "),
     (["landau", "--b", "0"], "field magnitude b must be positive"),
     (["landau", "--units", "custom", "--q", "0"], "lambda = hbar q b / c must be nonzero"),
@@ -547,6 +568,17 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["coulomb", "--units", "custom", "--hbar", "0.1", "--m0", "1.5", "--z", "5",
       "--r-max", "1.5", "--n-points", "1158"],
      "use n_points >= 22500 at r_max = 1125 Bohr radii"),
+    # a flag is spelt out in full: no abbreviation, however unambiguous
+    (["lorentz", "--p-p", "-1,0,0"], "unrecognized arguments: --p-p -1,0,0"),
+    (["lorentz", "--p-p=-1,0,0"], "unrecognized arguments: --p-p=-1,0,0"),
+    # each command takes only the flags it reads
+    (["identities", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["identities", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["identities", "--units", "natural"], "unrecognized arguments: --units natural"),
+    (["coulomb", "--units", "custom", "--q", "1"], "unrecognized arguments: --q 1"),
+    (["landau", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["dispersion", "--steps"], "argument --steps: expected one argument"),
+    (["reduction", "--wrong-energy", "true"], "unrecognized arguments: true"),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)

@@ -136,8 +136,11 @@ START_UP = {
              "runpy.run_module('negspin', run_name='__main__')", 0, []),
     "non-finite": (MAIN.format(argv=["lorentz", "--v", "nan,0,0"]), 2, []),
     "unknown-config-key": (MAIN.format(argv=["dispersion", "--config", "{config}"]), 2, []),
-    "non-positive-units": (MAIN.format(argv=["identities", "--units", "custom", "--m0", "-1"]),
+    "non-positive-units": (MAIN.format(argv=["dispersion", "--units", "custom", "--m0", "-1"]),
                            2, []),
+    # a flag the command does not take
+    "identities-seed": (MAIN.format(argv=["identities", "--seed", "1"]), 2, []),
+    "reduction-units": (MAIN.format(argv=["reduction", "--units", "custom", "--c", "2"]), 2, []),
     # the controls: a computing command does load numpy, and only numpy
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
     "coulomb": (MAIN.format(argv=["coulomb"]), 0, ["numpy"]),

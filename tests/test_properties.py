@@ -3,6 +3,9 @@
 Each draw must exit 0, 1 or 2 with no traceback or warning; a usage error
 prints one stderr line and nothing else, any other run prints strict JSON
 whose pass flags agree with the exit code, and a rerun is byte-identical.
+A flag the command does not take exits 2, which would pass unseen as a
+usage error, so a draw is checked to hold none; such flags are drawn on
+purpose only where their one-line rejection is asserted.
 A ``landau`` run that passes also counts the analytic multiplicities.
 Draws are derandomized, so the examples (and tier-1) are the same on every
 run.  Sizes are capped so each draw stays small.
@@ -20,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negspin.cli import main
+from negspin.cli import COMMAND_SCHEMA, main
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 SCHEMA_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
@@ -34,14 +37,14 @@ def _mostly(draw, typical, anything=FINITE):
 
 POSITIVE = _mostly(st.floats(0.1, 10.0))
 SIGNED = _mostly(st.floats(-10.0, 10.0))
+CHARGE = _mostly(st.floats(-5.0, 5.0))
 
 
 @st.composite
 def _units(draw):
-    """``--units custom`` with drawn m0, c, hbar and q."""
-    q = draw(_mostly(st.floats(-5.0, 5.0)))
+    """``--units custom`` with drawn m0, c and hbar: the unit system."""
     m0, c, hbar = draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)
-    return ["--units", "custom", f"--q={q!r}", f"--m0={m0!r}", f"--c={c!r}", f"--hbar={hbar!r}"]
+    return ["--units", "custom", f"--m0={m0!r}", f"--c={c!r}", f"--hbar={hbar!r}"]
 
 
 def _vector(draw, size, element=SIGNED) -> str:
@@ -65,6 +68,8 @@ def _assert_handled(argv) -> None:
     code, out, err = _run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    # every drawn flag belongs to the command: a rejected one would pass here unseen
+    assert "unrecognized arguments" not in err
     if code == 2:
         assert out == "" and err.count("\n") == 1
     else:
@@ -83,7 +88,7 @@ def _assert_handled(argv) -> None:
 @given(
     b=_mostly(st.floats(1e-3, 1e3)),
     pz=_mostly(st.floats(-10.0, 10.0)),
-    q=_mostly(st.floats(-5.0, 5.0)),
+    q=CHARGE,
     m0=POSITIVE, c=POSITIVE, hbar=POSITIVE,
     n_max=_mostly(st.integers(8, 2000), st.integers(-1, 7)),
     k_max=_mostly(st.integers(0, 4), st.integers(-1, 40)),
@@ -97,10 +102,19 @@ def test_landau_handles_every_finite_input(b, pz, q, m0, c, hbar, n_max, k_max):
     ])
 
 
+def _assert_unrecognized(argv) -> None:
+    """argv exits 2 with one line naming an argument the command does not take."""
+    code, out, err = _run(argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: unrecognized arguments: ")
+
+
 @SCHEMA_SETTINGS
-@given(units=_units(), seed=st.integers(-5, 2**32))
-def test_identities_handles_every_finite_input(units, seed):
-    _assert_handled(["identities", *units, "--seed", str(seed)])
+@given(units=_units(), q=CHARGE, seed=st.integers(-5, 2**32))
+def test_identities_handles_every_finite_input(units, q, seed):
+    # identities reads no input: a unit system, a charge or a seed is rejected
+    _assert_handled(["identities"])
+    _assert_unrecognized(["identities", *units, f"--q={q!r}", "--seed", str(seed)])
 
 
 @SCHEMA_SETTINGS
@@ -179,10 +193,32 @@ def test_lorentz_sweep_handles_every_finite_input(units, sweep, pmax):
 @SCHEMA_SETTINGS
 @given(
     units=_units(),
+    q=CHARGE,
     trials=_mostly(st.integers(1, 200), st.integers(-1, 0)),
     seed=st.integers(-5, 2**32),
     wrong_energy=st.booleans(),
 )
-def test_reduction_handles_every_finite_input(units, trials, seed, wrong_energy):
-    _assert_handled(["reduction", *units, "--trials", str(trials), "--seed", str(seed),
-                     *(["--wrong-energy"] if wrong_energy else [])])
+def test_reduction_handles_every_finite_input(units, q, trials, seed, wrong_energy):
+    argv = ["reduction", "--trials", str(trials), "--seed", str(seed),
+            *(["--wrong-energy"] if wrong_energy else [])]
+    _assert_handled(argv)
+    # the chain has no unit system: unit flags and a charge are rejected
+    _assert_unrecognized([*argv, *units, f"--q={q!r}"])
+
+
+@st.composite
+def _foreign_flag(draw):
+    """A command and a key of another command's schema that its own lacks."""
+    command = draw(st.sampled_from(sorted(COMMAND_SCHEMA)))
+    every_key = {key for schema in COMMAND_SCHEMA.values() for key in schema}
+    return command, draw(st.sampled_from(sorted(every_key - set(COMMAND_SCHEMA[command]))))
+
+
+@SCHEMA_SETTINGS
+@given(
+    foreign=_foreign_flag(),
+    value=st.one_of(SIGNED.map(repr), st.sampled_from(("custom", "json", "1,0,0"))),
+)
+def test_a_flag_outside_the_commands_schema_is_rejected(foreign, value):
+    command, key = foreign
+    _assert_unrecognized([command, f"--{key.replace('_', '-')}={value}"])

@@ -213,19 +213,18 @@ def test_lorentz_rejects_superluminal_velocity():
 
 def test_correspondence_check_both_branches():
     for p in random_momenta(31, 6):
-        for branch in (-1, 1):
-            report = correspondence_check(p, branch)
-            assert len(report) == 2
-            assert all_passed(report)
-            for e in report:
-                assert e.residual < 1e-10
-                assert e.name.startswith("correspondence_helicity_")
+        report = correspondence_check(p)
+        assert report.name == "correspondence"
+        assert report.residual.shape == (2,)
+        assert all_passed([report])
+        assert np.all(report.residual < 1e-10)
 
 
 def test_correspondence_check_at_rest():
-    # E = 0 + m0 c^2 with v = <c alpha> = 0
-    for branch in (-1, 1):
-        assert all_passed(correspondence_check((0.0, 0.0, 0.0), branch))
+    # E = 0 + m0 c^2 with v = <c alpha> = 0, on both branches
+    report = correspondence_check((0.0, 0.0, 0.0))
+    assert report.residual.shape == (2,)
+    assert all_passed([report])
 
 
 def test_hamiltonian_stack_equals_each_momentum():
@@ -249,11 +248,18 @@ def test_helicity_eigenstates_stack_equals_each_momentum():
 
 def test_correspondence_check_broadcasts_momenta_and_branches():
     momenta = random_momenta(57, 4)
-    both = correspondence_check(momenta[:, None, :], np.array([-1, 1]))
+    both = correspondence_check(momenta)
+    assert both.residual.shape == (4, 2)
     for i, p in enumerate(momenta):
-        for k, branch in enumerate((-1, 1)):
-            single = correspondence_check(p, branch)
-            for a, b in zip(single, both):
-                assert a.residual == b.residual[i, k]
-    with pytest.raises(ValueError):
-        correspondence_check(momenta, 0)
+        states = helicity_eigenstates(p, "dirac")
+        for k in range(2):  # branch (-, +): columns 2k and 2k + 1
+            np.testing.assert_array_equal(both.residual[i, k],
+                                          correspondence_check(p).residual[k])
+            # each branch reports the worse of its two helicity states
+            worst = 0.0
+            for j in (2 * k, 2 * k + 1):
+                e, psi = states.eigenvalues[j], states.eigenvectors[:, j]
+                v = np.array([expect(psi, a) for a in BASIS.alpha])
+                rhs = float(v @ p) + expect(psi, BASIS.beta)
+                worst = max(worst, abs(e - rhs) / abs(e))
+            assert both.residual[i, k] == pytest.approx(worst, rel=0.0, abs=1e-14)
