@@ -29,6 +29,7 @@ import json
 import math
 import numbers
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -200,7 +201,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand, so help and unknown-command errors list them all; only
+    ``command``'s subparser gets its flags, the only ones this run can read."""
     parser = _Parser(
         prog="negspin",
         description="Spin-1/2 wave-operator checks: identities, spectra, dynamics.",
@@ -216,8 +219,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "lorentz": "boost an (E, p) pair, or sweep the velocity correspondence",
         "reduction": "two-component reduction chain on seeded random draws",
     }
-    for command, schema in COMMAND_SCHEMA.items():
-        p = sub.add_parser(command, help=help_text[command], allow_abbrev=False)
+    for name, schema in COMMAND_SCHEMA.items():
+        p = sub.add_parser(name, help=help_text[name], allow_abbrev=False)
+        if name != command:
+            continue
         p.add_argument("--config", default=None, metavar="PATH",
                        help="flat key=value file; flags take precedence")
         for key, (cast, _) in schema.items():
@@ -294,21 +299,29 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, Units | None]:
     return cfg, unit_scales(cfg)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+def _csv(header: list[str], rows: list) -> str:
+    """The CSV text of a table with one cell type per column.
+
+    A column's ``%`` spec comes from its first row: ``%s`` for strings,
+    ``%d`` for integers (numpy's too), else ``%.17g``, which prints a float
+    as ``format(x, ".17g")`` does.  The rows are then formatted in one
+    ``%`` call.
+    """
+    text = ",".join(header) + "\n"
+    if not rows:
+        return text
+    specs = ["%s" if isinstance(cell, str) else "%d" if isinstance(cell, numbers.Integral)
+             else "%.17g" for cell in rows[0]]
+    return text + (",".join(specs) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
 
 
 def _render(command: str, cfg: dict, payload: dict) -> str:
     checks = [(e.name, e.residual, e.tolerance, e.passed) for e in payload["checks"]]
     if cfg["format"] == "csv":
-        table = [payload.get("csv_header", _CHECK_COLUMNS), *payload.get("csv_rows", checks)]
-        return "".join(",".join(_fmt(cell) for cell in row) + "\n" for row in table)
+        if "csv_rows" in payload:
+            return _csv(payload["csv_header"], payload["csv_rows"])
+        return _csv(_CHECK_COLUMNS, [(name, residual, tolerance, "true" if passed else "false")
+                                     for name, residual, tolerance, passed in checks])
     report = {
         "command": command,
         "params": {key: list(value) if isinstance(value, tuple) else value
@@ -329,9 +342,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
+        args = _build_parser(argv[0] if argv else None).parse_args(_join_values(argv))
         cfg, units = _resolve(args)
         # numpy loads here, once the front has accepted every flag
         from . import commands

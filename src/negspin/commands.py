@@ -193,10 +193,12 @@ def _check_sampling(t_max: float, n_samples: int, omega: float) -> None:
     if periods < MIN_PERIODS:
         raise UsageError(f"window too short: t_max = {t_max:g} spans {periods:.3g} periods of "
                          f"the gap frequency {omega:.6g}; need at least {MIN_PERIODS}")
-    if np.pi * n_samples / t_max <= omega:
-        raise UsageError(f"undersampled series: the Nyquist frequency pi n_samples / t_max does "
-                         f"not exceed the gap frequency {omega:.6g}; use n_samples >= "
-                         f"{int(t_max * omega / np.pi) + 1} or a shorter t_max")
+    # dominant_frequency misplaces a peak within two bins (4 pi / t_max) of
+    # the Nyquist frequency pi n_samples / t_max
+    if np.pi * (n_samples - 4) / t_max < omega:
+        raise UsageError(f"undersampled series: the gap frequency {omega:.6g} is not two bins "
+                         f"below the Nyquist frequency pi n_samples / t_max; use n_samples >= "
+                         f"{int(np.ceil(t_max * omega / np.pi)) + 4} or a shorter t_max")
 
 
 def _cmd_zitter(cfg: dict, units: Units) -> dict:

@@ -122,6 +122,16 @@ def observable_series(
     return times, expect(evolve(sup, times), observable)
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median(x)`` of a 1-d array, from a partition: np.median imports
+    numpy.ma on its first call, a cost a cold run would pay for one value."""
+    half = len(x) // 2
+    if len(x) % 2:
+        return float(np.partition(x, half)[half])
+    part = np.partition(x, (half - 1, half))
+    return float((part[half - 1] + part[half]) / 2.0)
+
+
 def dominant_frequency(times, values) -> float | None:
     """Angular frequency of the strongest oscillation, or None if there is none.
 
@@ -151,7 +161,7 @@ def dominant_frequency(times, values) -> float | None:
     if len(magnitudes) < 3:
         return None
     peak = 1 + int(np.argmax(magnitudes[1:]))
-    floor = float(np.median(magnitudes[1:]))
+    floor = _median(magnitudes[1:])
     if magnitudes[peak] <= DETECTION_FLOOR_FACTOR * floor:
         return None
     # quadratic refinement on log magnitude around the peak bin

@@ -1,6 +1,7 @@
 """Test oracles and helpers: the dense truncated Landau operator, the state
 map of its sectors and its squared-operator identity, the Coulomb grid solved
-by LAPACK, the reference spinor draw, and lookups over tuples of check entries.
+by LAPACK, the reference spinor draw, lookups over tuples of check entries,
+and the CSV text of a table written one cell at a time.
 
 The package builds the Landau problem as n_max + 1 free 4x4 blocks
 (``negspin.fields.landau_sectors``).  The dense matrix here builds the same
@@ -13,6 +14,8 @@ The package finds the Coulomb grid levels from its own Sturm counts
 matrix goes to scipy's ``eigh_tridiagonal`` (LAPACK stebz), the solver the
 package used before; scipy is needed by the tests only.
 """
+
+import numbers
 
 import numpy as np
 
@@ -153,3 +156,22 @@ def coulomb_grid_levels(z: float, l: int, grid: RadialGrid,
                               select="i", select_range=(0, n_levels - 1))
     bound = 4.0 * np.finfo(float).eps * float(np.max(np.abs(diagonal) + 2.0 * kin))
     return levels, bound
+
+
+def csv_cell(value) -> str:
+    """One CSV cell by the per-cell rule that ``negspin.cli`` renders whole
+    tables by: bools as true/false, integers (numpy's too) in decimal,
+    strings as they are, anything else as a float with 17 significant
+    digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return format(float(value), ".17g")
+
+
+def csv_text(table) -> str:
+    """The CSV text of a header row and the rows after it, cell by cell."""
+    return "".join(",".join(csv_cell(cell) for cell in row) + "\n" for row in table)

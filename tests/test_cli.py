@@ -172,6 +172,19 @@ def test_zitter_short_window_fails_check(capsys):
     assert "window too short" in err
 
 
+def test_zitter_near_nyquist_is_rejected_not_failed(capsys):
+    # at 64 samples the peak refinement misplaces a gap just below the
+    # Nyquist frequency pi n_samples / t_max (gap 3.0: t_max 67.02) by more
+    # than the 1% tolerance; such a series is rejected within two bins of it
+    codes = {}
+    for t_max in np.linspace(55.0, 70.0, 301):
+        codes[float(t_max)] = main(["zitter", "--t-max", repr(float(t_max)), "--n-samples", "64"])
+        capsys.readouterr()
+    assert EXIT_CHECK_FAILED not in codes.values()
+    # accepted while the gap stays two bins, 4 pi / t_max, below Nyquist
+    assert all((code == EXIT_OK) == (3.0 <= np.pi * 60 / t_max) for t_max, code in codes.items())
+
+
 def test_zitter_single_state_no_oscillation(capsys):
     code, report = run_json(capsys, ["zitter", "--weights", "0,0,0,1"])
     assert code == EXIT_OK

@@ -159,6 +159,9 @@ def _stebz_bound(diagonal, off):
     ([0.0, 60.0, 60.0, 60.0, 60.0, 60.0, 60.0, 0.0], -1.0),
     # scaled by a large off-diagonal, signs irrelevant
     ([3e150, -2e150, 5e149, 1e150, 0.0, 7e150], 2.5e150),
+    # four wells behind barriers: the lowest levels come in clusters far
+    # narrower than the gaps between them
+    ([0.0, 40.0, 40.0, 0.0, 40.0, 40.0, 0.0, 40.0, 40.0, 40.0, 0.0], -1.0),
 ])
 def test_tridiagonal_lowest_matches_dense_eigvalsh(diagonal, off):
     diagonal = np.array(diagonal)
@@ -169,13 +172,53 @@ def test_tridiagonal_lowest_matches_dense_eigvalsh(diagonal, off):
         assert np.all(np.diff(got) >= 0.0)
 
 
+def _coulomb_grid(n_points, r_max):
+    h = r_max / (n_points + 1)
+    kin = 1.0 / (2.0 * h * h)
+    return 2.0 * kin + 1.0 - 1.0 / (h * np.arange(1, n_points + 1)), -kin
+
+
+def test_tridiagonal_lowest_finds_every_level_of_a_coulomb_grid():
+    # n_levels = n: every level is isolated and refined at once
+    diagonal, off = _coulomb_grid(100, 10.0)
+    expected = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, off))
+    got = tridiagonal_lowest(diagonal, off, len(diagonal))
+    assert np.max(np.abs(got - expected)) <= _stebz_bound(diagonal, off)
+
+
+def _shifts_counted(monkeypatch, diagonal, off, n_levels) -> int:
+    counted = []
+    count = _SturmCounter.__call__
+
+    def counting(self, shifts, logdet):
+        counted.append(len(shifts))
+        return count(self, shifts, logdet)
+
+    monkeypatch.setattr(_SturmCounter, "__call__", counting)
+    tridiagonal_lowest(diagonal, off, n_levels)
+    monkeypatch.undo()
+    return sum(counted)
+
+
+@pytest.mark.parametrize("n_points, n_levels, most", [
+    (6000, 3, 80),  # the default grid
+    (100000, 3, 75),
+    (6000, 1000, 7600),
+])
+def test_tridiagonal_lowest_shift_count(monkeypatch, n_points, n_levels, most):
+    # the counts are deterministic; with one ITP budget for all levels, spent
+    # by regula falsi's first steps, they were 128, 114 and 7600
+    shifts = _shifts_counted(monkeypatch, *_coulomb_grid(n_points, 60.0), n_levels)
+    assert shifts <= most
+
+
 def test_sturm_count_at_a_zero_pivot_matches_dense_count():
     # each shift equals a diagonal entry, so some pivot of the reduction is
     # exactly zero and is replaced by -pivmin
     diagonal = np.array([0.5, -1.0, 0.5, 2.0, 0.5, -0.3, 1.7])
     eigenvalues = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, -1.0))
     counter = _SturmCounter(diagonal, 1e-15, len(diagonal))
-    counts, _ = counter(diagonal.copy())
+    counts, _ = counter(diagonal.copy(), np.ones(len(diagonal), dtype=bool))
     assert counts.tolist() == [int(np.sum(eigenvalues < x)) for x in diagonal]
 
 

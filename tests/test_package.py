@@ -14,14 +14,15 @@ MODULES = ("clifford", "matrix_core", "spectral", "fields", "dynamics")
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
 
-# Runs one start-up path in a fresh interpreter, then prints which of numpy
-# and scipy it loaded.
+# Runs one start-up path in a fresh interpreter, then prints which of numpy,
+# numpy.ma (which np.unique and np.median import on their first call) and
+# scipy it loaded.
 PROBE = """\
 import sys
 try:
     {body}
 finally:
-    print(sorted({{"numpy", "scipy"}}.intersection(sys.modules)))
+    print(sorted({{"numpy", "numpy.ma", "scipy"}}.intersection(sys.modules)))
 """
 MAIN = "from negspin.cli import main; sys.exit(main({argv!r}))"
 
@@ -144,6 +145,7 @@ START_UP = {
     # the controls: a computing command does load numpy, and only numpy
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
     "coulomb": (MAIN.format(argv=["coulomb"]), 0, ["numpy"]),
+    "zitter": (MAIN.format(argv=["zitter", "--format", "csv"]), 0, ["numpy"]),
 }
 
 
