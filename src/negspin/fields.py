@@ -19,7 +19,10 @@ Three problem families:
   the positive branch is solved; no negative-branch level is computed;
 * the momentum-space rearrangement chain that eliminates the lower spinor
   and leaves the two-component kinetic-energy relation, verified as exact
-  matrix identities at a trial energy.
+  matrix identities at a trial energy.  Each trial is independent, so the
+  chain broadcasts over stacks of any length.  Its seeded draws
+  (``draw_reduction_trials``) come from Python's ``random`` (MT19937) as
+  53-bit doubles, so numpy.random is never loaded.
 
 Truncated-basis assertions are made on interior oscillator levels only; edge
 levels are reported, never tested.  A rejection quotes only ratios that read
@@ -29,6 +32,7 @@ the same in every unit system, such as the grid in Bohr radii.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +57,9 @@ MAX_OSCILLATOR_LEVELS = 10**5
 # Empirical accuracy guard for the radial grid: the spacing in Bohr radii,
 # spacing * Z (spacing * m0 Z / hbar^2 in any units), must stay below.
 GRID_GUARD = 0.05
+# 64-bit words per randbytes call of draw_reduction_trials, well inside the
+# 2^31 - 1 bits one Random.getrandbits call can give
+_DRAW_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -187,14 +194,24 @@ def _disc_spinor(u: np.ndarray) -> np.ndarray:
     return comps / norm
 
 
-def draw_reduction_trials(rng: np.random.Generator, trials: int):
+def draw_reduction_trials(seed: int, trials: int):
     """Seeded (momenta (trials, 3), potentials (trials,), spinors (trials, 2)).
 
-    Per trial and in order: the momentum (3 uniforms on [-2, 2]), the
-    potential constant (1 uniform on [-1, 1]), then a ``_disc_spinor`` of two
-    components (4 uniforms: radius^2 then angle, per component).
+    The uniforms come from Python's ``random.Random(seed)`` (MT19937), each
+    a 53-bit double (w >> 11) 2^-53 from one 64-bit word w of its
+    ``randbytes`` stream, read little-endian.  Per trial and in order: the
+    momentum (3 uniforms on [-2, 2]), the potential constant (1 uniform on
+    [-1, 1]), then a ``_disc_spinor`` of two components (4 uniforms: radius^2
+    then angle, per component).  The (trials, 8) uniforms are allocated
+    before any is drawn, so a count too large to hold raises MemoryError at
+    once.
     """
-    u = rng.uniform(size=(trials, 8))
+    u = np.empty((trials, 8))
+    flat = u.reshape(-1)
+    rng = random.Random(seed)
+    for start in range(0, flat.size, _DRAW_WORDS):
+        words = np.frombuffer(rng.randbytes(8 * min(_DRAW_WORDS, flat.size - start)), "<u8")
+        np.multiply(words >> 11, 2.0**-53, out=flat[start:start + words.size])
     return -2.0 + 4.0 * u[:, :3], -1.0 + 2.0 * u[:, 3], _disc_spinor(u[:, 4:].reshape(trials, 2, 2))
 
 
@@ -246,11 +263,9 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
         return (e - v0) * I4 - free
 
     entries = []
+    op = rearranged(e_trial)
     e_minus = 2.0 * v0 - e_trial
-    entries.append(
-        entry("rearrange_operator_plus",
-              residual_norm(rearranged(e_trial), direct(e_trial)), 1e-12)
-    )
+    entries.append(entry("rearrange_operator_plus", residual_norm(op, direct(e_trial)), 1e-12))
     entries.append(
         entry("rearrange_operator_minus",
               residual_norm(rearranged(e_minus), direct(e_minus)), 1e-12)
@@ -260,7 +275,6 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
     positive = eigenvalues[..., None, :] > 0.0
     if not np.all(np.any(positive, axis=-1)):
         raise ValueError("the full Hamiltonian has no positive-branch eigenvector")
-    op = rearranged(e_trial)
     entries.append(
         entry("eigenvector_satisfies_rearranged",
               np.max(np.where(positive, np.abs(op @ eigenvectors), 0.0), axis=(-2, -1)), 1e-12)
@@ -279,10 +293,7 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
     )
 
     transported = (e_trial - v0) * (I4 + basis.beta) + ap - g2
-    entries.append(
-        entry("transport_by_gamma2",
-              residual_norm(transported @ g2, g2 @ rearranged(e_trial)), 1e-12)
-    )
+    entries.append(entry("transport_by_gamma2", residual_norm(transported @ g2, g2 @ op), 1e-12))
 
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.ndim < 1 or phi.shape[-1] != 2:

@@ -1,6 +1,6 @@
 """Test oracles and helpers: the dense truncated Landau operator, the state
 map of its sectors and its squared-operator identity, the Coulomb grid solved
-by LAPACK, the reference spinor draw, lookups over tuples of check entries,
+by LAPACK, a seeded spinor draw, lookups over tuples of check entries,
 and the CSV text of a table written one cell at a time.
 
 The package builds the Landau problem as n_max + 1 free 4x4 blocks
@@ -46,8 +46,7 @@ def disc_spinor(rng: np.random.Generator, size: int) -> np.ndarray:
     """Normalized spinor with components uniform on the complex unit disc.
 
     Draw order per component: radius^2 then angle, both U[0, 1); the vector
-    is normalized afterwards.  The reference for the draws of
-    ``negspin.fields.draw_reduction_trials``.
+    is normalized afterwards.  The fixed spinors of the single-draw tests.
     """
     return _disc_spinor(rng.uniform(size=(size, 2)))
 

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,19 @@ def test_reduction_wrong_energy_control(capsys):
     assert code == EXIT_CHECK_FAILED
     assert report["results"]["failed_trials"] == 3
     assert not report["checks"][2]["pass"] or not report["checks"][7]["pass"]
+
+
+def test_reduction_memory_does_not_grow_with_the_chain(capsys):
+    # 20000 trials hold only their draws; the chain runs in fixed blocks
+    main(["reduction", "--trials", "1"])  # imports outside the traced window
+    tracemalloc.start()
+    try:
+        assert main(["reduction", "--trials", "20000"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 8e6
 
 
 def test_seed_changes_reduction_draws(capsys):

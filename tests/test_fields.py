@@ -4,10 +4,17 @@ The library is in natural units, so a field enters as lam = hbar q b / c,
 which is q b here; lam = -b is the default charge q = -1.
 """
 
+import cmath
+import math
+import random
+
 import numpy as np
 import pytest
 
+from negspin import commands, fields
 from negspin.cli import main
+from negspin.clifford import CheckEntry
+from negspin.commands import REDUCTION_BLOCK
 from negspin.fields import (
     MAX_OSCILLATOR_LEVELS,
     RadialGrid,
@@ -363,8 +370,7 @@ def test_reduction_nullspace_dimension_is_two():
 
 
 def test_reduction_stack_equals_each_draw():
-    rng = np.random.default_rng(8)
-    p, v0, phi = draw_reduction_trials(rng, 12)
+    p, v0, phi = draw_reduction_trials(8, 12)
     e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0
     e_trial[::3] += 0.2  # mix in failing trials
     stacked = pauli_reduction_check(p, v0, e_trial, phi=phi)
@@ -377,14 +383,66 @@ def test_reduction_stack_equals_each_draw():
 
 
 def test_reduction_draws_follow_documented_order():
-    # per trial: momentum (3 uniforms), potential (1), then the disc spinor
+    # per trial: momentum (3 uniforms), potential (1), then the disc spinor,
+    # each uniform a 53-bit double from one 64-bit MT19937 word
     trials = 40
-    p, v0, phi = draw_reduction_trials(np.random.default_rng(4), trials)
-    rng = np.random.default_rng(4)
+    p, v0, phi = draw_reduction_trials(4, trials)
+    rng = random.Random(4)
+
+    def uniform():
+        return (rng.getrandbits(64) >> 11) * 2.0**-53
+
     for i in range(trials):
-        np.testing.assert_array_equal(p[i], rng.uniform(-2.0, 2.0, 3))
-        assert v0[i] == rng.uniform(-1.0, 1.0)
-        assert np.max(np.abs(phi[i] - disc_spinor(rng, 2))) <= 1e-15
+        assert list(p[i]) == [-2.0 + 4.0 * uniform() for _ in range(3)]
+        assert v0[i] == -1.0 + 2.0 * uniform()
+        comps = []
+        for _ in range(2):
+            radius2, turn = uniform(), uniform()
+            comps.append(cmath.rect(math.sqrt(radius2), 2.0 * math.pi * turn))
+        norm = math.hypot(*map(abs, comps))
+        assert max(abs(a - b / norm) for a, b in zip(phi[i], comps)) <= 1e-15
+
+
+def test_reduction_draws_do_not_depend_on_chunking(monkeypatch):
+    whole = draw_reduction_trials(6, 50)
+    # 5 words a call: chunks end mid-trial
+    monkeypatch.setattr(fields, "_DRAW_WORDS", 5)
+    for a, b in zip(whole, draw_reduction_trials(6, 50)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("wrong_energy", [False, True])
+@pytest.mark.parametrize("trials", [1, REDUCTION_BLOCK - 1, REDUCTION_BLOCK,
+                                    REDUCTION_BLOCK + 1, 2000])
+def test_reduction_blocks_match_one_stack(trials, wrong_energy):
+    cfg = {"trials": trials, "seed": 11, "wrong_energy": wrong_energy}
+    payload = commands.run("reduction", cfg, None)
+    p, v0, phi = draw_reduction_trials(11, trials)
+    e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0 + (0.2 if wrong_energy else 0.0)
+    stack = pauli_reduction_check(p, v0, e_trial, phi=phi)
+    assert [(c.name, c.tolerance) for c in payload["checks"]] == [
+        (e.name, e.tolerance) for e in stack]
+    assert [c.residual for c in payload["checks"]] == [np.max(e.residual) for e in stack]
+    failed = np.sum(~np.logical_and.reduce([e.passed for e in stack]))
+    assert payload["results"]["failed_trials"] == failed
+
+
+def test_reduction_blocks_carry_a_nan_residual(monkeypatch, capsys):
+    # a NaN in the middle block only must still fail its check
+    def with_nan(p, v0, e_trial, *, phi):
+        chain = pauli_reduction_check(p, v0, e_trial, phi=phi)
+        if len(calls) == 1:
+            chain = (CheckEntry(chain[0].name, np.full(len(p), np.nan), chain[0].tolerance),
+                     *chain[1:])
+        calls.append(len(p))
+        return chain
+
+    calls = []
+    monkeypatch.setattr(commands, "pauli_reduction_check", with_nan)
+    code = main(["reduction", "--trials", str(2 * REDUCTION_BLOCK + 1), "--format", "csv"])
+    assert calls == [REDUCTION_BLOCK, REDUCTION_BLOCK, 1]
+    assert code == 1
+    assert "rearrange_operator_plus,nan,9.9999999999999998e-13,false" in capsys.readouterr().out
 
 
 def test_reduction_phi_validation():

@@ -22,7 +22,7 @@ import sys
 try:
     {body}
 finally:
-    print(sorted({{"numpy", "numpy.ma", "scipy"}}.intersection(sys.modules)))
+    print(sorted({{"numpy", "numpy.ma", "numpy.random", "scipy"}}.intersection(sys.modules)))
 """
 MAIN = "from negspin.cli import main; sys.exit(main({argv!r}))"
 
@@ -146,6 +146,7 @@ START_UP = {
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
     "coulomb": (MAIN.format(argv=["coulomb"]), 0, ["numpy"]),
     "zitter": (MAIN.format(argv=["zitter", "--format", "csv"]), 0, ["numpy"]),
+    "reduction": (MAIN.format(argv=["reduction", "--trials", "300"]), 0, ["numpy"]),
 }
 
 
