@@ -23,15 +23,17 @@ from .clifford import (
     verify_clifford_identities,
     verify_gamma_properties,
 )
-from .dynamics import CONSTANT_AMPLITUDE_TOL, Superposition, dominant_frequency, observable_series
+from .dynamics import (CONSTANT_AMPLITUDE_TOL, MIN_SAMPLES, Superposition, dominant_frequency,
+                       observable_series)
 from .fields import (
     MIN_OSCILLATOR_LEVELS,
     RadialGrid,
     coulomb_radial_spectrum,
-    draw_reduction_trials,
+    draw_reduction_uniforms,
     landau_levels_analytic,
     landau_sectors,
     pauli_reduction_check,
+    reduction_trials,
 )
 from .matrix_core import ConvergenceError, hermitian_eig
 from .spectral import (
@@ -41,8 +43,10 @@ from .spectral import (
     lorentz_transform,
 )
 
-# dominant_frequency needs this many periods of the gap in the window
-MIN_PERIODS = 4
+# zitter rejects a window where eps / (A (omega dt)^3) tops this, for an
+# oscillation of amplitude A at step dt: at this limit, over 2800 random states
+# and observables at 16 to 4096 samples, dominant_frequency erred by 4.8e-4 at most
+CONDITIONING_LIMIT = 1e-5
 # trials per pauli_reduction_check call in reduction: the chain's 4x4
 # temporaries take O(block) memory however many trials are asked for
 REDUCTION_BLOCK = 256
@@ -190,58 +194,50 @@ def _cmd_coulomb(cfg: dict, units: Units) -> dict:
     }
 
 
-def _check_sampling(t_max: float, n_samples: int, omega: float) -> None:
-    """Reject a series that cannot resolve the angular frequency ``omega``."""
-    periods = t_max * omega / (2.0 * np.pi)
-    if periods < MIN_PERIODS:
-        raise UsageError(f"window too short: t_max = {t_max:g} spans {periods:.3g} periods of "
-                         f"the gap frequency {omega:.6g}; need at least {MIN_PERIODS}")
-    # dominant_frequency misplaces a peak within two bins (4 pi / t_max) of
-    # the Nyquist frequency pi n_samples / t_max
-    if np.pi * (n_samples - 4) / t_max < omega:
-        raise UsageError(f"undersampled series: the gap frequency {omega:.6g} is not two bins "
-                         f"below the Nyquist frequency pi n_samples / t_max; use n_samples >= "
-                         f"{int(np.ceil(t_max * omega / np.pi)) + 4} or a shorter t_max")
+def _check_sampling(t_max: float, n_samples: int, omega: float, amplitude: float) -> None:
+    """Reject a series on which ``dominant_frequency`` cannot place the gap
+    frequency ``omega`` of an oscillation of ``amplitude`` within 1e-2."""
+    step = omega * t_max / n_samples
+    if step >= np.pi:
+        raise UsageError(f"undersampled series: the gap frequency aliases at omega dt = {step:.6g} "
+                         f">= pi; use n_samples > {int(omega * t_max / np.pi)} or a shorter t_max")
+    floor = (np.finfo(float).eps / (CONDITIONING_LIMIT * amplitude)) ** (1.0 / 3.0)
+    if step < floor:
+        raise UsageError(f"ill-conditioned series: omega dt = {step:.3g} is below the float64 "
+                         f"floor {floor:.3g} at amplitude {amplitude:.3g}; use n_samples <= "
+                         f"{int(omega * t_max / floor)} or a longer t_max")
 
 
 def _cmd_zitter(cfg: dict, units: Units) -> dict:
-    if cfg["n_samples"] < 64:
-        raise UsageError("n_samples must be at least 64")
+    # as in observable_series, but before _check_sampling divides by n_samples
+    if cfg["n_samples"] < MIN_SAMPLES:
+        raise UsageError(f"n_samples must be at least {MIN_SAMPLES}")
     if not cfg["t_max"] > 0.0:
         raise UsageError("t_max must be positive")
     basis = dirac_representation()
-    observable = {
-        "alpha1": basis.alpha[0],
-        "alpha2": basis.alpha[1],
-        "alpha3": basis.alpha[2],
-        "beta": basis.beta,
-        "ibgamma5": basis.i_beta_gamma5,
-    }[cfg["observable"]]
+    observable = dict(zip(("alpha1", "alpha2", "alpha3", "beta", "ibgamma5"),
+                          (*basis.alpha, basis.beta, basis.i_beta_gamma5)))[cfg["observable"]]
     p = np.divide(cfg["p"], units.momentum)
     sup = Superposition.from_weights(p, cfg["weights"], which="nonrel")
-    energies = sup.distinct_energies()
-    # the part u_a of the state in each level a; the pair (a, b) oscillates at
-    # the angular frequency (E_a - E_b) / hbar with amplitude 2 |<u_a|O|u_b>|,
-    # so a pair that the observable does not couple contributes no gap
-    level = np.argmin(np.abs(sup.energies[:, None] - energies), axis=1)
-    parts = [sup.spinors @ np.where(level == a, sup.coefficients, 0.0) for a in range(len(energies))]
-    gaps = sorted(
-        abs(energies[a] - energies[b]) / units.time
-        for a in range(len(energies))
-        for b in range(a)
-        if 2.0 * abs(parts[a].conj() @ observable @ parts[b]) > CONSTANT_AMPLITUDE_TOL
-    )
-    if gaps:
-        _check_sampling(cfg["t_max"], cfg["n_samples"], gaps[-1])
-    times, values = observable_series(sup, observable, cfg["t_max"] / units.time,
-                                      cfg["n_samples"])
+    # a component's branch is the sign of its energy; the parts u_- and u_+ of
+    # the state on the two branches interfere at the gap E_plus - E_minus with
+    # amplitude 2 |<u_-|O|u_+>|, so a mixture the observable does not couple has no gap
+    upper = sup.energies > 0.0
+    u_minus, u_plus = (sup.spinors @ np.where(b, sup.coefficients, 0.0) for b in (~upper, upper))
+    amplitude = 2.0 * abs(u_minus.conj() @ observable @ u_plus)
+    e_minus, e_plus = closed_form_energies(np.linalg.norm(p), "nonrel")
+    t_max = cfg["t_max"] / units.time
+    coupled = amplitude > CONSTANT_AMPLITUDE_TOL
+    if coupled:
+        _check_sampling(t_max, cfg["n_samples"], e_plus - e_minus, amplitude)
+    times, values = observable_series(sup, observable, t_max, cfg["n_samples"])
     measured = dominant_frequency(times, values)
     if measured is not None:
         measured /= units.time
-    if gaps:
-        analytic = gaps[-1]
-        # no peak reads as a measured frequency of 0: relative error 1, failing
-        rel = min(abs((measured or 0.0) - g) / g for g in gaps)
+    if coupled:
+        analytic = (e_plus - e_minus) / units.time
+        # a flat series reads as a measured frequency of 0: relative error 1, failing
+        rel = abs((measured or 0.0) - analytic) / analytic
         checks = [entry("frequency_relative_error", rel, 0.01)]
     else:
         analytic = 0.0
@@ -251,7 +247,8 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
             "observable": cfg["observable"],
             "measured_omega": measured,
             "analytic_omega": analytic,
-            "distinct_energies": (units.energy * energies).tolist(),
+            "distinct_energies": [units.energy * e for e, present in
+                                  ((e_minus, not upper.all()), (e_plus, upper.any())) if present],
             "t_max": cfg["t_max"],
             "n_samples": cfg["n_samples"],
         },
@@ -314,22 +311,22 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
 
 def _cmd_reduction(cfg: dict, units: None) -> dict:
     """The chain's only scale is m0 c^2, so the trials are drawn in units of
-    m0 c and m0 c^2 and the command has no unit system.  Each trial is
-    independent, so the chain runs REDUCTION_BLOCK trials at a time and keeps
-    only each entry's worst residual and the count of failed trials."""
+    m0 c and m0 c^2 and the command has no unit system.  Only the uniforms are
+    held for the whole run: each trial is independent, so the chain derives
+    and runs REDUCTION_BLOCK trials at a time from their rows, and keeps only
+    each entry's worst residual and the count of failed trials."""
     if cfg["trials"] < 1:
         raise UsageError("trials must be at least 1")
     if cfg["seed"] < 0:
         raise UsageError("seed must be nonnegative")
     trials = cfg["trials"]
-    p, v0, phi = draw_reduction_trials(cfg["seed"], trials)
-    e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0
-    if cfg["wrong_energy"]:
-        e_trial += 0.2
+    uniforms = draw_reduction_uniforms(cfg["seed"], trials)
+    offset = 0.2 if cfg["wrong_energy"] else 0.0
     worst, failed = 0.0, 0
     for start in range(0, trials, REDUCTION_BLOCK):
-        block = slice(start, start + REDUCTION_BLOCK)
-        chain = pauli_reduction_check(p[block], v0[block], e_trial[block], phi=phi[block])
+        p, v0, phi = reduction_trials(uniforms[start:start + REDUCTION_BLOCK])
+        e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0 + offset
+        chain = pauli_reduction_check(p, v0, e_trial, phi=phi)
         # np.maximum, unlike max or np.fmax, carries a NaN residual through
         worst = np.maximum(worst, [np.max(e.residual) for e in chain])
         failed += int(np.sum(~np.logical_and.reduce([e.passed for e in chain])))

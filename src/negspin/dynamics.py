@@ -2,9 +2,10 @@
 
 A superposition of energy eigenstates at a shared momentum evolves by pure
 phases, so any observable expectation is a trigonometric polynomial in t
-whose frequencies are energy differences.  Mixing the positive and the
-negative branch produces the interference oscillation at E_plus - E_minus;
-a single eigenstate produces none.  Natural units as in ``spectral``: times
+whose frequencies are energy differences.  The nonrel Hamiltonian has one
+energy per branch, so a mixture of the two branches gives a constant plus
+one cosine at E_plus - E_minus, which ``dominant_frequency`` fits, and a
+single branch gives a constant.  Natural units as in ``spectral``: times
 are in hbar/(m0 c^2) and angular frequencies in m0 c^2/hbar.
 """
 
@@ -25,12 +26,8 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
-# Relative gap below which two component energies count as one level: the
-# members of a degenerate pair differ by a few ulp of |E|.
-DEGENERACY_RTOL = 1e-12
-# A spectral peak must top the median magnitude by this factor to count.
-DETECTION_FLOOR_FACTOR = 10.0
 CONSTANT_AMPLITUDE_TOL = 1e-12
+MIN_SAMPLES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,15 +73,6 @@ class Superposition:
             spinors=states.eigenvectors[:, kept],
         )
 
-    def distinct_energies(self) -> np.ndarray:
-        """The component energies, ascending, with those within a relative
-        1e-12 of one another merged."""
-        found: list[float] = []
-        for e in self.energies.tolist():
-            if not any(abs(e - f) <= DEGENERACY_RTOL * max(abs(e), abs(f)) for f in found):
-                found.append(e)
-        return np.sort(found)
-
 
 def evolve(sup: Superposition, t) -> np.ndarray:
     """Phase evolution: sum of c_i psi_i exp(-i E_i t).
@@ -111,8 +99,8 @@ def observable_series(
     The expectation of a Hermitian operator is real; imaginary leakage beyond
     1e-12 would mean a broken observable and raises (see ``expect``).
     """
-    if n_samples < 16:
-        raise ValueError("n_samples must be at least 16")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     if not t_max > 0.0:
         raise ValueError("t_max must be positive")
     observable = np.asarray(observable, dtype=np.complex128)
@@ -122,55 +110,26 @@ def observable_series(
     return times, expect(evolve(sup, times), observable)
 
 
-def _median(x: np.ndarray) -> float:
-    """``np.median(x)`` of a 1-d array, from a partition: np.median imports
-    numpy.ma on its first call, a cost a cold run would pay for one value."""
-    half = len(x) // 2
-    if len(x) % 2:
-        return float(np.partition(x, half)[half])
-    part = np.partition(x, (half - 1, half))
-    return float((part[half - 1] + part[half]) / 2.0)
-
-
 def dominant_frequency(times, values) -> float | None:
-    """Angular frequency of the strongest oscillation, or None if there is none.
+    """Angular frequency of a sampled constant plus one cosine, or None if flat.
 
-    The detrended series is Hann-windowed, the magnitude spectrum's largest
-    nonzero-frequency peak is refined by quadratic interpolation of the log
-    magnitude, and a peak is accepted only above 10x the median spectral
-    magnitude.  Callers are expected to span at least 4 periods with at
-    least 64 uniform samples.
+    At a uniform step dt the differences d_k of x_k = m + A cos(omega t_k + phi)
+    obey d_{k+1} + d_{k-1} = 2 cos(omega dt) d_k (one-mode Prony).  Its
+    least-squares coefficient over the series gives omega in [0, pi / dt], so
+    omega dt >= pi aliases; roundoff costs about eps / (A (omega dt)^3)
+    relative as omega dt falls.  A series within 1e-12 of its mean is flat.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
     if t.shape != x.shape or t.ndim != 1:
         raise ValueError(f"times and values must be matching 1-d arrays, got {t.shape} and {x.shape}")
-    if len(t) < 64:
-        raise ValueError("need at least 64 samples")
+    if len(t) < 4:
+        raise ValueError("the recurrence needs at least 4 samples")
     dt = t[1] - t[0]
     if dt <= 0.0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(abs(t[-1]), 1.0):
         raise ValueError("samples must be uniformly spaced in time")
-    n = len(x)
-    detrended = x - x.mean()
-    # roundoff jitter on a flat series survives the spectral floor test, so
-    # gate on amplitude relative to the signal level first
-    if np.max(np.abs(detrended)) <= CONSTANT_AMPLITUDE_TOL * max(1.0, float(np.max(np.abs(x)))):
+    if np.max(np.abs(x - x.mean())) <= CONSTANT_AMPLITUDE_TOL * max(1.0, float(np.max(np.abs(x)))):
         return None
-    windowed = detrended * np.hanning(n)
-    magnitudes = np.abs(np.fft.rfft(windowed))
-    if len(magnitudes) < 3:
-        return None
-    peak = 1 + int(np.argmax(magnitudes[1:]))
-    floor = _median(magnitudes[1:])
-    if magnitudes[peak] <= DETECTION_FLOOR_FACTOR * floor:
-        return None
-    # quadratic refinement on log magnitude around the peak bin
-    delta = 0.0
-    if 1 <= peak < len(magnitudes) - 1:
-        left, mid, right = magnitudes[peak - 1], magnitudes[peak], magnitudes[peak + 1]
-        if left > 0.0 and right > 0.0:
-            la, lb, lc = np.log(left), np.log(mid), np.log(right)
-            denom = la - 2.0 * lb + lc
-            if denom != 0.0:
-                delta = float(np.clip(0.5 * (la - lc) / denom, -0.5, 0.5))
-    return 2.0 * np.pi * (peak + delta) / (n * dt)
+    d = np.diff(x)
+    cosine = (d[1:-1] @ (d[:-2] + d[2:])) / (2.0 * (d[1:-1] @ d[1:-1]))
+    return float(np.arccos(np.clip(cosine, -1.0, 1.0)) / dt)

@@ -20,9 +20,9 @@ Three problem families:
 * the momentum-space rearrangement chain that eliminates the lower spinor
   and leaves the two-component kinetic-energy relation, verified as exact
   matrix identities at a trial energy.  Each trial is independent, so the
-  chain broadcasts over stacks of any length.  Its seeded draws
-  (``draw_reduction_trials``) come from Python's ``random`` (MT19937) as
-  53-bit doubles, so numpy.random is never loaded.
+  chain broadcasts over stacks of any length.  Its seeded uniforms come from
+  Python's ``random`` (MT19937) as 53-bit doubles, so numpy.random is never
+  loaded, and ``reduction_trials`` turns any rows of them into trials.
 
 Truncated-basis assertions are made on interior oscillator levels only; edge
 levels are reported, never tested.  A rejection quotes only ratios that read
@@ -44,10 +44,11 @@ from .spectral import hamiltonian
 __all__ = [
     "RadialGrid",
     "coulomb_radial_spectrum",
-    "draw_reduction_trials",
+    "draw_reduction_uniforms",
     "landau_levels_analytic",
     "landau_sectors",
     "pauli_reduction_check",
+    "reduction_trials",
 ]
 
 # Smallest truncation at which even the k = 0 level is trustworthy.
@@ -57,7 +58,7 @@ MAX_OSCILLATOR_LEVELS = 10**5
 # Empirical accuracy guard for the radial grid: the spacing in Bohr radii,
 # spacing * Z (spacing * m0 Z / hbar^2 in any units), must stay below.
 GRID_GUARD = 0.05
-# 64-bit words per randbytes call of draw_reduction_trials, well inside the
+# 64-bit words per randbytes call of draw_reduction_uniforms, well inside the
 # 2^31 - 1 bits one Random.getrandbits call can give
 _DRAW_WORDS = 2**16
 
@@ -194,17 +195,13 @@ def _disc_spinor(u: np.ndarray) -> np.ndarray:
     return comps / norm
 
 
-def draw_reduction_trials(seed: int, trials: int):
-    """Seeded (momenta (trials, 3), potentials (trials,), spinors (trials, 2)).
+def draw_reduction_uniforms(seed: int, trials: int) -> np.ndarray:
+    """The (trials, 8) uniforms of ``reduction_trials``, seeded.
 
-    The uniforms come from Python's ``random.Random(seed)`` (MT19937), each
-    a 53-bit double (w >> 11) 2^-53 from one 64-bit word w of its
-    ``randbytes`` stream, read little-endian.  Per trial and in order: the
-    momentum (3 uniforms on [-2, 2]), the potential constant (1 uniform on
-    [-1, 1]), then a ``_disc_spinor`` of two components (4 uniforms: radius^2
-    then angle, per component).  The (trials, 8) uniforms are allocated
-    before any is drawn, so a count too large to hold raises MemoryError at
-    once.
+    Each is a 53-bit double (w >> 11) 2^-53 from one 64-bit word w of the
+    ``randbytes`` stream of Python's ``random.Random(seed)`` (MT19937), read
+    little-endian.  The array is allocated before any uniform is drawn, so a
+    count too large to hold raises MemoryError at once.
     """
     u = np.empty((trials, 8))
     flat = u.reshape(-1)
@@ -212,7 +209,14 @@ def draw_reduction_trials(seed: int, trials: int):
     for start in range(0, flat.size, _DRAW_WORDS):
         words = np.frombuffer(rng.randbytes(8 * min(_DRAW_WORDS, flat.size - start)), "<u8")
         np.multiply(words >> 11, 2.0**-53, out=flat[start:start + words.size])
-    return -2.0 + 4.0 * u[:, :3], -1.0 + 2.0 * u[:, 3], _disc_spinor(u[:, 4:].reshape(trials, 2, 2))
+    return u
+
+
+def reduction_trials(u: np.ndarray):
+    """(momenta (n, 3), potentials (n,), spinors (n, 2)) from the rows of u (n, 8):
+    the momentum (3 uniforms on [-2, 2]), the potential (1 on [-1, 1]), then a
+    ``_disc_spinor`` of two components (radius^2 then angle, per component)."""
+    return -2.0 + 4.0 * u[:, :3], -1.0 + 2.0 * u[:, 3], _disc_spinor(u[:, 4:].reshape(-1, 2, 2))
 
 
 def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:

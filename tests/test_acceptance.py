@@ -206,8 +206,9 @@ def test_reduction_chain_on_random_draws():
 
 
 def test_interference_frequency_tracks_energy_gap():
-    """Measured oscillation at the branch gap: 3.0 at unit momentum, toward
-    2.0 at small momentum, absent for a single eigenstate. 1 percent gates."""
+    """Measured oscillation at the branch gap 2 + p^2: 3.0 at unit momentum,
+    2.0001 toward 2.0 at small momentum, absent for a single eigenstate.
+    1e-12 relative gates."""
     basis = dirac_representation()
     obs = basis.alpha[2]
     sup = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0))
@@ -217,10 +218,10 @@ def test_interference_frequency_tracks_energy_gap():
     sup_single = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0))
     omega_none = dominant_frequency(*observable_series(sup_single, obs, 20.0, 512))
     rel_unit = abs(omega_unit - 3.0) / 3.0 if omega_unit else np.inf
-    rel_small = abs(omega_small - 2.0) / 2.0 if omega_small else np.inf
-    ok = rel_unit < 0.01 and rel_small < 0.01 and omega_none is None
+    rel_small = abs(omega_small - 2.0001) / 2.0001 if omega_small else np.inf
+    ok = rel_unit < 1e-12 and rel_small < 1e-12 and omega_none is None
     verdict(
-        "interference frequency 3.0 / limit 2.0 / eigenstate silent (1%)",
+        "interference frequency 3.0 / 2.0001 near the limit 2.0 / eigenstate silent (1e-12)",
         ok,
         f"rel err {rel_unit:.2e} and {rel_small:.2e}, eigenstate: {omega_none}",
     )
@@ -232,9 +233,8 @@ CLI_MATRIX = {
     "dispersion": (["--steps", "9"], ["--steps", "1"], EXIT_USAGE),
     "landau": (["--n-max", "24", "--k-max", "2"], ["--n-max", "10", "--k-max", "9"], EXIT_USAGE),
     "coulomb": ([], ["--n-points", "100"], EXIT_USAGE),
-    # sampled within two bins of the Nyquist limit, where the peak would land
-    # 1.5% off the gap, the series is rejected
-    "zitter": ([], ["--t-max", "66", "--n-samples", "64"], EXIT_USAGE),
+    # sampled at omega dt = 46.9 > pi, where the gap aliases, the series is rejected
+    "zitter": ([], ["--t-max", "1000", "--n-samples", "64"], EXIT_USAGE),
     "lorentz": (["--v", "0.6,0,0"], ["--v", "1.5,0,0"], EXIT_USAGE),
     "reduction": (["--trials", "25"], ["--trials", "2", "--wrong-energy"], EXIT_CHECK_FAILED),
 }

@@ -156,7 +156,8 @@ def test_zitter_default_passes(capsys):
     assert code == EXIT_OK
     assert report["checks"][0]["name"] == "frequency_relative_error"
     assert abs(report["results"]["analytic_omega"] - 3.0) < 1e-12
-    assert abs(report["results"]["measured_omega"] - 3.0) < 0.03
+    assert abs(report["results"]["measured_omega"] - 3.0) < 3e-12
+    assert report["checks"][0]["residual"] <= 1e-12
 
 
 def test_zitter_csv_is_time_series(capsys):
@@ -167,23 +168,50 @@ def test_zitter_csv_is_time_series(capsys):
     assert len(lines) == 65
 
 
-def test_zitter_short_window_fails_check(capsys):
-    # two branch energies, but the window spans under one period of the gap
-    err = one_line_usage_error(capsys, ["zitter", "--t-max", "2", "--n-samples", "64"])
-    assert "window too short" in err
+@pytest.mark.parametrize("flags", [
+    ["--t-max", "2", "--n-samples", "64"],
+    ["--t-max", "1", "--n-samples", "16"],
+    ["--t-max", "0.5", "--n-samples", "16"],
+])
+def test_zitter_short_window_is_measured(capsys, flags):
+    # under one period of the gap: the recurrence needs no whole period
+    code, report = run_json(capsys, ["zitter", *flags])
+    assert code == EXIT_OK
+    assert report["checks"][0]["name"] == "frequency_relative_error"
+    assert report["checks"][0]["residual"] < 1e-12
 
 
 def test_zitter_near_nyquist_is_rejected_not_failed(capsys):
-    # at 64 samples the peak refinement misplaces a gap just below the
-    # Nyquist frequency pi n_samples / t_max (gap 3.0: t_max 67.02) by more
-    # than the 1% tolerance; such a series is rejected within two bins of it
+    # gap 3.0 at 64 samples: omega dt = 3 t_max / 64 reaches pi at t_max 67.02
     codes = {}
     for t_max in np.linspace(55.0, 70.0, 301):
         codes[float(t_max)] = main(["zitter", "--t-max", repr(float(t_max)), "--n-samples", "64"])
         capsys.readouterr()
     assert EXIT_CHECK_FAILED not in codes.values()
-    # accepted while the gap stays two bins, 4 pi / t_max, below Nyquist
-    assert all((code == EXIT_OK) == (3.0 <= np.pi * 60 / t_max) for t_max, code in codes.items())
+    # accepted up to the aliasing limit, with no margin below it
+    assert all((code == EXIT_OK) == (3.0 * t_max / 64 < np.pi) for t_max, code in codes.items())
+
+
+# each side of each sampling rejection, gap 3.0: aliasing at omega dt = pi,
+# and the conditioning floor (eps / (1e-5 A))^(1/3) on omega dt, 3.10e-4 at
+# the default state's amplitude A = 0.745 and 5.30e-3 at A = 1.49e-4
+@pytest.mark.parametrize("flags,reason", [
+    (["--t-max", "67.02", "--n-samples", "64"], None),
+    (["--t-max", "67.03", "--n-samples", "64"], "undersampled series: the gap frequency aliases "
+                                                "at omega dt = 3.14203 >= pi; use n_samples > 64"),
+    (["--t-max", "0.1", "--n-samples", "967"], None),
+    (["--t-max", "0.1", "--n-samples", "968"], "ill-conditioned series: omega dt = 0.00031 is "
+                                               "below the float64 floor 0.00031"),
+    (["--weights", "0,1e-4,0,1", "--n-samples", "11318"], None),
+    (["--weights", "0,1e-4,0,1", "--n-samples", "11319"], "amplitude 0.000149; use n_samples <= 11318"),
+])
+def test_zitter_sampling_rejections_sit_at_their_limits(capsys, flags, reason):
+    if reason is None:
+        code, report = run_json(capsys, ["zitter", *flags])
+        assert code == EXIT_OK
+        assert report["checks"][0]["name"] == "frequency_relative_error"
+    else:
+        assert reason in one_line_usage_error(capsys, ["zitter", *flags])
 
 
 def test_zitter_single_state_no_oscillation(capsys):
@@ -199,8 +227,8 @@ def test_zitter_single_state_no_oscillation(capsys):
     ["--units", "custom", "--c", "100", "--p", "0.3,0.2,1"],
 ])
 def test_zitter_one_degenerate_pair_has_no_oscillation(capsys, flags):
-    # the two states of one branch differ by a few ulp of |E| ~ 1e4, which
-    # is one level, not a gap of ~1e-12 with a period longer than the window
+    # the two states of one branch differ by a few ulp of |E| ~ 1e4, but the
+    # sign of their energy puts both on one branch: one level, and no gap
     code, report = run_json(capsys, ["zitter", *flags, "--weights", "1,1,0,0"])
     assert code == EXIT_OK
     assert report["checks"][0]["name"] == "no_oscillation_expected"
@@ -208,8 +236,8 @@ def test_zitter_one_degenerate_pair_has_no_oscillation(capsys, flags):
 
 
 def test_zitter_without_peak_prints_strict_json(capsys):
-    # alpha1 has no matrix element between these two states: no peak, and
-    # none expected; the missing frequency is a JSON null
+    # alpha1 has no matrix element between these two states: a flat series,
+    # and none expected; the missing frequency is a JSON null
     code, report = run_json(capsys, ["zitter", "--observable", "alpha1"])
     assert code == EXIT_OK
     assert report["results"]["measured_omega"] is None
@@ -232,7 +260,7 @@ def test_zitter_uncoupled_branches_have_no_oscillation(capsys, weights):
     code, report = run_json(capsys, ["zitter", "--weights", weights, "--observable", "alpha1"])
     assert code == EXIT_OK
     assert report["checks"][0]["name"] == "frequency_relative_error"
-    assert abs(report["results"]["measured_omega"] - 3.0) < 0.03
+    assert abs(report["results"]["measured_omega"] - 3.0) < 3e-12
 
 
 def test_zitter_rejects_zero_weights(capsys):
@@ -291,6 +319,22 @@ def test_reduction_memory_does_not_grow_with_the_chain(capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 8e6
+
+
+def test_reduction_holds_only_its_uniforms(capsys):
+    # 8 uniforms (64 B) per trial for the whole run; the trials themselves
+    # are derived per block, so the rest is one draw chunk of 1.6 MB or one
+    # block of the chain, whichever is larger
+    trials = 50000
+    main(["reduction", "--trials", "1"])  # imports outside the traced window
+    tracemalloc.start()
+    try:
+        assert main(["reduction", "--trials", str(trials)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 64 * trials + 2.5e6
 
 
 def test_seed_changes_reduction_draws(capsys):
@@ -561,7 +605,8 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["landau", "--b", "1e300"], "float64 cannot resolve the 1e-06 level tolerance"),
     (["reduction", "--seed", "-1"], "seed must be nonnegative"),
     (["zitter", "--t-max", "1000", "--n-samples", "64"], "undersampled series"),
-    (["zitter", "--t-max", "1"], "window too short"),
+    # eps / (A (omega dt)^3) tops 1e-5 at 1000 samples of 0.1 time units
+    (["zitter", "--t-max", "0.1", "--n-samples", "1000"], "ill-conditioned series"),
     # hbar omega_c = 1e-7: every eigenvalue would sit within 1e-6 of every level
     (["landau", "--b", "1e-7"], "levels closer than twice the 1e-06 level tolerance"),
     # m0 c^2 = 1e-8: the +E(0) and -E(0) windows overlap
@@ -574,7 +619,8 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["dispersion", "--steps", "100000000000000"], "too large to allocate"),
     (["lorentz", "--sweep", "100000000000000"], "too large to allocate"),
     (["reduction", "--trials", "100000000000000"], "too large to allocate"),
-    (["zitter", "--n-samples", "100000000000000"], "too large to allocate"),
+    # over a window long enough that omega dt = 0.3 passes both sampling rejections
+    (["zitter", "--n-samples", "100000000000000", "--t-max", "1e13"], "too large to allocate"),
     (["coulomb", "--n-points", "100000000000000"], "too large to allocate"),
     # a unit scale that float64 rounds to 0 or to infinity is named
     (["lorentz", "--units", "custom", "--c", "1e-300", "--v", "0,0,0"],

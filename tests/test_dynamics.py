@@ -10,7 +10,7 @@ from negspin.dynamics import (
     evolve,
     observable_series,
 )
-from negspin.spectral import helicity_eigenstates
+from negspin.spectral import closed_form_energies, helicity_eigenstates
 
 BASIS = dirac_representation()
 P_UNIT = (0.0, 0.0, 1.0)
@@ -40,8 +40,13 @@ def test_superposition_rejects_unnormalized_components():
 
 
 def test_distinct_energies_collapses_degenerate_pairs():
+    # the nonrel Hamiltonian has one energy per branch, so the sign of a
+    # component's energy names its level: the two members of each degenerate
+    # pair sit at the closed-form -E or E
     sup = Superposition.from_weights(P_UNIT, (1.0, 1.0, 1.0, 1.0))
-    assert sup.distinct_energies().tolist() == [-1.5, 1.5]
+    assert np.sign(sup.energies).tolist() == [-1.0, -1.0, 1.0, 1.0]
+    e_minus, e_plus = closed_form_energies(1.0, "nonrel")
+    np.testing.assert_allclose(sup.energies, [e_minus, e_minus, e_plus, e_plus], rtol=1e-15)
 
 
 def test_evolve_matches_single_state_phase():
@@ -134,13 +139,30 @@ def test_series_matches_two_level_closed_form():
 def test_dominant_frequency_pure_cosine():
     t = np.arange(256) * (16.0 * np.pi / 3.0 / 256)
     omega = dominant_frequency(t, 0.25 + 0.1 * np.cos(3.0 * t))
-    assert abs(omega - 3.0) / 3.0 < 1e-5
+    assert abs(omega - 3.0) / 3.0 < 1e-13
 
 
 def test_dominant_frequency_small_amplitude_still_detected():
+    # the differences fall to 1e-9 omega dt, so roundoff of the 0.5 level
+    # costs about eps / (1e-9 (omega dt)^3) relative
     t = np.arange(256) * (16.0 * np.pi / 3.0 / 256)
     omega = dominant_frequency(t, 0.5 + 1e-9 * np.cos(3.0 * t))
-    assert abs(omega - 3.0) / 3.0 < 1e-3
+    assert abs(omega - 3.0) / 3.0 < 1e-6
+
+
+@pytest.mark.parametrize("n,t_max", [(16, 0.5), (16, 16.5), (64, 66.0), (512, 20.0)])
+def test_dominant_frequency_needs_no_whole_period(n, t_max):
+    # a quarter period at 16 samples, and steps up to omega dt = 3.09, just
+    # below the aliasing limit pi: the recurrence holds at any phase and step
+    t = np.arange(n) * (t_max / n)
+    omega = dominant_frequency(t, 0.1 - 0.3 * np.cos(3.0 * t + 0.4))
+    assert abs(omega - 3.0) / 3.0 < 1e-13
+
+
+def test_dominant_frequency_folds_an_aliased_cosine():
+    # at omega dt = 2 pi - 1 the samples are those of omega dt = 1
+    t = np.arange(64) * 1.0
+    assert abs(dominant_frequency(t, np.cos((2.0 * np.pi - 1.0) * t)) - 1.0) < 1e-13
 
 
 def test_dominant_frequency_constant_returns_none():
@@ -152,7 +174,8 @@ def test_dominant_frequency_constant_returns_none():
 
 
 def test_dominant_frequency_input_validation():
-    t = np.linspace(0.0, 10.0, 32, endpoint=False)
+    # the recurrence needs three differences
+    t = np.linspace(0.0, 10.0, 3, endpoint=False)
     with pytest.raises(ValueError):
         dominant_frequency(t, np.cos(t))
     t = np.linspace(0.0, 10.0, 128, endpoint=False)
@@ -169,8 +192,8 @@ def test_branch_mixture_oscillates_at_energy_gap():
     sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
     times, values = observable_series(sup, BASIS.alpha[2], 20.0, 512)
     omega = dominant_frequency(times, values)
-    assert abs(omega - 3.0) / 3.0 < 0.01
-    # cross-check the spectral estimate by counting zero crossings
+    assert abs(omega - 3.0) / 3.0 < 1e-12
+    # cross-check the recurrence estimate by counting zero crossings
     values = values - np.mean(values)
     crossings = int(np.sum(np.abs(np.diff(np.sign(values))) > 1))
     omega_crossings = np.pi * crossings / 20.0
@@ -178,9 +201,10 @@ def test_branch_mixture_oscillates_at_energy_gap():
 
 
 def test_gap_approaches_twice_rest_energy_at_small_momentum():
+    # gap 2 + p^2 = 2.0001, near the limit 2 m0 c^2 of p -> 0
     sup = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0))
     omega = dominant_frequency(*observable_series(sup, BASIS.alpha[2], 40.0, 512))
-    assert abs(omega - 2.0) / 2.0 < 0.01
+    assert abs(omega - 2.0001) / 2.0001 < 1e-12
 
 
 def test_single_eigenstate_shows_no_oscillation():

@@ -19,10 +19,11 @@ from negspin.fields import (
     MAX_OSCILLATOR_LEVELS,
     RadialGrid,
     coulomb_radial_spectrum,
-    draw_reduction_trials,
+    draw_reduction_uniforms,
     landau_levels_analytic,
     landau_sectors,
     pauli_reduction_check,
+    reduction_trials,
 )
 from negspin.matrix_core import hermitian_eig, residual_norm
 from oracles import (
@@ -370,7 +371,7 @@ def test_reduction_nullspace_dimension_is_two():
 
 
 def test_reduction_stack_equals_each_draw():
-    p, v0, phi = draw_reduction_trials(8, 12)
+    p, v0, phi = reduction_trials(draw_reduction_uniforms(8, 12))
     e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0
     e_trial[::3] += 0.2  # mix in failing trials
     stacked = pauli_reduction_check(p, v0, e_trial, phi=phi)
@@ -386,7 +387,7 @@ def test_reduction_draws_follow_documented_order():
     # per trial: momentum (3 uniforms), potential (1), then the disc spinor,
     # each uniform a 53-bit double from one 64-bit MT19937 word
     trials = 40
-    p, v0, phi = draw_reduction_trials(4, trials)
+    p, v0, phi = reduction_trials(draw_reduction_uniforms(4, trials))
     rng = random.Random(4)
 
     def uniform():
@@ -404,11 +405,19 @@ def test_reduction_draws_follow_documented_order():
 
 
 def test_reduction_draws_do_not_depend_on_chunking(monkeypatch):
-    whole = draw_reduction_trials(6, 50)
+    whole = draw_reduction_uniforms(6, 50)
     # 5 words a call: chunks end mid-trial
     monkeypatch.setattr(fields, "_DRAW_WORDS", 5)
-    for a, b in zip(whole, draw_reduction_trials(6, 50)):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(whole, draw_reduction_uniforms(6, 50))
+
+
+def test_reduction_trials_are_row_wise():
+    # a block of the uniforms gives, bit for bit, the rows of the whole draw
+    u = draw_reduction_uniforms(3, 70)
+    whole = reduction_trials(u)
+    blocks = [reduction_trials(u[start:start + 32]) for start in range(0, 70, 32)]
+    for i, part in enumerate(zip(*blocks)):
+        np.testing.assert_array_equal(np.concatenate(part), whole[i])
 
 
 @pytest.mark.parametrize("wrong_energy", [False, True])
@@ -417,7 +426,7 @@ def test_reduction_draws_do_not_depend_on_chunking(monkeypatch):
 def test_reduction_blocks_match_one_stack(trials, wrong_energy):
     cfg = {"trials": trials, "seed": 11, "wrong_energy": wrong_energy}
     payload = commands.run("reduction", cfg, None)
-    p, v0, phi = draw_reduction_trials(11, trials)
+    p, v0, phi = reduction_trials(draw_reduction_uniforms(11, trials))
     e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0 + (0.2 if wrong_energy else 0.0)
     stack = pauli_reduction_check(p, v0, e_trial, phi=phi)
     assert [(c.name, c.tolerance) for c in payload["checks"]] == [

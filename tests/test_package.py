@@ -15,14 +15,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
 
 # Runs one start-up path in a fresh interpreter, then prints which of numpy,
-# numpy.ma (which np.unique and np.median import on their first call) and
-# scipy it loaded.
+# numpy.fft, numpy.ma (which np.unique and np.median import on their first
+# call), numpy.random and scipy it loaded.
 PROBE = """\
 import sys
 try:
     {body}
 finally:
-    print(sorted({{"numpy", "numpy.ma", "numpy.random", "scipy"}}.intersection(sys.modules)))
+    print(sorted({{"numpy", "numpy.fft", "numpy.ma", "numpy.random", "scipy"}}.intersection(sys.modules)))
 """
 MAIN = "from negspin.cli import main; sys.exit(main({argv!r}))"
 
