@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from negspin import matrix_core
 from negspin.matrix_core import (
     EigenDecomposition,
     _SturmCounter,
@@ -162,6 +163,17 @@ def _stebz_bound(diagonal, off):
     # four wells behind barriers: the lowest levels come in clusters far
     # narrower than the gaps between them
     ([0.0, 40.0, 40.0, 0.0, 40.0, 40.0, 0.0, 40.0, 40.0, 40.0, 0.0], -1.0),
+    # the Gershgorin midpoint, the first shift, is exactly 0, so the zero
+    # diagonal entries give exactly zero pivots
+    pytest.param(
+        [3.0, -2.0, 3.0, 2.0, 3.0, -2.0, 1.0, 3.0, 0.0, 0.0, 1.0, -2.0, -3.0, 0.0, 3.0, -3.0,
+         3.0, 3.0, -3.0, 1.0, 3.0, 3.0, -2.0, 0.0, -1.0, 0.0, -1.0, 3.0, -1.0, 2.0, 2.0,
+         -2.0, -3.0, -1.0], 50.0,
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "FOUND: cyclic reduction counts 16 eigenvalues below the shift 0, where "
+            "exactly zero pivots arise, instead of 17, so the 17th level comes back as 1.9e-14 "
+            "where eigvalsh gives -3.62; a shift moved by tol counts 17")),
+    ),
 ])
 def test_tridiagonal_lowest_matches_dense_eigvalsh(diagonal, off):
     diagonal = np.array(diagonal)
@@ -186,18 +198,41 @@ def test_tridiagonal_lowest_finds_every_level_of_a_coulomb_grid():
     assert np.max(np.abs(got - expected)) <= _stebz_bound(diagonal, off)
 
 
-def _shifts_counted(monkeypatch, diagonal, off, n_levels) -> int:
+def _shifts_counted(monkeypatch, diagonal, off, n_levels, most=np.inf):
+    """Shifts counted by one solve, and its levels; the solve fails as soon
+    as it has counted more than ``most``.  Undoes every patch at the end."""
     counted = []
     count = _SturmCounter.__call__
 
     def counting(self, shifts, logdet):
         counted.append(len(shifts))
+        assert sum(counted) <= most
         return count(self, shifts, logdet)
 
     monkeypatch.setattr(_SturmCounter, "__call__", counting)
-    tridiagonal_lowest(diagonal, off, n_levels)
+    levels = tridiagonal_lowest(diagonal, off, n_levels)
     monkeypatch.undo()
-    return sum(counted)
+    return sum(counted), levels
+
+
+def test_tridiagonal_lowest_bisects_a_stalled_bracket(monkeypatch):
+    # an interpolation that always lands tol/2 above the lower end stalls
+    # every isolated bracket; the width rule still halves it every three counts
+    diagonal, off = _coulomb_grid(100, 10.0)
+    n_levels = len(diagonal)
+    expected = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, off))
+
+    def midpoint(a, b, *rest):
+        return a + 0.5 * (b - a)
+
+    def stalled(a, b, *rest):
+        return a + 0.5 * rest[-1]  # rest[-1] is tol
+
+    monkeypatch.setattr(matrix_core, "_interpolated_point", midpoint)
+    bisected, _ = _shifts_counted(monkeypatch, diagonal, off, n_levels)
+    monkeypatch.setattr(matrix_core, "_interpolated_point", stalled)
+    _, got = _shifts_counted(monkeypatch, diagonal, off, n_levels, most=3 * bisected)
+    assert np.max(np.abs(got - expected)) <= _stebz_bound(diagonal, off)
 
 
 @pytest.mark.parametrize("n_points, n_levels, most", [
@@ -206,9 +241,9 @@ def _shifts_counted(monkeypatch, diagonal, off, n_levels) -> int:
     (6000, 1000, 7600),
 ])
 def test_tridiagonal_lowest_shift_count(monkeypatch, n_points, n_levels, most):
-    # the counts are deterministic; with one ITP budget for all levels, spent
-    # by regula falsi's first steps, they were 128, 114 and 7600
-    shifts = _shifts_counted(monkeypatch, *_coulomb_grid(n_points, 60.0), n_levels)
+    # the counts are deterministic: 51, 50 and 7569, against 124, 108 and
+    # 38367 with every isolated bracket bisected
+    shifts, _ = _shifts_counted(monkeypatch, *_coulomb_grid(n_points, 60.0), n_levels)
     assert shifts <= most
 
 
