@@ -23,8 +23,7 @@ from .clifford import (
     verify_clifford_identities,
     verify_gamma_properties,
 )
-from .dynamics import (CONSTANT_AMPLITUDE_TOL, MIN_SAMPLES, Superposition, dominant_frequency,
-                       observable_series)
+from .dynamics import CONSTANT_AMPLITUDE_TOL, Superposition, dominant_frequency, observable_series
 from .fields import (
     MIN_OSCILLATOR_LEVELS,
     RadialGrid,
@@ -43,10 +42,6 @@ from .spectral import (
     lorentz_transform,
 )
 
-# zitter rejects a window where eps / (A (omega dt)^3) tops this, for an
-# oscillation of amplitude A at step dt: at this limit, over 2800 random states
-# and observables at 16 to 4096 samples, dominant_frequency erred by 4.8e-4 at most
-CONDITIONING_LIMIT = 1e-5
 # trials per pauli_reduction_check call in reduction: the chain's 4x4
 # temporaries take O(block) memory however many trials are asked for
 REDUCTION_BLOCK = 256
@@ -194,26 +189,7 @@ def _cmd_coulomb(cfg: dict, units: Units) -> dict:
     }
 
 
-def _check_sampling(t_max: float, n_samples: int, omega: float, amplitude: float) -> None:
-    """Reject a series on which ``dominant_frequency`` cannot place the gap
-    frequency ``omega`` of an oscillation of ``amplitude`` within 1e-2."""
-    step = omega * t_max / n_samples
-    if step >= np.pi:
-        raise UsageError(f"undersampled series: the gap frequency aliases at omega dt = {step:.6g} "
-                         f">= pi; use n_samples > {int(omega * t_max / np.pi)} or a shorter t_max")
-    floor = (np.finfo(float).eps / (CONDITIONING_LIMIT * amplitude)) ** (1.0 / 3.0)
-    if step < floor:
-        raise UsageError(f"ill-conditioned series: omega dt = {step:.3g} is below the float64 "
-                         f"floor {floor:.3g} at amplitude {amplitude:.3g}; use n_samples <= "
-                         f"{int(omega * t_max / floor)} or a longer t_max")
-
-
 def _cmd_zitter(cfg: dict, units: Units) -> dict:
-    # as in observable_series, but before _check_sampling divides by n_samples
-    if cfg["n_samples"] < MIN_SAMPLES:
-        raise UsageError(f"n_samples must be at least {MIN_SAMPLES}")
-    if not cfg["t_max"] > 0.0:
-        raise UsageError("t_max must be positive")
     basis = dirac_representation()
     observable = dict(zip(("alpha1", "alpha2", "alpha3", "beta", "ibgamma5"),
                           (*basis.alpha, basis.beta, basis.i_beta_gamma5)))[cfg["observable"]]
@@ -224,29 +200,35 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
     # amplitude 2 |<u_-|O|u_+>|, so a mixture the observable does not couple has no gap
     upper = sup.energies > 0.0
     u_minus, u_plus = (sup.spinors @ np.where(b, sup.coefficients, 0.0) for b in (~upper, upper))
-    amplitude = 2.0 * abs(u_minus.conj() @ observable @ u_plus)
+    coupled = 2.0 * abs(u_minus.conj() @ observable @ u_plus) > CONSTANT_AMPLITUDE_TOL
     e_minus, e_plus = closed_form_energies(np.linalg.norm(p), "nonrel")
-    t_max = cfg["t_max"] / units.time
-    coupled = amplitude > CONSTANT_AMPLITUDE_TOL
-    if coupled:
-        _check_sampling(t_max, cfg["n_samples"], e_plus - e_minus, amplitude)
+    gap, t_max = e_plus - e_minus, cfg["t_max"] / units.time
+    # observable_series rejects n_samples and t_max out of range
     times, values = observable_series(sup, observable, t_max, cfg["n_samples"])
-    measured = dominant_frequency(times, values)
-    if measured is not None:
-        measured /= units.time
+    fit = dominant_frequency(times, values)
+    measured, error = (None, None) if fit is None else (fit[0] / units.time, fit[1])
+    tol = 0.01
     if coupled:
-        analytic = (e_plus - e_minus) / units.time
-        # a flat series reads as a measured frequency of 0: relative error 1, failing
-        rel = abs((measured or 0.0) - analytic) / analytic
-        checks = [entry("frequency_relative_error", rel, 0.01)]
+        step = gap * t_max / cfg["n_samples"]
+        if step >= np.pi:
+            raise UsageError(f"undersampled series: the gap frequency aliases at omega dt = {step:.6g} "
+                             f">= pi; use n_samples > {int(gap * t_max / np.pi)} or a shorter t_max")
+        # the fit's own standard error judges it; a flat series places no gap
+        if fit is None or error >= tol:
+            raise UsageError(f"ill-conditioned series: omega dt = {step:.3g} leaves the fit a relative "
+                             f"standard error of {np.inf if fit is None else error:.3g}, not below "
+                             f"the {tol:g} tolerance; use fewer samples or a longer t_max")
+        analytic = gap / units.time
+        checks = [entry("frequency_relative_error", abs(measured - analytic) / analytic, tol)]
     else:
         analytic = 0.0
-        checks = [entry("no_oscillation_expected", 0.0 if measured is None else 1.0, 0.5)]
+        checks = [entry("no_oscillation_expected", 0.0 if fit is None else 1.0, 0.5)]
     return {
         "results": {
             "observable": cfg["observable"],
             "measured_omega": measured,
             "analytic_omega": analytic,
+            "frequency_standard_error": error,
             "distinct_energies": [units.energy * e for e, present in
                                   ((e_minus, not upper.all()), (e_plus, upper.any())) if present],
             "t_max": cfg["t_max"],

@@ -4,9 +4,9 @@ A superposition of energy eigenstates at a shared momentum evolves by pure
 phases, so any observable expectation is a trigonometric polynomial in t
 whose frequencies are energy differences.  The nonrel Hamiltonian has one
 energy per branch, so a mixture of the two branches gives a constant plus
-one cosine at E_plus - E_minus, which ``dominant_frequency`` fits, and a
-single branch gives a constant.  Natural units as in ``spectral``: times
-are in hbar/(m0 c^2) and angular frequencies in m0 c^2/hbar.
+one cosine at E_plus - E_minus, which ``dominant_frequency`` fits with its
+standard error, and a single branch gives a constant.  Natural units as in
+``spectral``: times in hbar/(m0 c^2), angular frequencies in m0 c^2/hbar.
 """
 
 from __future__ import annotations
@@ -110,26 +110,35 @@ def observable_series(
     return times, expect(evolve(sup, times), observable)
 
 
-def dominant_frequency(times, values) -> float | None:
-    """Angular frequency of a sampled constant plus one cosine, or None if flat.
+def dominant_frequency(times, values) -> tuple[float, float] | None:
+    """(omega, relative standard error) of a sampled constant plus one cosine, or None if flat.
 
     At a uniform step dt the differences d_k of x_k = m + A cos(omega t_k + phi)
     obey d_{k+1} + d_{k-1} = 2 cos(omega dt) d_k (one-mode Prony).  Its
-    least-squares coefficient over the series gives omega in [0, pi / dt], so
-    omega dt >= pi aliases; roundoff costs about eps / (A (omega dt)^3)
-    relative as omega dt falls.  A series within 1e-12 of its mean is flat.
+    least-squares coefficient c over the series gives omega in [0, pi / dt],
+    so omega dt >= pi aliases.  Its residuals r_k over the m rows give the
+    standard error s_c = sqrt(sum r^2 / (m - 1) / (4 sum d_k^2)), and the
+    error is s_c / (omega dt sin(omega dt)), infinite where c +- s_c reaches
+    +-1: omega dt = 0 or pi within one standard error.  A series within 1e-12
+    of its mean is flat.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
     if t.shape != x.shape or t.ndim != 1:
         raise ValueError(f"times and values must be matching 1-d arrays, got {t.shape} and {x.shape}")
-    if len(t) < 4:
-        raise ValueError("the recurrence needs at least 4 samples")
-    dt = t[1] - t[0]
+    if len(t) < 5:
+        raise ValueError("the fit and its standard error need at least 5 samples")
+    dt = float(t[1] - t[0])
     if dt <= 0.0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(abs(t[-1]), 1.0):
         raise ValueError("samples must be uniformly spaced in time")
     if np.max(np.abs(x - x.mean())) <= CONSTANT_AMPLITUDE_TOL * max(1.0, float(np.max(np.abs(x)))):
         return None
     d = np.diff(x)
-    cosine = (d[1:-1] @ (d[:-2] + d[2:])) / (2.0 * (d[1:-1] @ d[1:-1]))
-    return float(np.arccos(np.clip(cosine, -1.0, 1.0)) / dt)
+    middle, outer = d[1:-1], d[:-2] + d[2:]
+    scale = middle @ middle
+    cosine = float(np.clip((middle @ outer) / (2.0 * scale), -1.0, 1.0))
+    spread = np.linalg.norm(outer - 2.0 * cosine * middle) / np.sqrt(4.0 * scale * (len(middle) - 1))
+    step = float(np.arccos(cosine))
+    if abs(cosine) + spread >= 1.0:
+        return step / dt, np.inf
+    return step / dt, float(spread / (step * np.sqrt((1.0 - cosine) * (1.0 + cosine))))

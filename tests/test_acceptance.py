@@ -212,13 +212,14 @@ def test_interference_frequency_tracks_energy_gap():
     basis = dirac_representation()
     obs = basis.alpha[2]
     sup = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0))
-    omega_unit = dominant_frequency(*observable_series(sup, obs, 20.0, 512))
+    fit_unit = dominant_frequency(*observable_series(sup, obs, 20.0, 512))
     sup_small = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0))
-    omega_small = dominant_frequency(*observable_series(sup_small, obs, 40.0, 512))
+    fit_small = dominant_frequency(*observable_series(sup_small, obs, 40.0, 512))
     sup_single = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0))
     omega_none = dominant_frequency(*observable_series(sup_single, obs, 20.0, 512))
-    rel_unit = abs(omega_unit - 3.0) / 3.0 if omega_unit else np.inf
-    rel_small = abs(omega_small - 2.0001) / 2.0001 if omega_small else np.inf
+    # a fit is (omega, relative standard error)
+    rel_unit = abs(fit_unit[0] - 3.0) / 3.0 if fit_unit else np.inf
+    rel_small = abs(fit_small[0] - 2.0001) / 2.0001 if fit_small else np.inf
     ok = rel_unit < 1e-12 and rel_small < 1e-12 and omega_none is None
     verdict(
         "interference frequency 3.0 / 2.0001 near the limit 2.0 / eigenstate silent (1e-12)",

@@ -10,6 +10,9 @@ import pytest
 
 from negspin import __version__
 from negspin.cli import COMMAND_SCHEMA, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from negspin.clifford import dirac_representation
+from negspin.dynamics import Superposition, dominant_frequency, observable_series
+from negspin.spectral import closed_form_energies
 
 
 def reject_constant(token):
@@ -158,6 +161,7 @@ def test_zitter_default_passes(capsys):
     assert abs(report["results"]["analytic_omega"] - 3.0) < 1e-12
     assert abs(report["results"]["measured_omega"] - 3.0) < 3e-12
     assert report["checks"][0]["residual"] <= 1e-12
+    assert report["results"]["frequency_standard_error"] < 1e-12
 
 
 def test_zitter_csv_is_time_series(capsys):
@@ -193,25 +197,91 @@ def test_zitter_near_nyquist_is_rejected_not_failed(capsys):
 
 
 # each side of each sampling rejection, gap 3.0: aliasing at omega dt = pi,
-# and the conditioning floor (eps / (1e-5 A))^(1/3) on omega dt, 3.10e-4 at
-# the default state's amplitude A = 0.745 and 5.30e-3 at A = 1.49e-4
+# and the fit's relative standard error at the 0.01 tolerance, which reads
+# 8.8e-3 at 200 and 0.0175 at 256 samples of t_max 1e-3 in the default
+# state, and 2.8e-3 at 64 and 0.016 at 128 samples of t_max 1e-2 in the
+# weakly coupled one
 @pytest.mark.parametrize("flags,reason", [
     (["--t-max", "67.02", "--n-samples", "64"], None),
     (["--t-max", "67.03", "--n-samples", "64"], "undersampled series: the gap frequency aliases "
                                                 "at omega dt = 3.14203 >= pi; use n_samples > 64"),
-    (["--t-max", "0.1", "--n-samples", "967"], None),
-    (["--t-max", "0.1", "--n-samples", "968"], "ill-conditioned series: omega dt = 0.00031 is "
-                                               "below the float64 floor 0.00031"),
-    (["--weights", "0,1e-4,0,1", "--n-samples", "11318"], None),
-    (["--weights", "0,1e-4,0,1", "--n-samples", "11319"], "amplitude 0.000149; use n_samples <= 11318"),
+    (["--t-max", "1e-3", "--n-samples", "200"], None),
+    (["--t-max", "1e-3", "--n-samples", "256"], "ill-conditioned series: omega dt = 1.17e-05 leaves "
+                                                "the fit a relative standard error of 0.0175"),
+    (["--weights", "0,1e-4,0,1", "--t-max", "1e-2", "--n-samples", "64"], None),
+    (["--weights", "0,1e-4,0,1", "--t-max", "1e-2", "--n-samples", "128"],
+     "ill-conditioned series: omega dt = 0.000234 leaves the fit a relative standard error of 0.016"),
 ])
 def test_zitter_sampling_rejections_sit_at_their_limits(capsys, flags, reason):
     if reason is None:
         code, report = run_json(capsys, ["zitter", *flags])
         assert code == EXIT_OK
         assert report["checks"][0]["name"] == "frequency_relative_error"
+        # the accepted side: its standard error is under the tolerance, and above the miss
+        error = report["results"]["frequency_standard_error"]
+        assert report["checks"][0]["residual"] <= error < 0.01
     else:
         assert reason in one_line_usage_error(capsys, ["zitter", *flags])
+
+
+# long windows at small omega dt that a sample-count-blind conditioning rule
+# once rejected: the fit places the gap to well under 1e-8 in each
+@pytest.mark.parametrize("flags", [
+    ["--t-max", "0.1", "--n-samples", "1000"],
+    ["--n-samples", "200000"],
+    ["--weights", "0,1e-4,0,1", "--n-samples", "11319"],
+])
+def test_zitter_small_steps_are_measured(capsys, flags):
+    code, report = run_json(capsys, ["zitter", *flags])
+    assert code == EXIT_OK
+    assert report["checks"][0]["name"] == "frequency_relative_error"
+    assert report["checks"][0]["residual"] <= 1e-8
+    assert report["results"]["frequency_standard_error"] < 1e-6
+
+
+def test_zitter_rule_over_random_draws(capsys):
+    """Random states, observables and steps through the CLI: every accepted
+    coupled series measures the gap within 0.01, the fit's standard error
+    bounds its miss wherever it tops 1e-6, and every series the earlier
+    conditioning floor (eps / (1e-5 A))^(1/3) on omega dt accepted still runs."""
+    rng = np.random.default_rng(20261019)
+    basis = dirac_representation()
+    names = ("alpha1", "alpha2", "alpha3", "beta", "ibgamma5")
+    operators = dict(zip(names, (*basis.alpha, basis.beta, basis.i_beta_gamma5)))
+    accepted = old_accepted = 0
+    for _ in range(400):
+        p, weights = rng.uniform(-2.0, 2.0, 3), rng.uniform(-1.0, 1.0, 4)
+        name = names[rng.integers(len(names))]
+        step = float(np.exp(rng.uniform(np.log(1e-7), np.log(2.5))))
+        n = int(rng.choice([16, 64, 512, 4096]))
+        sup = Superposition.from_weights(p, weights)
+        upper = sup.energies > 0.0
+        u_minus, u_plus = (sup.spinors @ np.where(b, sup.coefficients, 0.0) for b in (~upper, upper))
+        amplitude = 2.0 * abs(u_minus.conj() @ operators[name] @ u_plus)
+        e_minus, e_plus = closed_form_energies(np.linalg.norm(p), "nonrel")
+        gap = float(e_plus - e_minus)
+        t_max = step * n / gap
+        code = main(["zitter", "--p=" + ",".join(map(repr, p.tolist())),
+                     "--weights=" + ",".join(map(repr, weights.tolist())),
+                     "--observable", name, f"--t-max={t_max!r}", "--n-samples", str(n)])
+        out, err = capsys.readouterr()
+        if amplitude <= 1e-12:
+            continue
+        fit = dominant_frequency(*observable_series(sup, operators[name], t_max, n))
+        if fit is not None and fit[1] > 1e-6:
+            assert abs(fit[0] - gap) / gap <= fit[1]
+        old = step >= (np.finfo(float).eps / (1e-5 * amplitude)) ** (1.0 / 3.0)
+        old_accepted += old
+        assert code in (EXIT_OK, EXIT_USAGE)
+        if code == EXIT_OK:
+            accepted += 1
+            report = json.loads(out)
+            assert report["results"]["frequency_standard_error"] == fit[1]
+            assert report["checks"][0]["name"] == "frequency_relative_error"
+            assert report["checks"][0]["residual"] < 0.01
+        else:
+            assert not old, err
+    assert accepted >= old_accepted > 100
 
 
 def test_zitter_single_state_no_oscillation(capsys):
@@ -241,6 +311,7 @@ def test_zitter_without_peak_prints_strict_json(capsys):
     code, report = run_json(capsys, ["zitter", "--observable", "alpha1"])
     assert code == EXIT_OK
     assert report["results"]["measured_omega"] is None
+    assert report["results"]["frequency_standard_error"] is None
     assert report["results"]["analytic_omega"] == 0.0
     check = report["checks"][0]
     assert check["name"] == "no_oscillation_expected"
@@ -605,8 +676,9 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["landau", "--b", "1e300"], "float64 cannot resolve the 1e-06 level tolerance"),
     (["reduction", "--seed", "-1"], "seed must be nonnegative"),
     (["zitter", "--t-max", "1000", "--n-samples", "64"], "undersampled series"),
-    # eps / (A (omega dt)^3) tops 1e-5 at 1000 samples of 0.1 time units
-    (["zitter", "--t-max", "0.1", "--n-samples", "1000"], "ill-conditioned series"),
+    # a window of 1.4e-6 gap periods: the fit's error bar on cos(omega dt)
+    # reaches 1, so its relative standard error reads inf
+    (["zitter", "--t-max", "3e-6", "--n-samples", "16"], "ill-conditioned series"),
     # hbar omega_c = 1e-7: every eigenvalue would sit within 1e-6 of every level
     (["landau", "--b", "1e-7"], "levels closer than twice the 1e-06 level tolerance"),
     # m0 c^2 = 1e-8: the +E(0) and -E(0) windows overlap
@@ -619,7 +691,7 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["dispersion", "--steps", "100000000000000"], "too large to allocate"),
     (["lorentz", "--sweep", "100000000000000"], "too large to allocate"),
     (["reduction", "--trials", "100000000000000"], "too large to allocate"),
-    # over a window long enough that omega dt = 0.3 passes both sampling rejections
+    # the series is sampled before the sampling rules judge it, at omega dt = 0.3
     (["zitter", "--n-samples", "100000000000000", "--t-max", "1e13"], "too large to allocate"),
     (["coulomb", "--n-points", "100000000000000"], "too large to allocate"),
     # a unit scale that float64 rounds to 0 or to infinity is named

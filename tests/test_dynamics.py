@@ -138,16 +138,20 @@ def test_series_matches_two_level_closed_form():
 
 def test_dominant_frequency_pure_cosine():
     t = np.arange(256) * (16.0 * np.pi / 3.0 / 256)
-    omega = dominant_frequency(t, 0.25 + 0.1 * np.cos(3.0 * t))
+    omega, error = dominant_frequency(t, 0.25 + 0.1 * np.cos(3.0 * t))
     assert abs(omega - 3.0) / 3.0 < 1e-13
+    # roundoff alone is left in the residuals, and the error says so
+    assert error < 1e-13
 
 
 def test_dominant_frequency_small_amplitude_still_detected():
     # the differences fall to 1e-9 omega dt, so roundoff of the 0.5 level
     # costs about eps / (1e-9 (omega dt)^3) relative
     t = np.arange(256) * (16.0 * np.pi / 3.0 / 256)
-    omega = dominant_frequency(t, 0.5 + 1e-9 * np.cos(3.0 * t))
+    omega, error = dominant_frequency(t, 0.5 + 1e-9 * np.cos(3.0 * t))
     assert abs(omega - 3.0) / 3.0 < 1e-6
+    # the standard error sees the roundoff of the 0.5 level and bounds the miss
+    assert abs(omega - 3.0) / 3.0 <= error < 1e-6
 
 
 @pytest.mark.parametrize("n,t_max", [(16, 0.5), (16, 16.5), (64, 66.0), (512, 20.0)])
@@ -155,14 +159,18 @@ def test_dominant_frequency_needs_no_whole_period(n, t_max):
     # a quarter period at 16 samples, and steps up to omega dt = 3.09, just
     # below the aliasing limit pi: the recurrence holds at any phase and step
     t = np.arange(n) * (t_max / n)
-    omega = dominant_frequency(t, 0.1 - 0.3 * np.cos(3.0 * t + 0.4))
+    omega, error = dominant_frequency(t, 0.1 - 0.3 * np.cos(3.0 * t + 0.4))
     assert abs(omega - 3.0) / 3.0 < 1e-13
+    assert error < 1e-6
 
 
 def test_dominant_frequency_folds_an_aliased_cosine():
     # at omega dt = 2 pi - 1 the samples are those of omega dt = 1
     t = np.arange(64) * 1.0
-    assert abs(dominant_frequency(t, np.cos((2.0 * np.pi - 1.0) * t)) - 1.0) < 1e-13
+    omega, error = dominant_frequency(t, np.cos((2.0 * np.pi - 1.0) * t))
+    assert abs(omega - 1.0) < 1e-13
+    # the fold is exact, so the fit cannot tell: only the sampling rule can
+    assert error < 1e-13
 
 
 def test_dominant_frequency_constant_returns_none():
@@ -174,10 +182,12 @@ def test_dominant_frequency_constant_returns_none():
 
 
 def test_dominant_frequency_input_validation():
-    # the recurrence needs three differences
-    t = np.linspace(0.0, 10.0, 3, endpoint=False)
-    with pytest.raises(ValueError):
-        dominant_frequency(t, np.cos(t))
+    # the recurrence needs three differences, and its standard error one
+    # row more than the one coefficient it fits
+    for n in (3, 4):
+        t = np.linspace(0.0, 10.0, n, endpoint=False)
+        with pytest.raises(ValueError):
+            dominant_frequency(t, np.cos(t))
     t = np.linspace(0.0, 10.0, 128, endpoint=False)
     with pytest.raises(ValueError):
         dominant_frequency(t, np.cos(t)[:-1])
@@ -191,8 +201,9 @@ def test_branch_mixture_oscillates_at_energy_gap():
     # p = (0,0,1): gap between branches is 2 (1 + 1/2) = 3
     sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
     times, values = observable_series(sup, BASIS.alpha[2], 20.0, 512)
-    omega = dominant_frequency(times, values)
+    omega, error = dominant_frequency(times, values)
     assert abs(omega - 3.0) / 3.0 < 1e-12
+    assert error < 1e-12
     # cross-check the recurrence estimate by counting zero crossings
     values = values - np.mean(values)
     crossings = int(np.sum(np.abs(np.diff(np.sign(values))) > 1))
@@ -203,8 +214,9 @@ def test_branch_mixture_oscillates_at_energy_gap():
 def test_gap_approaches_twice_rest_energy_at_small_momentum():
     # gap 2 + p^2 = 2.0001, near the limit 2 m0 c^2 of p -> 0
     sup = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0))
-    omega = dominant_frequency(*observable_series(sup, BASIS.alpha[2], 40.0, 512))
+    omega, error = dominant_frequency(*observable_series(sup, BASIS.alpha[2], 40.0, 512))
     assert abs(omega - 2.0001) / 2.0001 < 1e-12
+    assert error < 1e-12
 
 
 def test_single_eigenstate_shows_no_oscillation():
