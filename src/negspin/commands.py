@@ -34,17 +34,13 @@ from .fields import (
     pauli_reduction_check,
     reduction_trials,
 )
-from .matrix_core import ConvergenceError, hermitian_eig
+from .matrix_core import STACK_BLOCK, ConvergenceError, hermitian_eig
 from .spectral import (
     closed_form_energies,
     correspondence_check,
     hamiltonian,
     lorentz_transform,
 )
-
-# trials per pauli_reduction_check call in reduction: the chain's 4x4
-# temporaries take O(block) memory however many trials are asked for
-REDUCTION_BLOCK = 256
 
 
 def _cmd_identities(cfg: dict, units: None) -> dict:
@@ -58,21 +54,28 @@ def _cmd_dispersion(cfg: dict, units: Units) -> dict:
         raise UsageError("steps must be at least 2")
     if not cfg["pmax"] > 0.0:
         raise UsageError("pmax must be positive")
-    which = cfg["which"]
-    p_mag = cfg["pmax"] * np.arange(cfg["steps"]) / (cfg["steps"] - 1)
+    which, steps = cfg["which"], cfg["steps"]
+    p_mag = cfg["pmax"] * np.arange(steps) / (steps - 1)
     p_natural = p_mag / units.momentum
     e_minus, e_plus = (units.energy * e for e in closed_form_energies(p_natural, which))
-    momenta = np.outer(p_natural, (0.0, 0.0, 1.0))
-    eigenvalues = units.energy * hermitian_eig(hamiltonian(momenta, which)).eigenvalues
-    closed = np.stack([e_minus, e_minus, e_plus, e_plus], axis=-1)
-    worst = np.max(np.abs(eigenvalues - closed) / np.maximum(1.0, np.abs(closed)))
-    rows = np.column_stack([p_mag, eigenvalues, e_minus, e_plus]).tolist()
+    # one eigensolve per block of momenta: its 4x4 temporaries take the same
+    # memory at any step count, and each row equals that of one stacked solve
+    eigenvalues = np.empty((steps, 4))
+    worst = 0.0
+    for start in range(0, steps, STACK_BLOCK):
+        block = slice(start, start + STACK_BLOCK)
+        momenta = np.outer(p_natural[block], (0.0, 0.0, 1.0))
+        solved = units.energy * hermitian_eig(hamiltonian(momenta, which)).eigenvalues
+        eigenvalues[block] = solved
+        closed = np.stack([e_minus[block], e_minus[block], e_plus[block], e_plus[block]], axis=-1)
+        # np.maximum, unlike max or np.fmax, carries a NaN deviation through
+        worst = np.maximum(worst, np.max(np.abs(solved - closed) / np.maximum(1.0, np.abs(closed))))
     checks = [entry("max_relative_deviation", worst, 1e-12)]
     return {
-        "results": {"which": which, "steps": cfg["steps"], "pmax": cfg["pmax"]},
+        "results": {"which": which, "steps": steps, "pmax": cfg["pmax"]},
         "checks": checks,
         "csv_header": ["p", "E1", "E2", "E3", "E4", "E_minus_closed", "E_plus_closed"],
-        "csv_rows": rows,
+        "csv_rows": np.column_stack([p_mag, eigenvalues, e_minus, e_plus]),
     }
 
 
@@ -236,7 +239,7 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
         },
         "checks": checks,
         "csv_header": ["t", "value"],
-        "csv_rows": np.column_stack([units.time * times, values]).tolist(),
+        "csv_rows": np.column_stack([units.time * times, values]),
     }
 
 
@@ -295,7 +298,7 @@ def _cmd_reduction(cfg: dict, units: None) -> dict:
     """The chain's only scale is m0 c^2, so the trials are drawn in units of
     m0 c and m0 c^2 and the command has no unit system.  Only the uniforms are
     held for the whole run: each trial is independent, so the chain derives
-    and runs REDUCTION_BLOCK trials at a time from their rows, and keeps only
+    and runs STACK_BLOCK trials at a time from their rows, and keeps only
     each entry's worst residual and the count of failed trials."""
     if cfg["trials"] < 1:
         raise UsageError("trials must be at least 1")
@@ -305,8 +308,8 @@ def _cmd_reduction(cfg: dict, units: None) -> dict:
     uniforms = draw_reduction_uniforms(cfg["seed"], trials)
     offset = 0.2 if cfg["wrong_energy"] else 0.0
     worst, failed = 0.0, 0
-    for start in range(0, trials, REDUCTION_BLOCK):
-        p, v0, phi = reduction_trials(uniforms[start:start + REDUCTION_BLOCK])
+    for start in range(0, trials, STACK_BLOCK):
+        p, v0, phi = reduction_trials(uniforms[start:start + STACK_BLOCK])
         e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0 + offset
         chain = pauli_reduction_check(p, v0, e_trial, phi=phi)
         # np.maximum, unlike max or np.fmax, carries a NaN residual through

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import expect, residual_norm
+from .matrix_core import STACK_BLOCK, expect, residual_norm
 from .spectral import helicity_eigenstates
 
 __all__ = [
@@ -98,6 +98,11 @@ def observable_series(
     excluded), so an integer number of oscillation periods averages exactly.
     The expectation of a Hermitian operator is real; imaginary leakage beyond
     1e-12 would mean a broken observable and raises (see ``expect``).
+
+    The states are evolved and measured ``STACK_BLOCK`` times at a time, so
+    beyond the two returned arrays (16 bytes a sample) the series takes the
+    same memory at any ``n_samples``; each value equals, bit for bit, that
+    of one stacked ``expect(evolve(sup, times), observable)``.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
@@ -107,7 +112,11 @@ def observable_series(
     if residual_norm(observable, observable.conj().T) > 1e-12:
         raise ValueError("observable must be Hermitian")
     times = np.arange(n_samples) * (t_max / n_samples)
-    return times, expect(evolve(sup, times), observable)
+    values = np.empty(n_samples)
+    for start in range(0, n_samples, STACK_BLOCK):
+        block = slice(start, start + STACK_BLOCK)
+        values[block] = expect(evolve(sup, times[block]), observable)
+    return times, values
 
 
 def dominant_frequency(times, values) -> tuple[float, float] | None:
@@ -120,7 +129,9 @@ def dominant_frequency(times, values) -> tuple[float, float] | None:
     standard error s_c = sqrt(sum r^2 / (m - 1) / (4 sum d_k^2)), and the
     error is s_c / (omega dt sin(omega dt)), infinite where c +- s_c reaches
     +-1: omega dt = 0 or pi within one standard error.  A series within 1e-12
-    of its mean is flat.
+    of its mean is flat.  One that is not flat, but whose fitted differences
+    d_1..d_(n-3) are all zero, changes only at its ends; no cosine fits it,
+    and it raises ValueError.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -136,6 +147,9 @@ def dominant_frequency(times, values) -> tuple[float, float] | None:
     d = np.diff(x)
     middle, outer = d[1:-1], d[:-2] + d[2:]
     scale = middle @ middle
+    if scale == 0.0:
+        raise ValueError("the series changes only at its ends: its fitted differences are all "
+                         "zero, so no constant plus one cosine fits it")
     cosine = float(np.clip((middle @ outer) / (2.0 * scale), -1.0, 1.0))
     spread = np.linalg.norm(outer - 2.0 * cosine * middle) / np.sqrt(4.0 * scale * (len(middle) - 1))
     step = float(np.arccos(cosine))

@@ -176,6 +176,7 @@ def coulomb_radial_spectrum(
     r = grid.nodes
     kin = 1.0 / (2.0 * h * h)
     diagonal = 2.0 * kin + 1.0 + l * (l + 1) / (2.0 * r * r) - z / r
+    del r  # the solver needs only the diagonal: the nodes are not held through it
     energies = tridiagonal_lowest(diagonal, -kin, n_levels)
     energies.setflags(write=False)
     return energies

@@ -39,6 +39,11 @@ HERMITICITY_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-10
 # Largest imaginary part an expectation of a Hermitian operator may carry.
 LEAKAGE_TOL = 1e-12
+# Entries per stacked call in a sweep over independent 4x4 problems
+# (``reduction``'s trials, ``dispersion``'s momenta, ``observable_series``'
+# times): the call's temporaries take O(STACK_BLOCK) memory however long
+# the sweep, and each entry's result does not depend on the block it is in.
+STACK_BLOCK = 256
 # Elements of the (shifts, rows) work arrays of one batch of Sturm counts:
 # large enough to amortize numpy's per-call cost, small enough to stay in
 # cache.  At 10^5 rows that is one shift per batch.
@@ -119,7 +124,10 @@ def hermitian_eig(h) -> EigenDecomposition:
         Backend failure, or residuals ``V†V - I`` not below 1e-10 /
         ``HV - VΛ`` not below 1e-10 max(1, max|H|).
 
-    Each bound is checked on the maximum over the stack.
+    Each bound is checked on the maximum over the stack of one call.  A
+    sweep that calls this once per block of its stack checks each block
+    against its own max|H|, a bound the same as the whole stack's or
+    tighter.
     """
     h = _as_matrix(h)
     n = h.shape[-1]

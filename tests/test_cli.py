@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negspin import __version__
-from negspin.cli import COMMAND_SCHEMA, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from negspin import __version__, commands
+from negspin.cli import COMMAND_SCHEMA, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, unit_scales
 from negspin.clifford import dirac_representation
 from negspin.dynamics import Superposition, dominant_frequency, observable_series
-from negspin.spectral import closed_form_energies
+from negspin.matrix_core import STACK_BLOCK, hermitian_eig
+from negspin.spectral import closed_form_energies, hamiltonian
 
 
 def reject_constant(token):
@@ -65,6 +66,34 @@ def test_dispersion_csv_and_check(capsys):
     assert code == EXIT_OK
     assert lines[0] == "p,E1,E2,E3,E4,E_minus_closed,E_plus_closed"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("which", ["nonrel", "dirac"])
+@pytest.mark.parametrize("steps", [STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1,
+                                   2 * STACK_BLOCK + 1])
+def test_dispersion_blocks_match_one_stack(monkeypatch, steps, which):
+    # one eigensolve per block of STACK_BLOCK momenta; the table and the
+    # check equal, bit for bit, those of one solve over the whole sweep
+    def counted(h):
+        calls.append(len(h))
+        return hermitian_eig(h)
+
+    calls = []
+    monkeypatch.setattr(commands, "hermitian_eig", counted)
+    units = unit_scales({"m0": 1.5, "c": 3.0, "hbar": 0.7})
+    payload = commands.run("dispersion", {"steps": steps, "pmax": 7.0, "which": which}, units)
+    p_mag = 7.0 * np.arange(steps) / (steps - 1)
+    p = p_mag / units.momentum
+    e_minus, e_plus = (units.energy * e for e in closed_form_energies(p, which))
+    eigenvalues = units.energy * hermitian_eig(hamiltonian(np.outer(p, (0.0, 0.0, 1.0)),
+                                                           which)).eigenvalues
+    closed = np.stack([e_minus, e_minus, e_plus, e_plus], axis=-1)
+    worst = np.max(np.abs(eigenvalues - closed) / np.maximum(1.0, np.abs(closed)))
+    table = np.column_stack([p_mag, eigenvalues, e_minus, e_plus])
+    assert np.asarray(payload["csv_rows"]).tobytes() == table.tobytes()
+    assert payload["checks"][0].residual == worst
+    full, rest = divmod(steps, STACK_BLOCK)
+    assert calls == [STACK_BLOCK] * full + ([rest] if rest else [])
 
 
 def test_dispersion_rejects_single_step(capsys):
@@ -406,6 +435,36 @@ def test_reduction_holds_only_its_uniforms(capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 64 * trials + 2.5e6
+
+
+def test_dispersion_holds_only_its_table(capsys):
+    # 50000 steps hold the (steps, 7) table and the columns it is stacked
+    # from, 120 bytes a step; the eigensolves run in fixed blocks of momenta
+    steps = 50000
+    main(["dispersion", "--steps", "3"])  # imports outside the traced window
+    tracemalloc.start()
+    try:
+        assert main(["dispersion", "--steps", str(steps)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 256 * steps + 1e6
+
+
+def test_zitter_holds_only_its_series(capsys):
+    # 100000 samples hold the times, the values and the (samples, 2) table,
+    # and the fit's differences; the states are evolved in fixed blocks of times
+    samples = 100000
+    main(["zitter"])  # imports outside the traced window
+    tracemalloc.start()
+    try:
+        assert main(["zitter", "--n-samples", str(samples), "--t-max", "1000"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 64 * samples + 1e6
 
 
 def test_seed_changes_reduction_draws(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from negspin import dynamics
 from negspin.clifford import dirac_representation
 from negspin.dynamics import (
     Superposition,
@@ -10,6 +11,7 @@ from negspin.dynamics import (
     evolve,
     observable_series,
 )
+from negspin.matrix_core import STACK_BLOCK, expect
 from negspin.spectral import closed_form_energies, helicity_eigenstates
 
 BASIS = dirac_representation()
@@ -83,6 +85,26 @@ def test_observable_series_validation():
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
         observable_series(sup, skew, 8.0, 16)
+
+
+@pytest.mark.parametrize("n_samples", [STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1,
+                                       2 * STACK_BLOCK + 1])
+def test_observable_series_blocks_match_one_stack(monkeypatch, n_samples):
+    # the series is evolved STACK_BLOCK times at a time, and each value is
+    # bit for bit that of one stacked evolve and expect over all times
+    def counted(sup, t):
+        calls.append(len(t))
+        return evolve(sup, t)
+
+    calls = []
+    monkeypatch.setattr(dynamics, "evolve", counted)
+    sup = Superposition.from_weights((0.3, -0.2, 1.1), (0.4, 1.0, -0.7, 1.2))
+    times, values = observable_series(sup, BASIS.alpha[0], 37.0, n_samples)
+    whole = expect(evolve(sup, np.arange(n_samples) * (37.0 / n_samples)), BASIS.alpha[0])
+    assert values.tobytes() == whole.tobytes()
+    assert times.tobytes() == (np.arange(n_samples) * (37.0 / n_samples)).tobytes()
+    full, rest = divmod(n_samples, STACK_BLOCK)
+    assert calls == [STACK_BLOCK] * full + ([rest] if rest else [])
 
 
 def test_identity_observable_gives_unit_series():
@@ -179,6 +201,15 @@ def test_dominant_frequency_constant_returns_none():
     # roundoff-level ripple counts as constant too
     ripple = 0.7 + 1e-15 * np.sin(2.0 * t)
     assert dominant_frequency(t, ripple) is None
+
+
+@pytest.mark.parametrize("x", [[0, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 0],
+                               [0, 1, 1, 1, 1, 1, 1, 2]])
+def test_dominant_frequency_rejects_a_series_that_changes_only_at_its_ends(x):
+    # not flat, but every fitted difference is zero: no cosine fits it, and
+    # the fit says so by name rather than returning NaN with a warning
+    with pytest.raises(ValueError, match="changes only at its ends"):
+        dominant_frequency(np.arange(8.0), np.array(x, dtype=float))
 
 
 def test_dominant_frequency_input_validation():

@@ -14,7 +14,6 @@ import pytest
 from negspin import commands, fields
 from negspin.cli import main
 from negspin.clifford import CheckEntry
-from negspin.commands import REDUCTION_BLOCK
 from negspin.fields import (
     MAX_OSCILLATOR_LEVELS,
     RadialGrid,
@@ -25,7 +24,7 @@ from negspin.fields import (
     pauli_reduction_check,
     reduction_trials,
 )
-from negspin.matrix_core import hermitian_eig, residual_norm
+from negspin.matrix_core import STACK_BLOCK, hermitian_eig, residual_norm
 from oracles import (
     all_passed,
     alpha_pi_matrix,
@@ -421,8 +420,8 @@ def test_reduction_trials_are_row_wise():
 
 
 @pytest.mark.parametrize("wrong_energy", [False, True])
-@pytest.mark.parametrize("trials", [1, REDUCTION_BLOCK - 1, REDUCTION_BLOCK,
-                                    REDUCTION_BLOCK + 1, 2000])
+@pytest.mark.parametrize("trials", [1, STACK_BLOCK - 1, STACK_BLOCK,
+                                    STACK_BLOCK + 1, 2000])
 def test_reduction_blocks_match_one_stack(trials, wrong_energy):
     cfg = {"trials": trials, "seed": 11, "wrong_energy": wrong_energy}
     payload = commands.run("reduction", cfg, None)
@@ -448,8 +447,8 @@ def test_reduction_blocks_carry_a_nan_residual(monkeypatch, capsys):
 
     calls = []
     monkeypatch.setattr(commands, "pauli_reduction_check", with_nan)
-    code = main(["reduction", "--trials", str(2 * REDUCTION_BLOCK + 1), "--format", "csv"])
-    assert calls == [REDUCTION_BLOCK, REDUCTION_BLOCK, 1]
+    code = main(["reduction", "--trials", str(2 * STACK_BLOCK + 1), "--format", "csv"])
+    assert calls == [STACK_BLOCK, STACK_BLOCK, 1]
     assert code == 1
     assert "rearrange_operator_plus,nan,9.9999999999999998e-13,false" in capsys.readouterr().out
 

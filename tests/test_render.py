@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import csv_text
 
 from negspin import commands
-from negspin.cli import COMMAND_SCHEMA, _build_parser, _render, _resolve
+from negspin.cli import _CSV_BLOCK, COMMAND_SCHEMA, _build_parser, _csv, _render, _resolve
 from negspin.clifford import CheckEntry
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -66,3 +66,24 @@ def test_every_csv_table_holds_one_type_per_column(command):
     for column in columns:
         assert len({type(cell) for cell in column}) == 1, command
         assert not isinstance(column[0], (bool, np.bool_)), command
+
+
+def test_csv_formats_an_array_block_by_block():
+    # an array table, over several blocks of rows, with edge values on each
+    # side of a block boundary, prints each cell as format(x, ".17g")
+    rng = np.random.default_rng(7)
+    table = np.ldexp(rng.normal(size=(2 * _CSV_BLOCK + 3, 3)),
+                     rng.integers(-1070, 1020, size=(2 * _CSV_BLOCK + 3, 3)))
+    table[_CSV_BLOCK - 1:_CSV_BLOCK + 1] = [[np.inf, -0.0, 5e-324], [np.nan, -np.inf, 1e308]]
+    header = ["a", "b", "c"]
+    expected = "a,b,c\n" + "".join(",".join(format(x, ".17g") for x in row) + "\n"
+                                   for row in table.tolist())
+    assert _csv(header, table) == expected
+    assert _csv(header, list(map(tuple, table))) == expected
+
+
+def test_csv_formats_a_list_of_mixed_rows_block_by_block():
+    rows = [(f"r{i}", i - 300, np.int64(-i), i / 7.0, np.float64(i) ** 0.5)
+            for i in range(2 * _CSV_BLOCK + 3)]
+    header = ["s", "i", "i64", "f", "f64"]
+    assert _csv(header, rows) == csv_text([header, *rows])
