@@ -1,10 +1,13 @@
-"""The pure helpers of ``tools/compare.py``, the parent/change comparison.
+"""The helpers of ``tools/compare.py``, the parent/change comparison, and
+this checkout's outputs against the digests it pins.
 
 The script itself needs git and a second tree, so only the parts that
-choose the invocations and measure a difference are tested here.
+choose the invocations and measure a difference are tested here, with the
+one tree the digests need.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -35,3 +38,17 @@ def test_argv_file_skips_comments_and_blank_lines(tmp_path):
     path.write_text("# a comment\n\nlandau --pz -1e-3  # trailing\nlorentz --v='-0.6,0,0'\n")
     assert compare.file_invocations(str(path)) == [["landau", "--pz", "-1e-3"],
                                                    ["lorentz", "--v=-0.6,0,0"]]
+
+
+def test_outputs_match_the_pinned_digests(tmp_path):
+    # every invocation of the comparison list prints the bytes pinned in
+    # tests/output_digests.json; a change that alters output on purpose
+    # re-pins it with tools/pin_digests.py
+    pinned = json.loads(compare.DIGESTS.read_text(encoding="utf-8"))
+    here = compare.versions()
+    assert here == pinned["versions"], (
+        f"digests pinned under {pinned['versions']}, but this interpreter has {here}")
+    digests = compare.output_digests(compare.ROOT, tmp_path / "cwd")
+    changed = [argv for argv in pinned["digests"].keys() | digests.keys()
+               if pinned["digests"].get(argv) != digests.get(argv)]
+    assert not changed, f"{len(changed)} invocations differ from their pinned digests: {sorted(changed)}"

@@ -18,11 +18,18 @@ interpreter, inside a scratch working directory.  For every invocation
 whose exit code, stderr or stdout differs, the script prints the
 invocation, what differs and the largest relative difference between the
 numbers of the two outputs; it ends with a summary line and exits 1 when
-anything differs.  Stdlib only.
+anything differs.  Stdlib only, but for the numpy that ``versions`` reads.
+
+The same list, with ``compare_cases.txt`` as ARGV_FILE, is pinned in
+``tests/output_digests.json``: one SHA-256 of (exit code, stdout, stderr)
+per invocation, with the numpy and BLAS versions that printed them.  A
+tier-1 test checks this checkout against it, and ``pin_digests.py``
+re-pins it after a change that alters output on purpose.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -35,6 +42,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CASES = ROOT / "tools" / "compare_cases.txt"
+DIGESTS = ROOT / "tests" / "output_digests.json"
 SEEDS = (1, 2, 3)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -91,6 +100,15 @@ def file_invocations(path: str) -> list[list[str]]:
     return [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
 
 
+def all_invocations(path: str | Path | None) -> list[list[str]]:
+    """The workload and README invocations, then those of the file at
+    ``path`` if given, each once, in that order."""
+    invocations = [*workload_invocations(), *readme_invocations()]
+    if path is not None:
+        invocations += file_invocations(path)
+    return list(map(list, dict.fromkeys(map(tuple, invocations))))
+
+
 def run_tree(tree: Path, invocations: list[list[str]], cwd: Path) -> list[list]:
     """The [exit code, stdout, stderr] of every invocation on ``tree``."""
     cwd.mkdir()
@@ -103,6 +121,23 @@ def run_tree(tree: Path, invocations: list[list[str]], cwd: Path) -> list[list]:
     if not Path(module).resolve().is_relative_to(tree.resolve()):
         raise SystemExit(f"the child on {tree} imported negspin from {module}")
     return outcomes
+
+
+def versions() -> dict[str, str]:
+    """The numpy and BLAS builds of this interpreter, which decide the
+    last digits of every eigenvalue."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def output_digests(tree: Path, cwd: Path) -> dict[str, str]:
+    """The SHA-256 of [exit code, stdout, stderr] as JSON, per invocation of
+    the list pinned in ``DIGESTS``, keyed by its ``negspin`` arguments."""
+    invocations = all_invocations(CASES)
+    return {shlex.join(argv): hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
+            for argv, outcome in zip(invocations, run_tree(tree, invocations, cwd))}
 
 
 def largest_relative_difference(old: str, new: str) -> float | None:
@@ -144,10 +179,7 @@ def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print("usage: python tools/compare.py REV [ARGV_FILE]", file=sys.stderr)
         return 2
-    invocations = [*workload_invocations(), *readme_invocations()]
-    if len(argv) == 2:
-        invocations += file_invocations(argv[1])
-    invocations = list(map(list, dict.fromkeys(map(tuple, invocations))))
+    invocations = all_invocations(argv[1] if len(argv) == 2 else None)
     with tempfile.TemporaryDirectory(prefix="negspin-compare-") as tmp:
         base = Path(tmp) / "base"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
