@@ -48,7 +48,7 @@ _CSV_BLOCK = 256
 
 
 class UsageError(Exception):
-    """Bad flags, bad config keys, or rejected parameter combinations."""
+    """Bad flags, bad config keys, rejected parameter combinations, or unwritable output."""
 
 
 class Units(NamedTuple):
@@ -303,36 +303,38 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, Units | None]:
     return cfg, unit_scales(cfg)
 
 
-def _csv(header: list[str], rows) -> str:
-    """The CSV text of a table with one cell type per column.
+def _csv(table: dict):
+    """The CSV text of a table of columns: the header line, then one string
+    per block of ``_CSV_BLOCK`` rows, each formatted only when it is taken.
 
-    ``rows`` is a sequence of rows: a list of them, or a 2-d numpy array.
-    A column's ``%`` spec comes from its first row: ``%s`` for strings,
+    ``table`` maps each header name to a 1-d array or list of one cell type.
+    A column's ``%`` spec comes from its first cell: ``%s`` for strings,
     ``%d`` for integers (numpy's too), else ``%.17g``, which prints a float
-    as ``format(x, ".17g")`` does.  The rows are then formatted in one
-    ``%`` call per block of ``_CSV_BLOCK`` rows, an array's block taken as
-    Python numbers (``tolist``) first, so only one block's cells are ever
-    held as Python objects.
+    as ``format(x, ".17g")`` does.  A block's cells are taken as Python
+    numbers (``tolist``) and formatted in one ``%`` call, so only one
+    block's cells and text are ever held.
     """
-    parts = [",".join(header) + "\n"]
-    if len(rows) == 0:
-        return parts[0]
-    line = ",".join("%s" if isinstance(cell, str) else "%d" if isinstance(cell, numbers.Integral)
-                    else "%.17g" for cell in rows[0]) + "\n"
-    for start in range(0, len(rows), _CSV_BLOCK):
-        block = rows[start:start + _CSV_BLOCK]
-        block = block.tolist() if hasattr(block, "tolist") else block
-        parts.append(line * len(block) % tuple(chain.from_iterable(block)))
-    return "".join(parts)
+    columns = list(table.values())
+    yield ",".join(table) + "\n"
+    if len(columns[0]) == 0:
+        return
+    line = ",".join("%s" if isinstance(cells[0], str) else "%d" if isinstance(
+        cells[0], numbers.Integral) else "%.17g" for cells in columns) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        block = [cells[start:start + _CSV_BLOCK] for cells in columns]
+        block = [cells.tolist() if hasattr(cells, "tolist") else cells for cells in block]
+        yield line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _render(command: str, cfg: dict, payload: dict) -> str:
+def _render(command: str, cfg: dict, payload: dict):
+    """The output as strings to write: a CSV table a block at a time, or the JSON report in one."""
     checks = [(e.name, e.residual, e.tolerance, e.passed) for e in payload["checks"]]
     if cfg["format"] == "csv":
-        if "csv_rows" in payload:
-            return _csv(payload["csv_header"], payload["csv_rows"])
-        return _csv(_CHECK_COLUMNS, [(name, residual, tolerance, "true" if passed else "false")
-                                     for name, residual, tolerance, passed in checks])
+        if "table" in payload:
+            return _csv(payload["table"])
+        rows = [(name, residual, tolerance, "true" if passed else "false")
+                for name, residual, tolerance, passed in checks]
+        return _csv({column: [row[i] for row in rows] for i, column in enumerate(_CHECK_COLUMNS)})
     report = {
         "command": command,
         "params": {key: list(value) if isinstance(value, tuple) else value
@@ -341,15 +343,20 @@ def _render(command: str, cfg: dict, payload: dict) -> str:
         "checks": [dict(zip(_CHECK_COLUMNS, check)) for check in checks],
         "version": __version__,
     }
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    return [json.dumps(report, indent=2, allow_nan=False) + "\n"]
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_output(parts, out: str | None) -> None:
+    try:
+        if out is None:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()  # a buffered stream reports a failed write only here
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(parts)
+    except OSError as err:
+        target = "stdout" if out is None else f"output file {out}"
+        raise UsageError(f"cannot write {target}: {err}") from err
 
 
 def main(argv=None) -> int:
@@ -361,7 +368,8 @@ def main(argv=None) -> int:
         from . import commands
 
         payload = commands.run(args.command, cfg, units)
-        text = _render(args.command, cfg, payload)
+        # a CSV table is formatted while it is written, which may also run out of memory
+        _write_output(_render(args.command, cfg, payload), cfg["out"])
     except SystemExit:  # --help; the parser reports errors as UsageError
         return EXIT_OK
     except (UsageError, ValueError) as err:
@@ -373,11 +381,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MemoryError as err:
         print(f"error: input too large to allocate ({err})", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _write_output(text, cfg["out"])
-    except OSError as err:
-        print(f"error: cannot write output file {cfg['out']}: {err}", file=sys.stderr)
         return EXIT_USAGE
     if all(check.passed for check in payload["checks"]):
         return EXIT_OK

@@ -8,8 +8,8 @@ Each ``_cmd_*`` takes the resolved config, in the user's units, and their
 scales (``cli.unit_scales``; None for ``identities`` and ``reduction``,
 which have no unit system).  It divides each input by its scale on the
 way in, and multiplies results, CSV columns and what its checks compare
-by theirs on the way out.  It returns {"results", "checks"}, plus
-"csv_header" and "csv_rows" if it has a table of its own, for ``cli``.
+by theirs on the way out.  It returns {"results", "checks"}, plus, for a
+table of its own, "table": each header name mapped to a 1-d array or list.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .fields import (
     pauli_reduction_check,
     reduction_trials,
 )
-from .matrix_core import STACK_BLOCK, ConvergenceError, hermitian_eig
+from .matrix_core import ConvergenceError, hermitian_eig, stack_blocks
 from .spectral import (
     closed_form_energies,
     correspondence_check,
@@ -60,22 +60,17 @@ def _cmd_dispersion(cfg: dict, units: Units) -> dict:
     e_minus, e_plus = (units.energy * e for e in closed_form_energies(p_natural, which))
     # one eigensolve per block of momenta: its 4x4 temporaries take the same
     # memory at any step count, and each row equals that of one stacked solve
-    eigenvalues = np.empty((steps, 4))
-    worst = 0.0
-    for start in range(0, steps, STACK_BLOCK):
-        block = slice(start, start + STACK_BLOCK)
-        momenta = np.outer(p_natural[block], (0.0, 0.0, 1.0))
-        solved = units.energy * hermitian_eig(hamiltonian(momenta, which)).eigenvalues
-        eigenvalues[block] = solved
-        closed = np.stack([e_minus[block], e_minus[block], e_plus[block], e_plus[block]], axis=-1)
-        # np.maximum, unlike max or np.fmax, carries a NaN deviation through
-        worst = np.maximum(worst, np.max(np.abs(solved - closed) / np.maximum(1.0, np.abs(closed))))
+    eigenvalues = stack_blocks(p_natural, lambda p: units.energy * hermitian_eig(
+        hamiltonian(np.outer(p, (0.0, 0.0, 1.0)), which)).eigenvalues, np.empty((steps, 4)))
+    # one column at a time; np.max, unlike max, carries a NaN deviation through
+    worst = np.max([np.max(np.abs(column - closed) / np.maximum(1.0, np.abs(closed)))
+                    for column, closed in zip(eigenvalues.T, (e_minus, e_minus, e_plus, e_plus))])
     checks = [entry("max_relative_deviation", worst, 1e-12)]
     return {
         "results": {"which": which, "steps": steps, "pmax": cfg["pmax"]},
         "checks": checks,
-        "csv_header": ["p", "E1", "E2", "E3", "E4", "E_minus_closed", "E_plus_closed"],
-        "csv_rows": np.column_stack([p_mag, eigenvalues, e_minus, e_plus]),
+        "table": {"p": p_mag, **dict(zip(("E1", "E2", "E3", "E4"), eigenvalues.T)),
+                  "E_minus_closed": e_minus, "E_plus_closed": e_plus},
     }
 
 
@@ -104,7 +99,7 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
     lam = cfg["q"] * cfg["b"] * units.length / units.energy
     pz = cfg["pz"] / units.momentum
     # built first: it rejects n_max outside its range before any per-level work
-    blocks = landau_sectors(lam, pz, cfg["n_max"])
+    momenta = landau_sectors(lam, pz, cfg["n_max"])
     k = np.arange(cfg["k_max"] + 1)
     e_plus = units.energy * landau_levels_analytic(lam, pz, cfg["k_max"])
     e_minus = -e_plus
@@ -124,10 +119,11 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
             f"levels closer than twice the {tol:g} level tolerance: ladder spacing "
             f"hbar omega_c = {spacing:.3g}, branch gap 2 E(0) = {branch_gap:.3g}"
         )
-    # block 0 holds +-E(0) twice: the k = 0 level and the top edge, whose
-    # pair lost its ladder partner and is a truncation artifact, so one
-    # eigenvalue per branch of it joins the level matching
-    solved = hermitian_eig(blocks).eigenvalues
+    # one eigensolve per block of sectors; sector 0 holds +-E(0) twice: the k = 0
+    # level and the top edge, whose pair lost its ladder partner and is a
+    # truncation artifact, so one eigenvalue per branch of it joins the matching
+    solved = stack_blocks(momenta, lambda p: hermitian_eig(hamiltonian(p, "nonrel")).eigenvalues,
+                          np.empty((len(momenta), 4)))
     eigenvalues = units.energy * np.sort(np.concatenate([solved[0, [0, -1]], solved[1:].ravel()]))
     near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
     resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
@@ -148,17 +144,14 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
             "counted_multiplicity_minus": _count_within(eigenvalues, e_minus, tol).tolist(),
         },
         "checks": checks,
-        "csv_header": [
-            "k",
-            "E_plus_analytic", "E_plus_numeric", "residual_plus",
-            "E_minus_analytic", "E_minus_numeric", "residual_minus",
-            "multiplicity",
-        ],
-        # one (level, spin) pair reaches k = 0 and two reach every k >= 1
-        "csv_rows": list(zip(
-            k, e_plus, near_plus, resid_plus, e_minus, near_minus, resid_minus,
-            np.where(k == 0, 1, 2),
-        )),
+        "table": {
+            "k": k,
+            "E_plus_analytic": e_plus, "E_plus_numeric": near_plus, "residual_plus": resid_plus,
+            "E_minus_analytic": e_minus, "E_minus_numeric": near_minus,
+            "residual_minus": resid_minus,
+            # one (level, spin) pair reaches k = 0 and two reach every k >= 1
+            "multiplicity": np.where(k == 0, 1, 2),
+        },
     }
 
 
@@ -166,19 +159,13 @@ def _cmd_coulomb(cfg: dict, units: Units) -> dict:
     z = cfg["z"] / units.charge
     grid = RadialGrid(r_max=cfg["r_max"] / units.length, n_points=cfg["n_points"])
     energies = coulomb_radial_spectrum(z, cfg["l"], grid, cfg["n_levels"])
-    checks = []
-    rows = []
-    for i, e_num in enumerate(energies):
-        n = cfg["l"] + 1 + i
-        binding = z**2 / (2.0 * n**2)
-        e_closed = 1.0 - binding
-        # a relative error: the same number in every unit system
-        rel = abs(e_num - e_closed) / max(abs(e_closed), binding)
-        checks.append(entry(f"level_n{n}_relative_error", rel, 1e-3))
-        # E_minus_numeric is the sign-flipped copy of E_plus_numeric, not a
-        # computed level: no negative-branch operator is solved
-        e_num = units.energy * float(e_num)
-        rows.append([n, e_num, units.energy * e_closed, rel, -e_num])
+    n = list(range(cfg["l"] + 1, cfg["l"] + 1 + len(energies)))
+    binding = z**2 / (2.0 * np.square(np.array(n, dtype=float)))
+    e_closed = 1.0 - binding
+    # a relative error: the same number in every unit system
+    rel = np.abs(energies - e_closed) / np.maximum(np.abs(e_closed), binding)
+    checks = [entry(f"level_n{level}_relative_error", r, 1e-3) for level, r in zip(n, rel)]
+    e_plus = units.energy * energies
     return {
         "results": {
             "z": cfg["z"],
@@ -187,8 +174,10 @@ def _cmd_coulomb(cfg: dict, units: Units) -> dict:
             "n_points": cfg["n_points"],
         },
         "checks": checks,
-        "csv_header": ["n", "E_plus_numeric", "E_plus_closed", "relative_error", "E_minus_numeric"],
-        "csv_rows": rows,
+        # E_minus_numeric is the sign-flipped copy of E_plus_numeric, not a
+        # computed level: no negative-branch operator is solved
+        "table": {"n": n, "E_plus_numeric": e_plus, "E_plus_closed": units.energy * e_closed,
+                  "relative_error": rel, "E_minus_numeric": -e_plus},
     }
 
 
@@ -238,8 +227,7 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
             "n_samples": cfg["n_samples"],
         },
         "checks": checks,
-        "csv_header": ["t", "value"],
-        "csv_rows": np.column_stack([units.time * times, values]),
+        "table": {"t": units.time * times, "value": values},
     }
 
 
@@ -289,8 +277,8 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
             "v": list(cfg["v"]),
         },
         "checks": checks,
-        "csv_header": ["E", "px", "py", "pz", "roundtrip_residual"],
-        "csv_rows": [[e_out, *map(float, p_out), roundtrip]],
+        "table": {"E": [e_out], **{f"p{axis}": [float(x)] for axis, x in zip("xyz", p_out)},
+                  "roundtrip_residual": [roundtrip]},
     }
 
 
@@ -308,8 +296,8 @@ def _cmd_reduction(cfg: dict, units: None) -> dict:
     uniforms = draw_reduction_uniforms(cfg["seed"], trials)
     offset = 0.2 if cfg["wrong_energy"] else 0.0
     worst, failed = 0.0, 0
-    for start in range(0, trials, STACK_BLOCK):
-        p, v0, phi = reduction_trials(uniforms[start:start + STACK_BLOCK])
+    for block in stack_blocks(uniforms):
+        p, v0, phi = reduction_trials(uniforms[block])
         e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0 + offset
         chain = pauli_reduction_check(p, v0, e_trial, phi=phi)
         # np.maximum, unlike max or np.fmax, carries a NaN residual through

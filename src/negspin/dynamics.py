@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import STACK_BLOCK, expect, residual_norm
+from .matrix_core import expect, residual_norm, stack_blocks
 from .spectral import helicity_eigenstates
 
 __all__ = [
@@ -99,8 +99,8 @@ def observable_series(
     The expectation of a Hermitian operator is real; imaginary leakage beyond
     1e-12 would mean a broken observable and raises (see ``expect``).
 
-    The states are evolved and measured ``STACK_BLOCK`` times at a time, so
-    beyond the two returned arrays (16 bytes a sample) the series takes the
+    The states are evolved and measured in blocks of times (``stack_blocks``),
+    so beyond the two returned arrays (16 bytes a sample) the series takes the
     same memory at any ``n_samples``; each value equals, bit for bit, that
     of one stacked ``expect(evolve(sup, times), observable)``.
     """
@@ -112,11 +112,8 @@ def observable_series(
     if residual_norm(observable, observable.conj().T) > 1e-12:
         raise ValueError("observable must be Hermitian")
     times = np.arange(n_samples) * (t_max / n_samples)
-    values = np.empty(n_samples)
-    for start in range(0, n_samples, STACK_BLOCK):
-        block = slice(start, start + STACK_BLOCK)
-        values[block] = expect(evolve(sup, times[block]), observable)
-    return times, values
+    return times, stack_blocks(times, lambda t: expect(evolve(sup, t), observable),
+                               np.empty(n_samples))
 
 
 def dominant_frequency(times, values) -> tuple[float, float] | None:

@@ -9,9 +9,9 @@ Three problem families:
   level ladder E(k) = 1 + |lambda| k + pz^2 / 2.  The operator only couples
   states of equal conserved index, and each such sector is the free 4x4
   Hamiltonian at a transverse momentum sqrt(2 |lambda| N), so
-  ``landau_sectors`` builds the n_max + 1 blocks with ``hamiltonian``; the
-  tests check them against the dense truncated matrix.  Its negative branch
-  mirrors the positive one: the spectrum is paired, E and -E;
+  ``landau_sectors`` gives the n_max + 1 momenta of ``hamiltonian``'s blocks;
+  the tests check the blocks against the dense truncated matrix.  Its negative
+  branch mirrors the positive one: the spectrum is paired, E and -E;
 * an attractive -Z/r potential on a radial grid (3-point finite differences,
   Dirichlet ends), cross-checked against the closed-form -Z^2/2n^2 ladder.
   Its lowest levels come from Sturm counts of the tridiagonal matrix, O(n)
@@ -53,7 +53,7 @@ __all__ = [
 
 # Smallest truncation at which even the k = 0 level is trustworthy.
 MIN_OSCILLATOR_LEVELS = 8
-# Largest truncation accepted; a cold landau run at this size peaks near 200 MB.
+# Largest truncation accepted; a cold landau run at this size peaks near 45 MB.
 MAX_OSCILLATOR_LEVELS = 10**5
 # Empirical accuracy guard for the radial grid: the spacing in Bohr radii,
 # spacing * Z (spacing * m0 Z / hbar^2 in any units), must stay below.
@@ -105,7 +105,7 @@ def _landau_lambda(lam: float) -> float:
 
 
 def landau_sectors(lam: float, pz: float, n_max: int) -> np.ndarray:
-    """The truncated Landau operator as n_max + 1 free 4x4 blocks, in O(n_max).
+    """The truncated Landau operator as the momenta of n_max + 1 free 4x4 blocks, in O(n_max).
 
     The operator is alpha.Pi + beta + i beta gamma5 (alpha.Pi)^2 / 2 on
     oscillator levels 0..n_max, with (alpha.Pi)^2 the square of the
@@ -120,7 +120,7 @@ def landau_sectors(lam: float, pz: float, n_max: int) -> np.ndarray:
     momentum (k_N, 0, pz), in natural spinor order; state
     s of block N is row 4 level + s of the dense (oscillator level) x
     (4-spinor) matrix, level = (N - 1 + [spin of s sits higher]) mod (n_max + 1).
-    Returns the stack (n_max + 1, 4, 4).
+    Returns the momenta (n_max + 1, 3).
 
     Block 0 (k = 0) holds both edges: the higher spin at level 0, whose
     +-(1 + pz^2/2) pair is the k = 0 level, and the other spin at
@@ -129,8 +129,7 @@ def landau_sectors(lam: float, pz: float, n_max: int) -> np.ndarray:
     """
     _check_truncation(n_max)
     k = np.sqrt(2.0 * abs(_landau_lambda(lam)) * np.arange(n_max + 1))
-    momenta = np.stack([k, np.zeros_like(k), np.full_like(k, pz)], axis=-1)
-    return hamiltonian(momenta, "nonrel")
+    return np.stack([k, np.zeros_like(k), np.full_like(k, pz)], axis=-1)
 
 
 def landau_levels_analytic(lam: float, pz: float, k_max: int) -> np.ndarray:

@@ -28,6 +28,7 @@ __all__ = [
     "hermitian_eig",
     "matrix_dot",
     "residual_norm",
+    "stack_blocks",
     "tridiagonal_lowest",
 ]
 
@@ -39,9 +40,8 @@ HERMITICITY_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-10
 # Largest imaginary part an expectation of a Hermitian operator may carry.
 LEAKAGE_TOL = 1e-12
-# Entries per stacked call in a sweep over independent 4x4 problems
-# (``reduction``'s trials, ``dispersion``'s momenta, ``observable_series``'
-# times): the call's temporaries take O(STACK_BLOCK) memory however long
+# Entries per stacked call of a ``stack_blocks`` sweep over independent 4x4
+# problems: the call's temporaries take O(STACK_BLOCK) memory however long
 # the sweep, and each entry's result does not depend on the block it is in.
 STACK_BLOCK = 256
 # Elements of the (shifts, rows) work arrays of one batch of Sturm counts:
@@ -97,6 +97,19 @@ def expect(psi, op):
     if leak > LEAKAGE_TOL:  # pragma: no cover - callers pass Hermitian operators
         raise ArithmeticError(f"imaginary leakage {leak} in an expectation value")
     return value.real
+
+
+def stack_blocks(stack, fn=None, out=None):
+    """Sweep the leading axis of ``stack`` ``STACK_BLOCK`` entries at a time:
+    without ``fn``, the slices of its blocks; with ``fn``, ``out`` filled with
+    ``out[block] = fn(stack[block])``, equal bit for bit to ``fn(stack)``
+    wherever an entry's result does not depend on its block."""
+    blocks = (slice(start, start + STACK_BLOCK) for start in range(0, len(stack), STACK_BLOCK))
+    if fn is None:
+        return blocks
+    for block in blocks:
+        out[block] = fn(stack[block])
+    return out
 
 
 @dataclass(frozen=True, eq=False)

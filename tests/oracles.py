@@ -3,11 +3,12 @@ map of its sectors and its squared-operator identity, the Coulomb grid solved
 by LAPACK, a seeded spinor draw, lookups over tuples of check entries,
 and the CSV text of a table written one cell at a time.
 
-The package builds the Landau problem as n_max + 1 free 4x4 blocks
-(``negspin.fields.landau_sectors``).  The dense matrix here builds the same
-operator from oscillator-space ladder matrices with ``kron`` and its own
-operator formula, at O(n_max^3) cost, and is what the blocks are checked
-against; ``sector_rows`` says where each block state sits in it.
+The package builds the Landau problem as n_max + 1 free 4x4 blocks, the
+``hamiltonian`` at each momentum of ``negspin.fields.landau_sectors``.  The
+dense matrix here builds the same operator from oscillator-space ladder
+matrices with ``kron`` and its own operator formula, at O(n_max^3) cost,
+and is what the blocks are checked against; ``sector_rows`` says where
+each block state sits in it.
 
 The package finds the Coulomb grid levels from its own Sturm counts
 (``negspin.matrix_core.tridiagonal_lowest``).  Here the same finite-difference
@@ -27,6 +28,7 @@ from negspin.fields import (
     _landau_lambda,
     landau_sectors,
 )
+from negspin.spectral import hamiltonian
 
 
 def all_passed(entries) -> bool:
@@ -118,13 +120,13 @@ def sector_rows(n_max: int, lam: float) -> np.ndarray:
 def square_identity_check(lam: float, pz: float, n_max: int) -> tuple[CheckEntry, ...]:
     """H^2 = (1 + (alpha.Pi)^2 / 2)^2 and [H, S] = 0 on interior columns.
 
-    Checked block by block: H from ``landau_sectors``, alpha.Pi cut from the
-    dense ``alpha_pi_matrix`` at the ``sector_rows`` of each block.
+    Checked block by block: H at the ``landau_sectors`` momenta, alpha.Pi cut
+    from the dense ``alpha_pi_matrix`` at the ``sector_rows`` of each block.
     Interior means oscillator level n <= n_max - 2; the excluded edge-state
     count is reported as its own entry (residual = count, tolerance = the
     expected 2 levels x 4 components).
     """
-    h = landau_sectors(lam, pz, n_max)
+    h = hamiltonian(landau_sectors(lam, pz, n_max), "nonrel")
     rows = sector_rows(n_max, lam)
     a = alpha_pi_matrix(lam, pz, n_max)[rows[:, :, None], rows[:, None, :]]
     s = np.eye(4) + a @ a / 2.0

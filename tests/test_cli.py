@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from negspin import __version__, commands
 from negspin.cli import COMMAND_SCHEMA, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, unit_scales
 from negspin.clifford import dirac_representation
 from negspin.dynamics import Superposition, dominant_frequency, observable_series
+from negspin.fields import landau_sectors
 from negspin.matrix_core import STACK_BLOCK, hermitian_eig
 from negspin.spectral import closed_form_energies, hamiltonian
 
@@ -90,10 +92,35 @@ def test_dispersion_blocks_match_one_stack(monkeypatch, steps, which):
     closed = np.stack([e_minus, e_minus, e_plus, e_plus], axis=-1)
     worst = np.max(np.abs(eigenvalues - closed) / np.maximum(1.0, np.abs(closed)))
     table = np.column_stack([p_mag, eigenvalues, e_minus, e_plus])
-    assert np.asarray(payload["csv_rows"]).tobytes() == table.tobytes()
+    assert np.column_stack(list(payload["table"].values())).tobytes() == table.tobytes()
     assert payload["checks"][0].residual == worst
     full, rest = divmod(steps, STACK_BLOCK)
     assert calls == [STACK_BLOCK] * full + ([rest] if rest else [])
+
+
+@pytest.mark.parametrize("q", [-1.0, 1.0])
+@pytest.mark.parametrize("sectors", [STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1,
+                                     2 * STACK_BLOCK + 1])
+def test_landau_blocks_match_one_stack(monkeypatch, sectors, q):
+    # one eigensolve per block of STACK_BLOCK sectors; the eigenvalues equal,
+    # bit for bit, those of one solve over every sector
+    def counted(h):
+        result = hermitian_eig(h)
+        solved.append(result.eigenvalues)
+        return result
+
+    solved = []
+    monkeypatch.setattr(commands, "hermitian_eig", counted)
+    units = unit_scales({"m0": 1.5, "c": 3.0, "hbar": 0.7})
+    cfg = {"q": q, "b": 2.0, "pz": 0.3, "n_max": sectors - 1, "k_max": 3}
+    payload = commands.run("landau", cfg, units)
+    momenta = landau_sectors(q * 2.0 * units.length / units.energy, 0.3 / units.momentum,
+                             sectors - 1)
+    whole = hermitian_eig(hamiltonian(momenta, "nonrel")).eigenvalues
+    assert np.concatenate(solved).tobytes() == whole.tobytes()
+    full, rest = divmod(sectors, STACK_BLOCK)
+    assert [len(e) for e in solved] == [STACK_BLOCK] * full + ([rest] if rest else [])
+    assert payload["results"]["matrix_dimension"] == 4 * sectors
 
 
 def test_dispersion_rejects_single_step(capsys):
@@ -437,24 +464,44 @@ def test_reduction_holds_only_its_uniforms(capsys):
     assert peak < 64 * trials + 2.5e6
 
 
-def test_dispersion_holds_only_its_table(capsys):
-    # 50000 steps hold the (steps, 7) table and the columns it is stacked
-    # from, 120 bytes a step; the eigensolves run in fixed blocks of momenta
-    steps = 50000
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_dispersion_holds_only_its_columns(capsys, tmp_path, fmt):
+    # 50000 steps hold the table's columns, 64 bytes a step, and the
+    # deviation of one column at a time; the eigensolves run in fixed blocks
+    # of momenta, and a CSV table is formatted and written a block at a time
+    steps, out = 50000, tmp_path / "table"
     main(["dispersion", "--steps", "3"])  # imports outside the traced window
     tracemalloc.start()
     try:
-        assert main(["dispersion", "--steps", str(steps)]) == EXIT_OK
+        argv = ["dispersion", "--steps", str(steps), "--format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_OK
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 256 * steps + 1e6
+    if fmt == "csv":
+        assert len(out.read_text().splitlines()) == steps + 1
+    assert peak < 96 * steps + 1e6
+
+
+def test_landau_holds_only_its_eigenvalues(capsys):
+    # 20000 sectors hold their momenta, their eigenvalues and the sorted
+    # levels, 120 bytes a sector; the sectors are solved in fixed blocks
+    n_max = 20000
+    main(["landau"])  # imports outside the traced window
+    tracemalloc.start()
+    try:
+        assert main(["landau", "--n-max", str(n_max)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 128 * n_max + 1e6
 
 
 def test_zitter_holds_only_its_series(capsys):
-    # 100000 samples hold the times, the values and the (samples, 2) table,
-    # and the fit's differences; the states are evolved in fixed blocks of times
+    # 100000 samples hold the times, the values, the scaled times of the
+    # table and the fit's differences; the states are evolved in fixed blocks of times
     samples = 100000
     main(["zitter"])  # imports outside the traced window
     tracemalloc.start()
@@ -464,7 +511,7 @@ def test_zitter_holds_only_its_series(capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 64 * samples + 1e6
+    assert peak < 48 * samples + 1e6
 
 
 def test_seed_changes_reduction_draws(capsys):
@@ -489,6 +536,42 @@ def test_out_flag_silences_stdout(tmp_path, capsys):
     assert code == EXIT_OK
     assert capsys.readouterr().out == ""
     assert target.read_text().startswith("name,residual")
+
+
+class _FailingStdout:
+    """A stdout whose every write after the first ``good`` raises ``error``."""
+
+    def __init__(self, error, good=0):
+        self.error, self.good, self.parts = error, good, []
+
+    def write(self, text):
+        if len(self.parts) >= self.good:
+            raise self.error
+        self.parts.append(text)
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
+
+    def flush(self):
+        pass
+
+
+def test_failed_stdout_write_names_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(OSError(28, "No space left on device")))
+    assert main(["landau"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), MemoryError()])
+def test_failure_while_a_csv_is_written_is_one_line(monkeypatch, capsys, error):
+    # the header and the first block of rows are out when the failure comes
+    stream = _FailingStdout(error, good=2)
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["dispersion", "--steps", "600", "--format", "csv"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert len(stream.parts) == 2
 
 
 def test_config_file_round_trip(tmp_path, capsys):

@@ -25,6 +25,7 @@ from negspin.fields import (
     reduction_trials,
 )
 from negspin.matrix_core import STACK_BLOCK, hermitian_eig, residual_norm
+from negspin.spectral import hamiltonian
 from oracles import (
     all_passed,
     alpha_pi_matrix,
@@ -157,8 +158,9 @@ def test_square_identity_report():
 def test_sectors_partition_the_dense_matrix(sign):
     lam, n_max = 1.3 * sign, 13
     dense = landau_hamiltonian_matrix(lam, 0.4, n_max)
-    blocks = landau_sectors(lam, 0.4, n_max)
-    assert blocks.shape == (n_max + 1, 4, 4)
+    momenta = landau_sectors(lam, 0.4, n_max)
+    assert momenta.shape == (n_max + 1, 3)
+    blocks = hamiltonian(momenta, "nonrel")
     rows = sector_rows(n_max, lam)
     np.testing.assert_array_equal(np.sort(rows.ravel()), np.arange(dense.shape[0]))
     same_sector = np.zeros(dense.shape, dtype=bool)
@@ -174,7 +176,7 @@ def test_sectors_partition_the_dense_matrix(sign):
 @pytest.mark.parametrize("pz", [0.0, 0.4])
 def test_sector_spectrum_matches_dense_oracle(n_max, sign, pz):
     dense = np.linalg.eigvalsh(landau_hamiltonian_matrix(sign, pz, n_max))
-    blocks = landau_sectors(sign, pz, n_max)
+    blocks = hamiltonian(landau_sectors(sign, pz, n_max), "nonrel")
     assert blocks.shape == (n_max + 1, 4, 4)
     blocked = np.sort(hermitian_eig(blocks).eigenvalues.ravel())
     assert np.max(np.abs(blocked - dense)) <= 1e-12
@@ -185,7 +187,7 @@ def test_top_edge_sector_is_a_truncation_artifact(sign):
     # block 0 holds both edges: the higher spin at level 0 is the k = 0
     # level, and the other spin at level n_max repeats +-E(0) only because
     # its ladder partner at level n_max + 1 was cut away
-    blocks = landau_sectors(2.0 * sign, 0.4, 20)
+    blocks = hamiltonian(landau_sectors(2.0 * sign, 0.4, 20), "nonrel")
     np.testing.assert_array_equal(np.sort(sector_rows(20, sign)[0] // 4), [0, 0, 20, 20])
     e0 = 1.0 + 0.4**2 / 2.0
     ev = hermitian_eig(blocks[0]).eigenvalues
