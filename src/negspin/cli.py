@@ -13,8 +13,10 @@ own writes its checks as that CSV table.  Output carries no timestamps and
 floats are printed with 17 significant digits, so identical configurations
 produce byte-identical files.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-rejected input, in one ``error:`` line.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 in one
+``error:`` line for a ``ValueError`` (a rejected input or unwritable
+output), an ``ArithmeticError`` (a computation out of float64 range) or a
+``MemoryError`` (an input too large to allocate), wherever it is raised.
 
 This module loads no numpy: flags, config files and the units check are
 answered before ``main`` imports the commands.  It also computes the
@@ -28,7 +30,9 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -45,10 +49,6 @@ _CHECK_COLUMNS = ("name", "residual", "tolerance", "pass")
 # that a block's cells as Python objects stay in cache; 256 formats a
 # 300000 x 7 float table a quarter faster than one call over it
 _CSV_BLOCK = 256
-
-
-class UsageError(Exception):
-    """Bad flags, bad config keys, rejected parameter combinations, or unwritable output."""
 
 
 class Units(NamedTuple):
@@ -70,11 +70,11 @@ def unit_scales(cfg: dict) -> Units:
     """
     m0, c, hbar = cfg["m0"], cfg["c"], cfg["hbar"]
     if not (m0 > 0 and c > 0 and hbar > 0):
-        raise UsageError("m0, c and hbar must all be positive")
+        raise ValueError("m0, c and hbar must all be positive")
 
     def checked(name: str, value: float) -> float:
         if not 0.0 < value < math.inf:
-            raise UsageError(f"unit scale {name} = {value:g} is not a positive finite float64")
+            raise ValueError(f"unit scale {name} = {value:g} is not a positive finite float64")
         return value
 
     momentum = m0 * c
@@ -94,9 +94,9 @@ def _cast_float(s: str) -> float:
     try:
         value = float(s)
     except ValueError as err:
-        raise UsageError(f"expected a number, got {s!r}") from err
+        raise ValueError(f"expected a number, got {s!r}") from err
     if not math.isfinite(value):
-        raise UsageError(f"expected a finite number, got {s!r}")
+        raise ValueError(f"expected a finite number, got {s!r}")
     return value
 
 
@@ -104,7 +104,7 @@ def _cast_int(s: str) -> int:
     try:
         return int(s)
     except ValueError as err:
-        raise UsageError(f"expected an integer, got {s!r}") from err
+        raise ValueError(f"expected an integer, got {s!r}") from err
 
 
 def _cast_bool(s: str) -> bool:
@@ -113,14 +113,14 @@ def _cast_bool(s: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    raise UsageError(f"expected a boolean, got {s!r}")
+    raise ValueError(f"expected a boolean, got {s!r}")
 
 
 def _cast_vec(size: int):
     def cast(s: str) -> tuple[float, ...]:
         parts = s.split(",")
         if len(parts) != size:
-            raise UsageError(f"expected {size} comma-separated numbers, got {s!r}")
+            raise ValueError(f"expected {size} comma-separated numbers, got {s!r}")
         return tuple(_cast_float(p) for p in parts)
 
     return cast
@@ -129,7 +129,7 @@ def _cast_vec(size: int):
 def _cast_choice(options: tuple[str, ...]):
     def cast(s: str) -> str:
         if s not in options:
-            raise UsageError(f"expected one of {options}, got {s!r}")
+            raise ValueError(f"expected one of {options}, got {s!r}")
         return s
 
     return cast
@@ -199,10 +199,10 @@ COMMAND_SCHEMA = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a parse error as a ``UsageError``, for ``main`` to print in one line."""
+    """Reports a parse error as a ``ValueError``, for ``main`` to print in one line."""
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
@@ -257,7 +257,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise UsageError(f"cannot read config file {path}: {err}") from err
+        raise ValueError(f"cannot read config file {path}: {err}") from err
     values = {}
     first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -265,11 +265,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key in first_line:
-            raise UsageError(
+            raise ValueError(
                 f"{path}:{lineno}: duplicate key {key!r}, first set on line {first_line[key]}"
             )
         first_line[key] = lineno
@@ -285,7 +285,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, Units | None]:
     if args.config is not None:
         for key, raw in _read_config_file(args.config).items():
             if key not in schema:
-                raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
+                raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
             cfg[key] = schema[key][0](raw)
             provided.add(key)
     for key in schema:
@@ -297,7 +297,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, Units | None]:
         return cfg, None
     clash = provided.intersection(UNIT_KEYS)
     if cfg["units"] == "natural" and clash:
-        raise UsageError(
+        raise ValueError(
             f"--units natural fixes {UNIT_KEYS}; pass --units custom to set {sorted(clash)}"
         )
     return cfg, unit_scales(cfg)
@@ -355,8 +355,13 @@ def _write_output(parts, out: str | None) -> None:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(parts)
     except OSError as err:
+        if out is None:
+            # the interpreter flushes stdout's unwritten buffer again at exit;
+            # aimed at the null device, that flush cannot fail a second time
+            with suppress(AttributeError, OSError), open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())  # an in-memory stream has none
         target = "stdout" if out is None else f"output file {out}"
-        raise UsageError(f"cannot write {target}: {err}") from err
+        raise ValueError(f"cannot write {target}: {err}") from err
 
 
 def main(argv=None) -> int:
@@ -370,9 +375,9 @@ def main(argv=None) -> int:
         payload = commands.run(args.command, cfg, units)
         # a CSV table is formatted while it is written, which may also run out of memory
         _write_output(_render(args.command, cfg, payload), cfg["out"])
-    except SystemExit:  # --help; the parser reports errors as UsageError
+    except SystemExit:  # --help; the parser reports errors as ValueError
         return EXIT_OK
-    except (UsageError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as err:

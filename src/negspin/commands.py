@@ -10,13 +10,16 @@ which have no unit system).  It divides each input by its scale on the
 way in, and multiplies results, CSV columns and what its checks compare
 by theirs on the way out.  It returns {"results", "checks"}, plus, for a
 table of its own, "table": each header name mapped to a 1-d array or list.
+"results" holds only what the run computed: ``cli`` reports its inputs
+as "params".  A rejected input raises ``ValueError``, and ``cli`` maps
+every failure to its exit code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cli import Units, UsageError
+from .cli import Units
 from .clifford import (
     dirac_representation,
     entry,
@@ -34,7 +37,7 @@ from .fields import (
     pauli_reduction_check,
     reduction_trials,
 )
-from .matrix_core import ConvergenceError, hermitian_eig, stack_blocks
+from .matrix_core import hermitian_eig, stack_blocks
 from .spectral import (
     closed_form_energies,
     correspondence_check,
@@ -51,9 +54,9 @@ def _cmd_identities(cfg: dict, units: None) -> dict:
 
 def _cmd_dispersion(cfg: dict, units: Units) -> dict:
     if cfg["steps"] < 2:
-        raise UsageError("steps must be at least 2")
+        raise ValueError("steps must be at least 2")
     if not cfg["pmax"] > 0.0:
-        raise UsageError("pmax must be positive")
+        raise ValueError("pmax must be positive")
     which, steps = cfg["which"], cfg["steps"]
     p_mag = cfg["pmax"] * np.arange(steps) / (steps - 1)
     p_natural = p_mag / units.momentum
@@ -67,7 +70,7 @@ def _cmd_dispersion(cfg: dict, units: Units) -> dict:
                     for column, closed in zip(eigenvalues.T, (e_minus, e_minus, e_plus, e_plus))])
     checks = [entry("max_relative_deviation", worst, 1e-12)]
     return {
-        "results": {"which": which, "steps": steps, "pmax": cfg["pmax"]},
+        "results": {},
         "checks": checks,
         "table": {"p": p_mag, **dict(zip(("E1", "E2", "E3", "E4"), eigenvalues.T)),
                   "E_minus_closed": e_minus, "E_plus_closed": e_plus},
@@ -89,12 +92,12 @@ def _count_within(ascending: np.ndarray, targets: np.ndarray, tol: float) -> np.
 
 def _cmd_landau(cfg: dict, units: Units) -> dict:
     if cfg["k_max"] > cfg["n_max"] - 4:
-        raise UsageError(
+        raise ValueError(
             f"k_max = {cfg['k_max']} is not interior for n_max = {cfg['n_max']}; "
             f"raise n_max to at least {max(cfg['k_max'] + 4, MIN_OSCILLATOR_LEVELS)}"
         )
     if not cfg["b"] > 0.0:
-        raise UsageError("field magnitude b must be positive")
+        raise ValueError("field magnitude b must be positive")
     # the field strength lambda = hbar q b / c, in units of (m0 c)^2
     lam = cfg["q"] * cfg["b"] * units.length / units.energy
     pz = cfg["pz"] / units.momentum
@@ -106,7 +109,7 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
     tol = 1e-6
     top = float(e_plus[-1])
     if np.finfo(float).eps * top >= tol:
-        raise UsageError(
+        raise ValueError(
             f"level k = {cfg['k_max']} sits at E = {top:.3g}, where float64 cannot resolve "
             f"the {tol:g} level tolerance"
         )
@@ -115,7 +118,7 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
     spacing = units.energy * abs(lam)
     branch_gap = 2.0 * float(e_plus[0])
     if not min(spacing, branch_gap) > 2.0 * tol:
-        raise UsageError(
+        raise ValueError(
             f"levels closer than twice the {tol:g} level tolerance: ladder spacing "
             f"hbar omega_c = {spacing:.3g}, branch gap 2 E(0) = {branch_gap:.3g}"
         )
@@ -135,8 +138,6 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
     return {
         "results": {
             "omega_c": abs(lam) / units.time,
-            "pz": cfg["pz"],
-            "n_max": cfg["n_max"],
             "matrix_dimension": solved.size,
             "edge_states": solved[0].size - 2,
             "truncation_margin": cfg["n_max"] - cfg["k_max"],
@@ -167,12 +168,7 @@ def _cmd_coulomb(cfg: dict, units: Units) -> dict:
     checks = [entry(f"level_n{level}_relative_error", r, 1e-3) for level, r in zip(n, rel)]
     e_plus = units.energy * energies
     return {
-        "results": {
-            "z": cfg["z"],
-            "l": cfg["l"],
-            "grid_spacing": units.length * grid.spacing,
-            "n_points": cfg["n_points"],
-        },
+        "results": {"grid_spacing": units.length * grid.spacing},
         "checks": checks,
         # E_minus_numeric is the sign-flipped copy of E_plus_numeric, not a
         # computed level: no negative-branch operator is solved
@@ -203,11 +199,11 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
     if coupled:
         step = gap * t_max / cfg["n_samples"]
         if step >= np.pi:
-            raise UsageError(f"undersampled series: the gap frequency aliases at omega dt = {step:.6g} "
+            raise ValueError(f"undersampled series: the gap frequency aliases at omega dt = {step:.6g} "
                              f">= pi; use n_samples > {int(gap * t_max / np.pi)} or a shorter t_max")
         # the fit's own standard error judges it; a flat series places no gap
         if fit is None or error >= tol:
-            raise UsageError(f"ill-conditioned series: omega dt = {step:.3g} leaves the fit a relative "
+            raise ValueError(f"ill-conditioned series: omega dt = {step:.3g} leaves the fit a relative "
                              f"standard error of {np.inf if fit is None else error:.3g}, not below "
                              f"the {tol:g} tolerance; use fewer samples or a longer t_max")
         analytic = gap / units.time
@@ -217,14 +213,11 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
         checks = [entry("no_oscillation_expected", 0.0 if fit is None else 1.0, 0.5)]
     return {
         "results": {
-            "observable": cfg["observable"],
             "measured_omega": measured,
             "analytic_omega": analytic,
             "frequency_standard_error": error,
             "distinct_energies": [units.energy * e for e, present in
                                   ((e_minus, not upper.all()), (e_plus, upper.any())) if present],
-            "t_max": cfg["t_max"],
-            "n_samples": cfg["n_samples"],
         },
         "checks": checks,
         "table": {"t": units.time * times, "value": values},
@@ -244,10 +237,10 @@ def _sweep_momenta(count: int, pmax: float) -> np.ndarray:
 
 def _cmd_lorentz(cfg: dict, units: Units) -> dict:
     if cfg["sweep"] < 0:
-        raise UsageError("sweep must be nonnegative")
+        raise ValueError("sweep must be nonnegative")
     if cfg["sweep"] > 0:
         if not cfg["pmax"] > 0.0:
-            raise UsageError("pmax must be positive")
+            raise ValueError("pmax must be positive")
         momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"] / units.momentum)
         report = correspondence_check(momenta)
         checks = [
@@ -255,8 +248,7 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
             for j, row in enumerate(report.residual, start=1)
             for branch, residual in zip((-1, 1), row)
         ]
-        results = {"mode": "correspondence_sweep", "sweep": cfg["sweep"], "pmax": cfg["pmax"]}
-        return {"results": results, "checks": checks}
+        return {"results": {"mode": "correspondence_sweep"}, "checks": checks}
     v = np.divide(cfg["v"], units.velocity)
     e_out, p_out = lorentz_transform(
         cfg["e_prime"] / units.energy, np.divide(cfg["p_prime"], units.momentum), v)
@@ -268,14 +260,7 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
     )
     checks = [entry("roundtrip_residual", roundtrip, 1e-12)]
     return {
-        "results": {
-            "mode": "transform",
-            "e": e_out,
-            "p": [float(x) for x in p_out],
-            "e_prime": cfg["e_prime"],
-            "p_prime": list(cfg["p_prime"]),
-            "v": list(cfg["v"]),
-        },
+        "results": {"mode": "transform", "e": e_out, "p": [float(x) for x in p_out]},
         "checks": checks,
         "table": {"E": [e_out], **{f"p{axis}": [float(x)] for axis, x in zip("xyz", p_out)},
                   "roundtrip_residual": [roundtrip]},
@@ -289,11 +274,10 @@ def _cmd_reduction(cfg: dict, units: None) -> dict:
     and runs STACK_BLOCK trials at a time from their rows, and keeps only
     each entry's worst residual and the count of failed trials."""
     if cfg["trials"] < 1:
-        raise UsageError("trials must be at least 1")
+        raise ValueError("trials must be at least 1")
     if cfg["seed"] < 0:
-        raise UsageError("seed must be nonnegative")
-    trials = cfg["trials"]
-    uniforms = draw_reduction_uniforms(cfg["seed"], trials)
+        raise ValueError("seed must be nonnegative")
+    uniforms = draw_reduction_uniforms(cfg["seed"], cfg["trials"])
     offset = 0.2 if cfg["wrong_energy"] else 0.0
     worst, failed = 0.0, 0
     for block in stack_blocks(uniforms):
@@ -305,14 +289,7 @@ def _cmd_reduction(cfg: dict, units: None) -> dict:
         failed += int(np.sum(~np.logical_and.reduce([e.passed for e in chain])))
     # one check per entry: its worst trial
     checks = [entry(e.name, r, e.tolerance) for e, r in zip(chain, worst)]
-    return {
-        "results": {
-            "trials": trials,
-            "wrong_energy": cfg["wrong_energy"],
-            "failed_trials": failed,
-        },
-        "checks": checks,
-    }
+    return {"results": {"failed_trials": failed}, "checks": checks}
 
 
 _COMMANDS = {
@@ -330,8 +307,5 @@ def run(command: str, cfg: dict, units: Units | None) -> dict:
     """Run one command on its resolved config and units; return its payload."""
     # an overflow or invalid operation raises rather than printing a
     # warning and carrying inf/nan into the report
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _COMMANDS[command](cfg, units)
-    except ConvergenceError as err:
-        raise UsageError(str(err)) from err
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return _COMMANDS[command](cfg, units)

@@ -59,8 +59,12 @@ LOGDET_MAX_EIGENVALUES = 8
 _EPS = float(np.finfo(float).eps)
 
 
-class ConvergenceError(RuntimeError):
-    """Eigensolver failed or produced a decomposition outside its bounds."""
+class ConvergenceError(ValueError):
+    """An eigensolver failed, or returned a decomposition outside its bounds.
+
+    A ``ValueError``: it comes from an input the solver cannot resolve in
+    float64, so the command line rejects it like any other input.
+    """
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -134,8 +138,8 @@ def hermitian_eig(h) -> EigenDecomposition:
         Non-square input, non-finite entries, or input not Hermitian within
         1e-10 max-abs.
     ConvergenceError
-        Backend failure, or residuals ``V†V - I`` not below 1e-10 /
-        ``HV - VΛ`` not below 1e-10 max(1, max|H|).
+        A ``ValueError``: backend failure, or residuals ``V†V - I`` not
+        below 1e-10 / ``HV - VΛ`` not below 1e-10 max(1, max|H|).
 
     Each bound is checked on the maximum over the stack of one call.  A
     sweep that calls this once per block of its stack checks each block

@@ -27,7 +27,7 @@ from .clifford import (
     dirac_representation,
     entry,
 )
-from .matrix_core import EigenDecomposition, expect, hermitian_eig, matrix_dot
+from .matrix_core import ConvergenceError, EigenDecomposition, expect, hermitian_eig, matrix_dot
 
 __all__ = [
     "closed_form_energies",
@@ -84,6 +84,9 @@ def helicity_eigenstates(p, which: str = "nonrel") -> EigenDecomposition:
     helicity is undefined) is diagonalized in the subspace, so the columns
     never depend on how the backend oriented the degenerate pair.
     Broadcasts over momenta of shape (..., 3).
+
+    Raises ``hermitian_eig``'s errors, and ``ConvergenceError`` where the
+    spin labels of a pair do not quantize to -1, +1 within 1e-9.
     """
     p = _as_momenta(p)
     sol = hermitian_eig(hamiltonian(p, which))
@@ -103,7 +106,7 @@ def helicity_eigenstates(p, which: str = "nonrel") -> EigenDecomposition:
         rotated.append(block @ rot)
     labels = np.concatenate(labels, axis=-1)
     if np.any(np.abs(labels - (-1.0, 1.0, -1.0, 1.0)) > 1e-9):
-        raise RuntimeError(f"spin labels did not quantize to -1, +1 per pair: {labels!r}")
+        raise ConvergenceError(f"spin labels did not quantize to -1, +1 per pair: {labels!r}")
     spinors = np.concatenate(rotated, axis=-1)
     spinors.setflags(write=False)
     return EigenDecomposition(eigenvalues=sol.eigenvalues, eigenvectors=spinors)
@@ -139,16 +142,19 @@ def correspondence_check(p) -> CheckEntry:
 
     Both expectations come from explicit Dirac eigenstates, so the identity
     is exercised on the negative branch exactly as written, with no sign
-    adjustments.  Broadcasts over momenta (..., 3); the residual has shape
+    adjustments.  On a branch's projector Lambda, Lambda alpha Lambda =
+    (p/E) Lambda and Lambda beta Lambda = (1/E) Lambda, so every state of
+    the branch satisfies the identity and ``hermitian_eig``'s columns serve
+    as they come.  Broadcasts over momenta (..., 3); the residual has shape
     (..., 2), one value per branch (-, +), each the worse of that branch's
-    two helicity states.
+    two eigenvector columns.
     """
     p = _as_momenta(p)
-    states = helicity_eigenstates(p, which="dirac")
+    states = hermitian_eig(hamiltonian(p, "dirac"))
     b = dirac_representation()
     psi = np.swapaxes(states.eigenvectors, -1, -2)  # (..., state, component)
     v = np.stack([expect(psi, a) for a in b.alpha], axis=-1)
     rhs = np.sum(v * p[..., None, :], axis=-1) + expect(psi, b.beta)
     resid = np.abs(states.eigenvalues - rhs) / np.abs(states.eigenvalues)
-    # the states are ordered (branch, helicity), so each branch is a pair of columns
+    # the eigenvalues ascend, so columns (0, 1) are the - branch and (2, 3) the +
     return entry("correspondence", np.max(resid.reshape(*resid.shape[:-1], 2, 2), axis=-1), 1e-10)

@@ -1,7 +1,9 @@
 """End-to-end command contract: flags, config files, exit codes, output bytes."""
 
 import json
+import os
 import shlex
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negspin import __version__, commands
+from negspin import __version__, commands, spectral
 from negspin.cli import COMMAND_SCHEMA, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, unit_scales
 from negspin.clifford import dirac_representation
 from negspin.dynamics import Superposition, dominant_frequency, observable_series
@@ -563,6 +565,27 @@ def test_failed_stdout_write_names_stdout(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+FULL_DISK_ARGV = ["identities", "--format", "csv"]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("entry", [
+    ["-m", "negspin", *FULL_DISK_ARGV],
+    # as the console script calls it
+    ["-c", f"import sys; from negspin.cli import main; sys.exit(main({FULL_DISK_ARGV!r}))"],
+], ids=["module", "main"])
+def test_buffered_stdout_on_a_full_disk_exits_2_in_one_line(entry):
+    # a buffered stdout fails only when flushed; the interpreter's own flush
+    # at exit must not fail again and turn exit 2 into 120
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *entry], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_USAGE, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
 @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), MemoryError()])
 def test_failure_while_a_csv_is_written_is_one_line(monkeypatch, capsys, error):
     # the header and the first block of rows are out when the failure comes
@@ -663,7 +686,7 @@ COVARIANCE_CASES = [
     ("landau",
      [f"--q={Q!r}", "--b=1.3", "--pz=0.4", "--n-max", "30"],
      [f"--b={abs(Q * 1.3 * LENGTH / ENERGY)!r}", f"--pz={0.4 / MOMENTUM!r}", "--n-max", "30"],
-     {"omega_c": 1.0 / TIME, "pz": MOMENTUM},
+     {"omega_c": 1.0 / TIME},
      {"E_plus_analytic": ENERGY, "E_plus_numeric": ENERGY, "E_minus_analytic": ENERGY,
       "E_minus_numeric": ENERGY, "multiplicity": 1.0}),
     # 60 Bohr radii hbar^2/(m0 Z) on 6000 points
@@ -733,6 +756,22 @@ def test_params_echo_exactly_the_keys_the_command_takes(capsys, command):
     code, report = run_json(capsys, [command])
     assert code == EXIT_OK
     assert list(report["params"]) == [key for key in COMMAND_SCHEMA[command] if key != "out"]
+
+
+@pytest.mark.parametrize("argv", [[command] for command in COMMAND_SCHEMA]
+                         + [["lorentz", "--sweep", "10"]], ids=" ".join)
+def test_results_hold_only_what_the_run_computed(capsys, argv):
+    # the inputs are echoed once, in params
+    code, report = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert set(report["results"]).isdisjoint(report["params"])
+
+
+def test_spin_label_failure_is_one_error_line(monkeypatch, capsys):
+    # doubled Pauli matrices give helicities +-2, which do not quantize to +-1
+    monkeypatch.setattr(spectral, "PAULI", [2.0 * s for s in spectral.PAULI])
+    err = one_line_usage_error(capsys, ["zitter"])
+    assert err.startswith("error: spin labels did not quantize")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 and start-up stays light."""
 
 import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -85,6 +86,29 @@ def test_no_module_imports_a_private_name_of_another():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_every_raise_is_one_that_main_reports():
+    # cli.main turns exactly these three families into one error line and
+    # exit 2, so any other exception would escape it as a traceback; the
+    # import protocol alone asks __getattr__ for an AttributeError
+    families = (ValueError, ArithmeticError, MemoryError)
+    stray = []
+    for path in sorted((SRC / "negspin").glob("*.py")):
+        module = importlib.import_module(
+            "negspin" if path.stem == "__init__" else f"negspin.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        protocol = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
+                    and f.name == "__getattr__" for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(module, exc.id, None) or getattr(builtins, exc.id)
+            allowed = (AttributeError,) if id(node) in protocol else families
+            if not issubclass(cls, allowed):
+                stray.append(f"{path.name}:{node.lineno}: {exc.id}")
+    assert stray == []
 
 
 UNIT_NAMES = {"params", "m0", "c", "hbar", "q"}
