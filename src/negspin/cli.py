@@ -1,9 +1,12 @@
 """Deterministic command-line front end.
 
-Every subcommand takes exactly the keys it reads (``COMMAND_SCHEMA``), as
-flags or config-file keys, resolves a flat configuration (defaults < config
-file < flags), runs its computation (``negspin.commands``), and emits
-either a CSV table or a JSON report
+``negspin <command> [--flag value ...]`` is read against ``COMMAND_SCHEMA``
+itself: a command takes exactly the keys it reads, as flags spelt in full
+(a value after a space or "=", whatever it starts with; a switch takes
+none; a repeated flag's last value wins) or as config-file keys; -h or
+--help lists the commands or a command's flags.  The front resolves a flat
+configuration (defaults < config file < flags), runs its computation
+(``negspin.commands``), and emits either a CSV table or a JSON report
 
     {"command", "params", "results", "checks", "version"}
 
@@ -26,7 +29,6 @@ applies.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import numbers
@@ -198,59 +200,63 @@ COMMAND_SCHEMA = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a parse error as a ``ValueError``, for ``main`` to print in one line."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every subcommand, so help and unknown-command errors list them all; only
-    ``command``'s subparser gets its flags, the only ones this run can read."""
-    parser = _Parser(
-        prog="negspin",
-        description="Spin-1/2 wave-operator checks: identities, spectra, dynamics.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    help_text = {
-        "identities": "verify the anticommutation table and derived-operator identities",
-        "dispersion": "sweep |p| and tabulate eigenvalues against the closed forms",
-        "landau": "uniform-magnetic-field levels: truncated matrix vs analytic ladder",
-        "coulomb": "attractive -Z/r radial levels vs the closed-form ladder",
-        "zitter": "interference oscillation of an observable on a branch mixture",
-        "lorentz": "boost an (E, p) pair, or sweep the velocity correspondence",
-        "reduction": "two-component reduction chain on seeded random draws",
-    }
-    for name, schema in COMMAND_SCHEMA.items():
-        p = sub.add_parser(name, help=help_text[name], allow_abbrev=False)
-        if name != command:
-            continue
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="flat key=value file; flags take precedence")
-        for key, (cast, _) in schema.items():
-            flag = "--" + key.replace("_", "-")
-            if cast is _cast_bool:  # a switch: takes no value
-                p.add_argument(flag, dest=key, action="store_const", const="true", default=None)
-            else:
-                p.add_argument(flag, dest=key, default=None, metavar="VALUE")
-    return parser
+_DESCRIPTIONS = {
+    "identities": "verify the anticommutation table and derived-operator identities",
+    "dispersion": "sweep |p| and tabulate eigenvalues against the closed forms",
+    "landau": "uniform-magnetic-field levels: truncated matrix vs analytic ladder",
+    "coulomb": "attractive -Z/r radial levels vs the closed-form ladder",
+    "zitter": "interference oscillation of an observable on a branch mixture",
+    "lorentz": "boost an (E, p) pair, or sweep the velocity correspondence",
+    "reduction": "two-component reduction chain on seeded random draws",
+}
 
 
-def _join_values(argv: list[str]) -> list[str]:
-    """``--flag VALUE`` as ``--flag=VALUE`` for each flag that takes a value, so
-    a value with a leading minus (``--v -0.6,0,0``) is not read as a flag."""
-    schema = COMMAND_SCHEMA.get(argv[0]) if argv else None
-    if schema is None:
-        return argv
-    flags = {"--config", *("--" + key.replace("_", "-") for key, (cast, _) in schema.items()
-                           if cast is not _cast_bool)}
-    joined, tokens = argv[:1], iter(argv[1:])
+def _help(command: str | None) -> str:
+    """The commands, or ``command``'s flags, one a line."""
+    if command is None:
+        head, rows = "<command> [--flag value ...]\n\ncommands:", [
+            f"{name:<12}{text}" for name, text in _DESCRIPTIONS.items()]
+    else:
+        head = f"{command} [--flag value ...]\n\n{_DESCRIPTIONS[command]}\n\nflags:"
+        rows = ["--config PATH"]
+        for key, (cast, _) in COMMAND_SCHEMA[command].items():  # a switch takes no value
+            rows.append("--" + key.replace("_", "-") + ("" if cast is _cast_bool else " VALUE"))
+    return f"usage: negspin {head}\n" + "".join(f"  {row}\n" for row in rows)
+
+
+def _parse(argv: list[str]) -> tuple[str, dict[str, str]] | str:
+    """The command and its flags' raw values by schema key (``--config``'s as
+    "config"), or the help text that -h or --help asks for; tokens are read
+    in order, and the unknown ones reported together after the last."""
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    command, *tokens = argv
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command not in COMMAND_SCHEMA:
+        raise ValueError(f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, COMMAND_SCHEMA))})")
+    schema = COMMAND_SCHEMA[command]
+    keys = {"--config": "config", **{"--" + key.replace("_", "-"): key for key in schema}}
+    flags, unknown, tokens = {}, [], iter(tokens)
     for token in tokens:
-        value = next(tokens, None) if token in flags else None
-        joined.append(token if value is None else f"{token}={value}")
-    return joined
+        if token in ("-h", "--help"):
+            return _help(command)
+        flag, joined, value = token.partition("=")
+        key = keys.get(flag)
+        if key is None:
+            unknown.append(token)
+        elif key in schema and schema[key][0] is _cast_bool:  # a switch
+            if joined:
+                raise ValueError(f"argument {flag}: ignored explicit argument {value!r}")
+            flags[key] = "true"
+        else:  # the value after "=", else the next token, whatever it starts with
+            flags[key] = value if joined else next(tokens, None)
+            if flags[key] is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, flags
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -277,25 +283,20 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> tuple[dict, Units | None]:
-    """The command's config, and its unit system's scales (None if it has none)."""
-    schema = COMMAND_SCHEMA[args.command]
+def _resolve(command: str, flags: dict[str, str]) -> tuple[dict, Units | None]:
+    """The command's config (defaults < config file < flags, each value cast as
+    it is read) and its unit system's scales (None if it has none)."""
+    schema = COMMAND_SCHEMA[command]
     cfg = {key: default for key, (_, default) in schema.items()}
-    provided: set[str] = set()
-    if args.config is not None:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in schema:
-                raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
-            cfg[key] = schema[key][0](raw)
-            provided.add(key)
-    for key in schema:
-        raw = getattr(args, key)
-        if raw is not None:
-            cfg[key] = schema[key][0](raw)
-            provided.add(key)
+    config = _read_config_file(flags["config"]) if "config" in flags else {}
+    given = {key: flags[key] for key in schema if key in flags}
+    for key, raw in chain(config.items(), given.items()):
+        if key not in schema:
+            raise ValueError(f"unknown config key {key!r} for command {command!r}")
+        cfg[key] = schema[key][0](raw)
     if "units" not in cfg:
         return cfg, None
-    clash = provided.intersection(UNIT_KEYS)
+    clash = {*config, *given}.intersection(UNIT_KEYS)
     if cfg["units"] == "natural" and clash:
         raise ValueError(
             f"--units natural fixes {UNIT_KEYS}; pass --units custom to set {sorted(clash)}"
@@ -367,16 +368,18 @@ def _write_output(parts, out: str | None) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser(argv[0] if argv else None).parse_args(_join_values(argv))
-        cfg, units = _resolve(args)
+        parsed = _parse(argv)
+        if isinstance(parsed, str):  # -h or --help
+            _write_output([parsed], None)
+            return EXIT_OK
+        command, flags = parsed
+        cfg, units = _resolve(command, flags)
         # numpy loads here, once the front has accepted every flag
         from . import commands
 
-        payload = commands.run(args.command, cfg, units)
+        payload = commands.run(command, cfg, units)
         # a CSV table is formatted while it is written, which may also run out of memory
-        _write_output(_render(args.command, cfg, payload), cfg["out"])
-    except SystemExit:  # --help; the parser reports errors as ValueError
-        return EXIT_OK
+        _write_output(_render(command, cfg, payload), cfg["out"])
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import I4, PAULI, CheckEntry, dirac_representation, entry
-from .matrix_core import matrix_dot, residual_norm, tridiagonal_lowest
+from .matrix_core import hermitian_eig, matrix_dot, residual_norm, tridiagonal_lowest
 from .spectral import hamiltonian
 
 __all__ = [
@@ -67,8 +67,8 @@ _DRAW_WORDS = 2**16
 class RadialGrid:
     """Uniform Dirichlet grid: nodes r_i = i h, i = 1..n_points, h = r_max/(n_points+1)."""
 
-    r_max: float = 60.0
-    n_points: int = 6000
+    r_max: float
+    n_points: int
 
     def __post_init__(self):
         if not self.r_max > 0.0:
@@ -140,12 +140,7 @@ def landau_levels_analytic(lam: float, pz: float, k_max: int) -> np.ndarray:
     return 1.0 + abs(_landau_lambda(lam)) * np.arange(k_max + 1) + pz**2 / 2.0
 
 
-def coulomb_radial_spectrum(
-    z: float,
-    l: int,
-    grid: RadialGrid = RadialGrid(),
-    n_levels: int = 3,
-) -> np.ndarray:
+def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -> np.ndarray:
     """Lowest levels of 1 - (d^2/dr^2 - l(l+1)/r^2) / 2 - Z/r.
 
     Z is in units of hbar c and r in hbar/(m0 c), so one Bohr radius is 1/Z.
@@ -275,13 +270,14 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
               residual_norm(rearranged(e_minus), direct(e_minus)), 1e-12)
     )
 
-    eigenvalues, eigenvectors = np.linalg.eigh(h_full)
-    positive = eigenvalues[..., None, :] > 0.0
+    solved = hermitian_eig(h_full)
+    positive = solved.eigenvalues[..., None, :] > 0.0
     if not np.all(np.any(positive, axis=-1)):
         raise ValueError("the full Hamiltonian has no positive-branch eigenvector")
     entries.append(
         entry("eigenvector_satisfies_rearranged",
-              np.max(np.where(positive, np.abs(op @ eigenvectors), 0.0), axis=(-2, -1)), 1e-12)
+              np.max(np.where(positive, np.abs(op @ solved.eigenvectors), 0.0), axis=(-2, -1)),
+              1e-12)
     )
 
     _, svals, vh = np.linalg.svd(op)

@@ -155,9 +155,9 @@ def test_magnetic_ladder_matches_truncated_matrix():
 
 
 def test_radial_levels_match_closed_form_at_second_order():
-    """First three bound levels at 1e-3 on the default grid, and error ratio
-    approximately 4 under exact grid-spacing halving."""
-    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 3)
+    """First three bound levels at 1e-3 on the coulomb command's default grid,
+    and error ratio approximately 4 under exact grid-spacing halving."""
+    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 6000), 3)
     worst_rel = 0.0
     for i, e_num in enumerate(energies):
         n = i + 1

@@ -819,6 +819,42 @@ def test_missing_command_is_usage_error(capsys):
     assert "required: command" in one_line_usage_error(capsys, [])
 
 
+@pytest.mark.parametrize("command", COMMAND_SCHEMA)
+def test_command_help_lists_exactly_its_flags(capsys, command):
+    # each flag once, in schema order, after --config; -h after an unknown
+    # token still prints help, since tokens are read in order
+    flags = ["--config", *("--" + key.replace("_", "-") for key in COMMAND_SCHEMA[command])]
+    for argv in ([command, "--help"], [command, "-h"], [command, "--bogus", "--help"]):
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [token for token in captured.out.split() if token.startswith("--")] == flags
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_commands(capsys, flag):
+    assert main([flag]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.split("commands:\n")[1].splitlines()] == list(
+        COMMAND_SCHEMA)
+
+
+REPEATED_FLAGS = [
+    (["dispersion", "--steps", "3", "--steps=5"], "steps", 5),
+    (["lorentz", "--v=0.1,0,0", "--v", "-0.2,0,0"], "v", [-0.2, 0.0, 0.0]),
+    (["zitter", "--format", "csv", "--format", "json"], "format", "json"),
+    (["reduction", "--trials", "2", "--wrong-energy", "--wrong-energy"], "wrong_energy", True),
+]
+
+
+@pytest.mark.parametrize("argv,key,value", REPEATED_FLAGS,
+                         ids=[" ".join(argv) for argv, _, _ in REPEATED_FLAGS])
+def test_repeated_flag_last_value_wins(capsys, argv, key, value):
+    code, report = run_json(capsys, argv)
+    assert code == (EXIT_CHECK_FAILED if key == "wrong_energy" else EXIT_OK)
+    assert report["params"][key] == value
+
+
 def test_bad_vector_flag_rejected(capsys):
     assert main(["zitter", "--p", "1,2"]) == EXIT_USAGE
     assert main(["zitter", "--p", "a,b,c"]) == EXIT_USAGE
@@ -905,6 +941,10 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["landau", "--seed", "3"], "unrecognized arguments: --seed 3"),
     (["dispersion", "--steps"], "argument --steps: expected one argument"),
     (["reduction", "--wrong-energy", "true"], "unrecognized arguments: true"),
+    (["reduction", "--wrong-energy=x"], "argument --wrong-energy: ignored explicit argument 'x'"),
+    # a value follows its flag whatever it starts with: -h and -- included
+    (["lorentz", "--v", "-h"], "expected 3 comma-separated numbers, got '-h'"),
+    (["lorentz", "--c", "--"], "expected a number, got '--'"),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)

@@ -71,9 +71,9 @@ def test_radial_grid_spacing_and_nodes():
 
 def test_radial_grid_validation():
     with pytest.raises(ValueError):
-        RadialGrid(r_max=0.0)
+        RadialGrid(r_max=0.0, n_points=6000)
     with pytest.raises(ValueError):
-        RadialGrid(n_points=10)
+        RadialGrid(r_max=60.0, n_points=10)
 
 
 def test_landau_matrix_is_hermitian_and_sized():
@@ -227,7 +227,7 @@ def test_square_identity_per_sector_matches_dense(sign):
 
 
 def test_coulomb_ground_levels_match_closed_form():
-    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 3)
+    energies = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 6000), 3)
     assert np.all(np.diff(energies) > 0.0)
     for i, e in enumerate(energies):
         n = i + 1
@@ -238,8 +238,8 @@ def test_coulomb_ground_levels_match_closed_form():
 
 
 def test_coulomb_ground_state_frozen_value():
-    # finite differences on the default grid land within 2e-5 of 0.5
-    ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 1)[0]
+    # finite differences on the coulomb command's default grid land within 2e-5 of 0.5
+    ground = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 6000), 1)[0]
     assert abs(ground - 0.5000124952) < 1e-8
 
 
@@ -257,18 +257,18 @@ def test_coulomb_second_order_convergence():
 def test_coulomb_higher_charge_and_angular_momentum():
     ground = coulomb_radial_spectrum(2.0, 0, RadialGrid(40.0, 8000), 1)[0]
     assert abs(ground - (1.0 - 2.0)) < 2e-3
-    ground = coulomb_radial_spectrum(1.0, 1, RadialGrid(), 1)[0]
+    ground = coulomb_radial_spectrum(1.0, 1, RadialGrid(60.0, 6000), 1)[0]
     # lowest level with l = 1 is n = 2
     assert abs(ground - 0.875) < 1e-4
 
 
 def test_coulomb_validation():
     with pytest.raises(ValueError):
-        coulomb_radial_spectrum(0.0, 0, RadialGrid(), 1)
+        coulomb_radial_spectrum(0.0, 0, RadialGrid(60.0, 6000), 1)
     with pytest.raises(ValueError):
-        coulomb_radial_spectrum(1.0, -1, RadialGrid(), 1)
+        coulomb_radial_spectrum(1.0, -1, RadialGrid(60.0, 6000), 1)
     with pytest.raises(ValueError):
-        coulomb_radial_spectrum(1.0, 0, RadialGrid(), 0)
+        coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 6000), 0)
 
 
 def test_coulomb_coarse_grid_rejected_with_guidance():
@@ -308,8 +308,8 @@ def test_coulomb_levels_match_lapack_oracle(capsys, z, l, r_max, n_points, n_lev
 
 
 def test_coulomb_level_does_not_depend_on_levels_asked_for():
-    three = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 3)
-    ten = coulomb_radial_spectrum(1.0, 0, RadialGrid(), 10)
+    three = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 6000), 3)
+    ten = coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 6000), 10)
     assert np.array_equal(three, ten[:3])
 
 

@@ -15,15 +15,16 @@ MODULES = ("clifford", "matrix_core", "spectral", "fields", "dynamics")
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
 
-# Runs one start-up path in a fresh interpreter, then prints which of numpy,
-# numpy.fft, numpy.ma (which np.unique and np.median import on their first
-# call), numpy.random and scipy it loaded.
+# Runs one start-up path in a fresh interpreter, then prints which of argparse,
+# numpy, numpy.fft, numpy.ma (which np.unique and np.median import on their
+# first call), numpy.random and scipy it loaded.
 PROBE = """\
 import sys
 try:
     {body}
 finally:
-    print(sorted({{"numpy", "numpy.fft", "numpy.ma", "numpy.random", "scipy"}}.intersection(sys.modules)))
+    print(sorted({{"argparse", "numpy", "numpy.fft", "numpy.ma", "numpy.random", "scipy"}}
+                 .intersection(sys.modules)))
 """
 MAIN = "from negspin.cli import main; sys.exit(main({argv!r}))"
 
@@ -159,6 +160,7 @@ START_UP = {
     "import": ("import negspin.cli", 0, []),
     "help": ("import runpy; sys.argv = ['negspin', '--help']; "
              "runpy.run_module('negspin', run_name='__main__')", 0, []),
+    "coulomb-help": (MAIN.format(argv=["coulomb", "--help"]), 0, []),
     "non-finite": (MAIN.format(argv=["lorentz", "--v", "nan,0,0"]), 2, []),
     "unknown-config-key": (MAIN.format(argv=["dispersion", "--config", "{config}"]), 2, []),
     "non-positive-units": (MAIN.format(argv=["dispersion", "--units", "custom", "--m0", "-1"]),
@@ -166,7 +168,8 @@ START_UP = {
     # a flag the command does not take
     "identities-seed": (MAIN.format(argv=["identities", "--seed", "1"]), 2, []),
     "reduction-units": (MAIN.format(argv=["reduction", "--units", "custom", "--c", "2"]), 2, []),
-    # the controls: a computing command does load numpy, and only numpy
+    # the controls: a computing command does load numpy, and only numpy (no
+    # path loads argparse)
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
     "coulomb": (MAIN.format(argv=["coulomb"]), 0, ["numpy"]),
     "zitter": (MAIN.format(argv=["zitter", "--format", "csv"]), 0, ["numpy"]),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import csv_text
 
 from negspin import commands
-from negspin.cli import _CSV_BLOCK, COMMAND_SCHEMA, _build_parser, _csv, _render, _resolve
+from negspin.cli import _CSV_BLOCK, COMMAND_SCHEMA, _csv, _parse, _render, _resolve
 from negspin.clifford import CheckEntry
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -61,7 +61,7 @@ def test_csv_checks_table_matches_the_per_cell_rule(checks):
 @pytest.mark.parametrize("command", COMMAND_SCHEMA)
 def test_every_csv_table_holds_one_type_per_column(command):
     # the renderer takes each column's spec from its first cell
-    cfg, units = _resolve(_build_parser(command).parse_args([command, "--format", "csv"]))
+    cfg, units = _resolve(*_parse([command, "--format", "csv"]))
     payload = commands.run(command, cfg, units)
     if "table" in payload:
         columns = [list(column) for column in payload["table"].values()]

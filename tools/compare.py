@@ -2,9 +2,10 @@
 
     python tools/compare.py REV [ARGV_FILE]
 
-REV is a git revision, such as the parent of a change.  It is checked out
-into a temporary ``git worktree``; the other tree is this checkout, with
-its uncommitted edits.  Both run the same invocations:
+REV is a git revision, such as the parent of a change.  Its files are
+exported with ``git archive`` into a temporary directory, which leaves the
+repository untouched; the other tree is this checkout, with its
+uncommitted edits.  Both run the same invocations:
 
 * every slot of the benchmark workloads at seeds 1-3
   (``perfbench/workloads.py`` of this checkout, loaded read-only);
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -38,6 +40,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -182,13 +185,11 @@ def main(argv: list[str]) -> int:
     invocations = all_invocations(argv[1] if len(argv) == 2 else None)
     with tempfile.TemporaryDirectory(prefix="negspin-compare-") as tmp:
         base = Path(tmp) / "base"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(base), argv[0]], check=True)
-        try:
-            old = run_tree(base, invocations, Path(tmp) / "cwd-base")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
-                           check=False)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", argv[0]],
+                                 stdout=subprocess.PIPE, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base, filter="data")
+        old = run_tree(base, invocations, Path(tmp) / "cwd-base")
         new = run_tree(ROOT, invocations, Path(tmp) / "cwd-head")
     differ = 0
     for args, a, b in zip(invocations, old, new):
