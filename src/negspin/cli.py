@@ -21,10 +21,10 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 in one
 output), an ``ArithmeticError`` (a computation out of float64 range) or a
 ``MemoryError`` (an input too large to allocate), wherever it is raised.
 
-This module loads no numpy: flags, config files and the units check are
-answered before ``main`` imports the commands.  It also computes the
-scales of the unit system (``unit_scales``), which ``negspin.commands``
-applies.
+This module loads no numpy: flags, config files, flag ranges (checked as
+each value is cast) and the units check are answered before ``main``
+imports the commands.  It also computes the scales of the unit system
+(``unit_scales``), which ``negspin.commands`` applies.
 """
 
 from __future__ import annotations
@@ -137,6 +137,16 @@ def _cast_choice(options: tuple[str, ...]):
     return cast
 
 
+def _checked(cast, test, message: str):
+    """``cast``, rejecting with ``message`` a value outside the flag's range."""
+    def checked(s: str):
+        if not test(value := cast(s)):
+            raise ValueError(message)
+        return value
+
+    return checked
+
+
 # key -> (caster, default), in echo order: per command, the keys its ``_cmd_*``
 # reads.  The unit system is one group, on every command that scales.
 _UNITS = {
@@ -149,18 +159,19 @@ _OUTPUT = {
     "format": (_cast_choice(("csv", "json")), "json"),
     "out": (str, None),
 }
+_PMAX = (_checked(_cast_float, lambda x: x > 0.0, "pmax must be positive"), 2.0)
 
 COMMAND_SCHEMA = {
     "identities": _OUTPUT,
     "dispersion": {
         **_UNITS, **_OUTPUT,
-        "pmax": (_cast_float, 2.0),
-        "steps": (_cast_int, 50),
+        "pmax": _PMAX,
+        "steps": (_checked(_cast_int, lambda n: n >= 2, "steps must be at least 2"), 50),
         "which": (_cast_choice(("dirac", "nonrel")), "nonrel"),
     },
     "landau": {
         **_UNITS, "q": (_cast_float, -1.0), **_OUTPUT,
-        "b": (_cast_float, 1.0),
+        "b": (_checked(_cast_float, lambda x: x > 0.0, "field magnitude b must be positive"), 1.0),
         "pz": (_cast_float, 0.0),
         "n_max": (_cast_int, 40),
         "k_max": (_cast_int, 3),
@@ -189,12 +200,12 @@ COMMAND_SCHEMA = {
         "v": (_cast_vec(3), (0.0, 0.0, 0.0)),
         "e_prime": (_cast_float, 1.0),
         "p_prime": (_cast_vec(3), (0.0, 0.0, 0.0)),
-        "sweep": (_cast_int, 0),
-        "pmax": (_cast_float, 2.0),
+        "sweep": (_checked(_cast_int, lambda n: n >= 0, "sweep must be nonnegative"), 0),
+        "pmax": _PMAX,
     },
     "reduction": {
-        "seed": (_cast_int, 0), **_OUTPUT,
-        "trials": (_cast_int, 100),
+        "seed": (_checked(_cast_int, lambda n: n >= 0, "seed must be nonnegative"), 0), **_OUTPUT,
+        "trials": (_checked(_cast_int, lambda n: n >= 1, "trials must be at least 1"), 100),
         "wrong_energy": (_cast_bool, False),
     },
 }

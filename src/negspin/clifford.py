@@ -79,10 +79,7 @@ class DiracBasis:
     gamma5: np.ndarray
     gamma1_proj: np.ndarray
     gamma2_op: np.ndarray
-
-    @property
-    def i_beta_gamma5(self) -> np.ndarray:
-        return 1j * self.beta @ self.gamma5
+    i_beta_gamma5: np.ndarray
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -98,7 +95,8 @@ def dirac_representation() -> DiracBasis:
     beta = _frozen(np.kron(SIGMA_Z, I2))
     gamma_k = tuple(_frozen(-1j * beta @ a) for a in alpha)
     gamma5 = _frozen(gamma_k[0] @ gamma_k[1] @ gamma_k[2] @ beta)
-    gamma1_proj = _frozen(I4 - 1j * beta @ gamma5)
+    i_beta_gamma5 = _frozen(1j * beta @ gamma5)
+    gamma1_proj = _frozen(I4 - i_beta_gamma5)
     gamma2_op = _frozen((I4 + 1j * gamma5) @ beta)
     return DiracBasis(
         alpha=alpha,
@@ -107,6 +105,7 @@ def dirac_representation() -> DiracBasis:
         gamma5=gamma5,
         gamma1_proj=gamma1_proj,
         gamma2_op=gamma2_op,
+        i_beta_gamma5=i_beta_gamma5,
     )
 
 

@@ -2,8 +2,8 @@
 applies a unit system.
 
 ``cli.main`` imports this module, and with it numpy, only once the flags
-and config file have been cast and resolved, so an input the front
-rejects never pays for it.  The library computes in m0 = c = hbar = 1.
+and config file have been cast, range-checked and resolved, so an input
+the front rejects never pays for it.  The library computes in m0 = c = hbar = 1.
 Each ``_cmd_*`` takes the resolved config, in the user's units, and their
 scales (``cli.unit_scales``; None for ``identities`` and ``reduction``,
 which have no unit system).  It divides each input by its scale on the
@@ -11,15 +11,15 @@ way in, and multiplies results, CSV columns and what its checks compare
 by theirs on the way out.  It returns {"results", "checks"}, plus, for a
 table of its own, "table": each header name mapped to a 1-d array or list.
 "results" holds only what the run computed: ``cli`` reports its inputs
-as "params".  A rejected input raises ``ValueError``, and ``cli`` maps
-every failure to its exit code.
+as "params".  A body rejects, with ``ValueError``, only inputs that relate
+two flags or need the physics; ``cli`` maps every failure to its exit code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cli import Units
+from .cli import COMMAND_SCHEMA, Units
 from .clifford import (
     dirac_representation,
     entry,
@@ -53,10 +53,6 @@ def _cmd_identities(cfg: dict, units: None) -> dict:
 
 
 def _cmd_dispersion(cfg: dict, units: Units) -> dict:
-    if cfg["steps"] < 2:
-        raise ValueError("steps must be at least 2")
-    if not cfg["pmax"] > 0.0:
-        raise ValueError("pmax must be positive")
     which, steps = cfg["which"], cfg["steps"]
     p_mag = cfg["pmax"] * np.arange(steps) / (steps - 1)
     p_natural = p_mag / units.momentum
@@ -96,8 +92,6 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
             f"k_max = {cfg['k_max']} is not interior for n_max = {cfg['n_max']}; "
             f"raise n_max to at least {max(cfg['k_max'] + 4, MIN_OSCILLATOR_LEVELS)}"
         )
-    if not cfg["b"] > 0.0:
-        raise ValueError("field magnitude b must be positive")
     # the field strength lambda = hbar q b / c, in units of (m0 c)^2
     lam = cfg["q"] * cfg["b"] * units.length / units.energy
     pz = cfg["pz"] / units.momentum
@@ -236,17 +230,22 @@ def _sweep_momenta(count: int, pmax: float) -> np.ndarray:
 
 
 def _cmd_lorentz(cfg: dict, units: Units) -> dict:
-    if cfg["sweep"] < 0:
-        raise ValueError("sweep must be nonnegative")
-    if cfg["sweep"] > 0:
-        if not cfg["pmax"] > 0.0:
-            raise ValueError("pmax must be positive")
+    # each mode reads only its own flags: a sweep, pmax; a transform, the rest
+    sweep = cfg["sweep"] > 0
+    for key in ("v", "e_prime", "p_prime") if sweep else ("pmax",):
+        if cfg[key] != COMMAND_SCHEMA["lorentz"][key][1]:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} is read only with --sweep {'0' if sweep else '> 0'}")
+    if sweep:
         momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"] / units.momentum)
-        report = correspondence_check(momenta)
+        residual = np.empty((len(momenta), 2))
+        for block in stack_blocks(momenta):
+            report = correspondence_check(momenta[block])
+            residual[block] = report.residual
         checks = [
-            entry(f"p{j:03d}_branch{branch:+d}_correspondence", residual, report.tolerance)
-            for j, row in enumerate(report.residual, start=1)
-            for branch, residual in zip((-1, 1), row)
+            entry(f"p{j:03d}_branch{branch:+d}_correspondence", r, report.tolerance)
+            for j, row in enumerate(residual.tolist(), start=1)
+            for branch, r in zip((-1, 1), row)
         ]
         return {"results": {"mode": "correspondence_sweep"}, "checks": checks}
     v = np.divide(cfg["v"], units.velocity)
@@ -273,10 +272,6 @@ def _cmd_reduction(cfg: dict, units: None) -> dict:
     held for the whole run: each trial is independent, so the chain derives
     and runs STACK_BLOCK trials at a time from their rows, and keeps only
     each entry's worst residual and the count of failed trials."""
-    if cfg["trials"] < 1:
-        raise ValueError("trials must be at least 1")
-    if cfg["seed"] < 0:
-        raise ValueError("seed must be nonnegative")
     uniforms = draw_reduction_uniforms(cfg["seed"], cfg["trials"])
     offset = 0.2 if cfg["wrong_energy"] else 0.0
     worst, failed = 0.0, 0

@@ -17,7 +17,7 @@ from negspin.clifford import dirac_representation
 from negspin.dynamics import Superposition, dominant_frequency, observable_series
 from negspin.fields import landau_sectors
 from negspin.matrix_core import STACK_BLOCK, hermitian_eig
-from negspin.spectral import closed_form_energies, hamiltonian
+from negspin.spectral import closed_form_energies, correspondence_check, hamiltonian
 
 
 def reject_constant(token):
@@ -123,6 +123,29 @@ def test_landau_blocks_match_one_stack(monkeypatch, sectors, q):
     full, rest = divmod(sectors, STACK_BLOCK)
     assert [len(e) for e in solved] == [STACK_BLOCK] * full + ([rest] if rest else [])
     assert payload["results"]["matrix_dimension"] == 4 * sectors
+
+
+@pytest.mark.parametrize("count", [STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1,
+                                   2 * STACK_BLOCK + 1])
+def test_lorentz_sweep_blocks_match_one_stack(monkeypatch, count):
+    # one correspondence check per block of STACK_BLOCK momenta; the residuals
+    # and the tolerance equal, bit for bit, those of one check over the sweep
+    def counted(p):
+        calls.append(len(p))
+        return correspondence_check(p)
+
+    calls = []
+    monkeypatch.setattr(commands, "correspondence_check", counted)
+    units = unit_scales({"m0": 1.5, "c": 3.0, "hbar": 0.7})
+    cfg = {**{key: default for key, (_, default) in COMMAND_SCHEMA["lorentz"].items()},
+           "sweep": count, "pmax": 7.0}
+    payload = commands.run("lorentz", cfg, units)
+    whole = correspondence_check(commands._sweep_momenta(count, 7.0 / units.momentum))
+    assert np.array([c.residual for c in payload["checks"]]).tobytes() == \
+        whole.residual.ravel().tobytes()
+    assert {c.tolerance for c in payload["checks"]} == {whole.tolerance}
+    full, rest = divmod(count, STACK_BLOCK)
+    assert calls == [STACK_BLOCK] * full + ([rest] if rest else [])
 
 
 def test_dispersion_rejects_single_step(capsys):
@@ -945,6 +968,21 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     # a value follows its flag whatever it starts with: -h and -- included
     (["lorentz", "--v", "-h"], "expected 3 comma-separated numbers, got '-h'"),
     (["lorentz", "--c", "--"], "expected a number, got '--'"),
+    # a value outside its flag's range is rejected as it is cast, before the
+    # units check of the same invocation
+    (["dispersion", "--steps", "1"], "steps must be at least 2"),
+    (["dispersion", "--pmax", "0"], "pmax must be positive"),
+    (["dispersion", "--m0", "2", "--steps", "1"], "steps must be at least 2"),
+    (["lorentz", "--sweep", "-1"], "sweep must be nonnegative"),
+    (["lorentz", "--sweep", "3", "--pmax", "-1"], "pmax must be positive"),
+    (["lorentz", "--pmax", "0"], "pmax must be positive"),
+    (["reduction", "--trials", "0"], "trials must be at least 1"),
+    # each lorentz mode reads only its own flags
+    (["lorentz", "--sweep", "2", "--v", "2,0,0"], "--v is read only with --sweep 0"),
+    (["lorentz", "--sweep", "2", "--e-prime", "3"], "--e-prime is read only with --sweep 0"),
+    (["lorentz", "--sweep", "2", "--p-prime", "1,0,0"], "--p-prime is read only with --sweep 0"),
+    (["lorentz", "--pmax", "5"], "--pmax is read only with --sweep > 0"),
+    (["lorentz", "--sweep", "0", "--pmax", "5"], "--pmax is read only with --sweep > 0"),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)
@@ -966,6 +1004,29 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
     cfg.write_text("pmax=-inf\n")
     assert main(["dispersion", "--config", str(cfg)]) == EXIT_USAGE
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--steps", "7"]])
+def test_out_of_range_config_value_rejected(tmp_path, capsys, flags):
+    # a config value is cast, and its range checked, even where a flag overrides it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps=1\n")
+    err = one_line_usage_error(capsys, ["dispersion", "--config", str(cfg), *flags])
+    assert "steps must be at least 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--steps", "2"],
+    ["dispersion", "--pmax", "1e-300"],
+    ["landau", "--b", "1e-5"],
+    ["lorentz", "--sweep", "0"],
+    ["lorentz", "--sweep", "2", "--pmax", "1e-300"],
+    ["reduction", "--trials", "1"],
+    ["reduction", "--seed", "0"],
+], ids=" ".join)
+def test_range_boundary_values_run(capsys, argv):
+    code, _ = run_json(capsys, argv)
+    assert code == EXIT_OK
 
 
 def _readme_cli_examples() -> list[list[str]]:

@@ -171,3 +171,5 @@ def test_basis_matrices_are_read_only():
         b.beta[0, 0] = 9.0
     with pytest.raises(ValueError):
         b.gamma5[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        b.i_beta_gamma5[0, 0] = 9.0

@@ -168,6 +168,8 @@ START_UP = {
     # a flag the command does not take
     "identities-seed": (MAIN.format(argv=["identities", "--seed", "1"]), 2, []),
     "reduction-units": (MAIN.format(argv=["reduction", "--units", "custom", "--c", "2"]), 2, []),
+    # a value outside its flag's range
+    "reduction-trials": (MAIN.format(argv=["reduction", "--trials", "0"]), 2, []),
     # the controls: a computing command does load numpy, and only numpy (no
     # path loads argparse)
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
