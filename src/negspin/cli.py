@@ -22,8 +22,8 @@ output), an ``ArithmeticError`` (a computation out of float64 range) or a
 ``MemoryError`` (an input too large to allocate), wherever it is raised.
 
 This module loads no numpy: flags, config files, flag ranges (checked as
-each value is cast) and the units check are answered before ``main``
-imports the commands.  It also computes the scales of the unit system
+each value is cast), the lorentz mode of each flag and the units check are
+answered before ``main`` imports the commands.  It also computes the scales of the unit system
 (``unit_scales``), which ``negspin.commands`` applies.
 """
 
@@ -305,9 +305,16 @@ def _resolve(command: str, flags: dict[str, str]) -> tuple[dict, Units | None]:
         if key not in schema:
             raise ValueError(f"unknown config key {key!r} for command {command!r}")
         cfg[key] = schema[key][0](raw)
+    supplied = {*config, *given}
+    if command == "lorentz":  # each mode takes only its own flags
+        sweep = cfg["sweep"] > 0
+        for key in ("v", "e_prime", "p_prime") if sweep else ("pmax",):
+            if key in supplied:
+                raise ValueError(f"--{key.replace('_', '-')} is read only with "
+                                 f"--sweep {'0' if sweep else '> 0'}")
     if "units" not in cfg:
         return cfg, None
-    clash = {*config, *given}.intersection(UNIT_KEYS)
+    clash = supplied.intersection(UNIT_KEYS)
     if cfg["units"] == "natural" and clash:
         raise ValueError(
             f"--units natural fixes {UNIT_KEYS}; pass --units custom to set {sorted(clash)}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cli import COMMAND_SCHEMA, Units
+from .cli import Units
 from .clifford import (
     dirac_representation,
     entry,
@@ -230,13 +230,7 @@ def _sweep_momenta(count: int, pmax: float) -> np.ndarray:
 
 
 def _cmd_lorentz(cfg: dict, units: Units) -> dict:
-    # each mode reads only its own flags: a sweep, pmax; a transform, the rest
-    sweep = cfg["sweep"] > 0
-    for key in ("v", "e_prime", "p_prime") if sweep else ("pmax",):
-        if cfg[key] != COMMAND_SCHEMA["lorentz"][key][1]:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"{flag} is read only with --sweep {'0' if sweep else '> 0'}")
-    if sweep:
+    if cfg["sweep"] > 0:
         momenta = _sweep_momenta(cfg["sweep"], cfg["pmax"] / units.momentum)
         residual = np.empty((len(momenta), 2))
         for block in stack_blocks(momenta):

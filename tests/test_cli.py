@@ -983,6 +983,9 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     (["lorentz", "--sweep", "2", "--p-prime", "1,0,0"], "--p-prime is read only with --sweep 0"),
     (["lorentz", "--pmax", "5"], "--pmax is read only with --sweep > 0"),
     (["lorentz", "--sweep", "0", "--pmax", "5"], "--pmax is read only with --sweep > 0"),
+    # whatever the value: a flag at its default is still one the run never reads
+    (["lorentz", "--sweep", "5", "--v", "0,0,0"], "--v is read only with --sweep 0"),
+    (["lorentz", "--pmax", "2"], "--pmax is read only with --sweep > 0"),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)
@@ -1013,6 +1016,18 @@ def test_out_of_range_config_value_rejected(tmp_path, capsys, flags):
     cfg.write_text("steps=1\n")
     err = one_line_usage_error(capsys, ["dispersion", "--config", str(cfg), *flags])
     assert "steps must be at least 2" in err
+
+
+@pytest.mark.parametrize("text, flags, reason", [
+    ("pmax=3\n", [], "--pmax is read only with --sweep > 0"),
+    ("sweep=4\npmax=3\n", ["--sweep", "0"], "--pmax is read only with --sweep > 0"),
+    ("e_prime=2\n", ["--sweep", "4"], "--e-prime is read only with --sweep 0"),
+])
+def test_lorentz_mode_rejects_config_keys(tmp_path, capsys, text, flags, reason):
+    # a config key of the other lorentz mode is rejected as its flag is
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert reason in one_line_usage_error(capsys, ["lorentz", "--config", str(cfg), *flags])
 
 
 @pytest.mark.parametrize("argv", [

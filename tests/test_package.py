@@ -170,6 +170,8 @@ START_UP = {
     "reduction-units": (MAIN.format(argv=["reduction", "--units", "custom", "--c", "2"]), 2, []),
     # a value outside its flag's range
     "reduction-trials": (MAIN.format(argv=["reduction", "--trials", "0"]), 2, []),
+    # a lorentz flag of the mode it does not run
+    "lorentz-mode": (MAIN.format(argv=["lorentz", "--sweep", "2", "--v", "0.5,0,0"]), 2, []),
     # the controls: a computing command does load numpy, and only numpy (no
     # path loads argparse)
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
