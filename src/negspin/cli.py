@@ -12,9 +12,9 @@ configuration (defaults < config file < flags), runs its computation
 
 with the configuration less "out" as "params" and one {"name", "residual",
 "tolerance", "pass"} object per check; a command without a table of its
-own writes its checks as that CSV table.  Output carries no timestamps and
-floats are printed with 17 significant digits, so identical configurations
-produce byte-identical files.
+own writes its checks as that CSV table.  Either is written a block at a
+time, with no timestamps and with floats in 17 significant digits (CSV) or
+Python's shortest repr (JSON): identical configurations give identical bytes.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 in one
 ``error:`` line for a ``ValueError`` (a rejected input or unwritable
@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import sys
 from contextlib import suppress
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,11 +45,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 UNIT_KEYS = ("m0", "c", "hbar", "q")
-_CHECK_COLUMNS = ("name", "residual", "tolerance", "pass")
 # rows per ``%`` call of ``_csv``: enough to amortize the call, few enough
 # that a block's cells as Python objects stay in cache; 256 formats a
 # 300000 x 7 float table a quarter faster than one call over it
 _CSV_BLOCK = 256
+_JSON_BLOCK = 2**16  # encoder chunks per JSON part: ~0.4 MB, ~1300 lorentz sweep momenta
 
 
 class Units(NamedTuple):
@@ -327,18 +326,16 @@ def _csv(table: dict):
     per block of ``_CSV_BLOCK`` rows, each formatted only when it is taken.
 
     ``table`` maps each header name to a 1-d array or list of one cell type.
-    A column's ``%`` spec comes from its first cell: ``%s`` for strings,
-    ``%d`` for integers (numpy's too), else ``%.17g``, which prints a float
-    as ``format(x, ".17g")`` does.  A block's cells are taken as Python
-    numbers (``tolist``) and formatted in one ``%`` call, so only one
-    block's cells and text are ever held.
+    A column's ``%`` spec comes from its first cell: ``%.17g`` for a float,
+    which prints it as ``format(x, ".17g")`` does, else ``%s``.  A block's
+    cells are taken as Python numbers (``tolist``), which ``%s`` prints as
+    ``%d`` would, and formatted in one ``%`` call: one block is ever held.
     """
     columns = list(table.values())
     yield ",".join(table) + "\n"
     if len(columns[0]) == 0:
         return
-    line = ",".join("%s" if isinstance(cells[0], str) else "%d" if isinstance(
-        cells[0], numbers.Integral) else "%.17g" for cells in columns) + "\n"
+    line = ",".join("%.17g" if isinstance(cells[0], float) else "%s" for cells in columns) + "\n"
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         block = [cells[start:start + _CSV_BLOCK] for cells in columns]
         block = [cells.tolist() if hasattr(cells, "tolist") else cells for cells in block]
@@ -346,23 +343,24 @@ def _csv(table: dict):
 
 
 def _render(command: str, cfg: dict, payload: dict):
-    """The output as strings to write: a CSV table a block at a time, or the JSON report in one."""
-    checks = [(e.name, e.residual, e.tolerance, e.passed) for e in payload["checks"]]
+    """The output as strings to write, each made when it is taken: a CSV table (a command's
+    own, or its checks) a block of rows at a time, or the JSON report a block of chunks."""
+    checks = payload["checks"]
     if cfg["format"] == "csv":
-        if "table" in payload:
-            return _csv(payload["table"])
-        rows = [(name, residual, tolerance, "true" if passed else "false")
-                for name, residual, tolerance, passed in checks]
-        return _csv({column: [row[i] for row in rows] for i, column in enumerate(_CHECK_COLUMNS)})
+        return _csv(payload["table"] if "table" in payload else {
+            "name": [e.name for e in checks], "residual": [e.residual for e in checks],
+            "tolerance": [e.tolerance for e in checks],
+            "pass": ["true" if e.passed else "false" for e in checks]})
     report = {
         "command": command,
-        "params": {key: list(value) if isinstance(value, tuple) else value
-                   for key, value in cfg.items() if key != "out"},
+        "params": {key: value for key, value in cfg.items() if key != "out"},
         "results": payload["results"],
-        "checks": [dict(zip(_CHECK_COLUMNS, check)) for check in checks],
+        "checks": [{"name": e.name, "residual": e.residual, "tolerance": e.tolerance,
+                    "pass": e.passed} for e in checks],
         "version": __version__,
     }
-    return [json.dumps(report, indent=2, allow_nan=False) + "\n"]
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(report)
+    return chain(map("".join, iter(lambda: list(islice(chunks, _JSON_BLOCK)), [])), ["\n"])
 
 
 def _write_output(parts, out: str | None) -> None:
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
         from . import commands
 
         payload = commands.run(command, cfg, units)
-        # a CSV table is formatted while it is written, which may also run out of memory
+        # a report is formatted while it is written, which may also run out of memory
         _write_output(_render(command, cfg, payload), cfg["out"])
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -68,14 +68,10 @@ def entry(name: str, residual, tolerance: float) -> CheckEntry:
 
 @dataclass(frozen=True, eq=False)
 class DiracBasis:
-    """The 4x4 matrices of the block convention, plus derived operators.
-
-    ``gamma`` is ordered (gamma0, gamma1, gamma2, gamma3).
-    """
+    """The 4x4 matrices of the block convention, plus derived operators."""
 
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
     beta: np.ndarray
-    gamma: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     gamma5: np.ndarray
     gamma1_proj: np.ndarray
     gamma2_op: np.ndarray
@@ -101,7 +97,6 @@ def dirac_representation() -> DiracBasis:
     return DiracBasis(
         alpha=alpha,
         beta=beta,
-        gamma=(beta, *gamma_k),
         gamma5=gamma5,
         gamma1_proj=gamma1_proj,
         gamma2_op=gamma2_op,

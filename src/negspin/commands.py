@@ -21,6 +21,7 @@ import numpy as np
 
 from .cli import Units
 from .clifford import (
+    CheckEntry,
     dirac_representation,
     entry,
     verify_clifford_identities,
@@ -176,7 +177,7 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
     observable = dict(zip(("alpha1", "alpha2", "alpha3", "beta", "ibgamma5"),
                           (*basis.alpha, basis.beta, basis.i_beta_gamma5)))[cfg["observable"]]
     p = np.divide(cfg["p"], units.momentum)
-    sup = Superposition.from_weights(p, cfg["weights"], which="nonrel")
+    sup = Superposition.from_weights(p, cfg["weights"])
     # a component's branch is the sign of its energy; the parts u_- and u_+ of
     # the state on the two branches interfere at the gap E_plus - E_minus with
     # amplitude 2 |<u_-|O|u_+>|, so a mixture the observable does not couple has no gap
@@ -237,7 +238,7 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
             report = correspondence_check(momenta[block])
             residual[block] = report.residual
         checks = [
-            entry(f"p{j:03d}_branch{branch:+d}_correspondence", r, report.tolerance)
+            CheckEntry(f"p{j:03d}_branch{branch:+d}_correspondence", r, report.tolerance)
             for j, row in enumerate(residual.tolist(), start=1)
             for branch, r in zip((-1, 1), row)
         ]

@@ -50,9 +50,9 @@ class Superposition:
             raise ValueError(f"superposition norm is {total!r}, expected 1")
 
     @classmethod
-    def from_weights(cls, p, weights, which: str = "nonrel") -> "Superposition":
-        """Weights index the four columns of ``helicity_eigenstates``, ordered
-        by (branch, helicity)."""
+    def from_weights(cls, p, weights) -> "Superposition":
+        """Weights index the four columns of the nonrel ``helicity_eigenstates``,
+        ordered by (branch, helicity)."""
         if np.shape(p) != (3,):
             raise ValueError(f"a superposition has one momentum 3-vector, got shape {np.shape(p)}")
         w = np.ascontiguousarray(weights, dtype=np.complex128)
@@ -66,7 +66,7 @@ class Superposition:
         _, exponent = np.frexp(np.max(np.abs(w)))
         w = np.ldexp(w.view(float), -exponent).view(np.complex128)
         scale = np.linalg.norm(w)
-        states = helicity_eigenstates(p, which)
+        states = helicity_eigenstates(p, "nonrel")
         return cls(
             coefficients=w[kept] / scale,
             energies=states.eigenvalues[kept],

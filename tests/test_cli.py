@@ -509,6 +509,25 @@ def test_dispersion_holds_only_its_columns(capsys, tmp_path, fmt):
     assert peak < 96 * steps + 1e6
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_lorentz_sweep_holds_only_its_checks(capsys, tmp_path, fmt):
+    # 20000 momenta hold their residuals and 40000 check entries, about
+    # 950 B a momentum in JSON (with the report's check objects) and 530 B
+    # in CSV; the report's text is encoded and written a block at a time,
+    # where a JSON report encoded whole held 2800 B a momentum
+    sweep, out = 20000, tmp_path / "report"
+    main(["lorentz", "--sweep", "10", "--format", fmt, "--out", str(out)])  # imports outside
+    tracemalloc.start()
+    try:
+        argv = ["lorentz", "--sweep", str(sweep), "--format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1500 * sweep + 1e6
+
+
 def test_landau_holds_only_its_eigenvalues(capsys):
     # 20000 sectors hold their momenta, their eigenvalues and the sorted
     # levels, 120 bytes a sector; the sectors are solved in fixed blocks

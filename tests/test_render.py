@@ -1,6 +1,9 @@
 """The CSV renderer formats a table of columns with one ``%`` spec per column,
 a block of rows at a time; it must write the bytes the per-cell rule
-(``oracles.csv_text``) writes."""
+(``oracles.csv_text``) writes.  A JSON report is written a block of encoder
+chunks at a time; it must write the bytes ``json.dumps`` writes."""
+
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import csv_text
 
 from negspin import commands
-from negspin.cli import _CSV_BLOCK, COMMAND_SCHEMA, _csv, _parse, _render, _resolve
+from negspin.cli import _CSV_BLOCK, COMMAND_SCHEMA, _csv, _parse, _render, _resolve, main
 from negspin.clifford import CheckEntry
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -107,3 +110,23 @@ def test_csv_formats_a_list_of_mixed_rows_block_by_block():
              "i64": np.array([row[2] for row in rows]), "f": np.array([row[3] for row in rows]),
              "f64": np.array([row[4] for row in rows])}
     assert "".join(_csv(table)) == csv_text([header, *rows])
+
+
+def test_json_report_is_written_in_parts(capsys, tmp_path):
+    # 8000 checks span several blocks of encoder chunks; joined, the parts
+    # are the one indented dump of the report, on stdout and in a file alike
+    argv = ["lorentz", "--sweep", "4000", "--format", "json"]
+    cfg, units = _resolve(*_parse(argv))
+    payload = commands.run("lorentz", cfg, units)
+    parts = list(_render("lorentz", cfg, payload))
+    assert len(parts) > 2
+    text = "".join(parts)
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, allow_nan=False) + "\n"
+    assert [c["name"] for c in report["checks"]] == [e.name for e in payload["checks"]]
+    assert [c["residual"] for c in report["checks"]] == [e.residual for e in payload["checks"]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == text
