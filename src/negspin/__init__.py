@@ -13,6 +13,11 @@ import importlib
 
 __version__ = "0.1.0"
 
+# Smallest Landau truncation at which even the k = 0 level is trustworthy:
+# ``fields`` enforces it and the front's truncation hint quotes it, so it
+# lives where both reach it without loading numpy.
+MIN_OSCILLATOR_LEVELS = 8
+
 # exported name -> the submodule that defines it
 _EXPORTS = {
     "CheckEntry": "clifford",

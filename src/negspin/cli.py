@@ -22,9 +22,10 @@ output), an ``ArithmeticError`` (a computation out of float64 range) or a
 ``MemoryError`` (an input too large to allocate), wherever it is raised.
 
 This module loads no numpy: flags, config files, flag ranges (checked as
-each value is cast), the lorentz mode of each flag and the units check are
-answered before ``main`` imports the commands.  It also computes the scales of the unit system
-(``unit_scales``), which ``negspin.commands`` applies.
+each value is cast), the lorentz mode of each flag, the units check and
+landau's truncation (``--k-max`` interior for ``--n-max``) are answered
+before ``main`` imports the commands.  It also computes the scales of the
+unit system (``unit_scales``), which ``negspin.commands`` applies.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
-from . import __version__
+from . import MIN_OSCILLATOR_LEVELS, __version__
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -318,7 +319,13 @@ def _resolve(command: str, flags: dict[str, str]) -> tuple[dict, Units | None]:
         raise ValueError(
             f"--units natural fixes {UNIT_KEYS}; pass --units custom to set {sorted(clash)}"
         )
-    return cfg, unit_scales(cfg)
+    units = unit_scales(cfg)
+    if command == "landau" and cfg["k_max"] > cfg["n_max"] - 4:  # the top four border the cut
+        raise ValueError(
+            f"k_max = {cfg['k_max']} is not interior for n_max = {cfg['n_max']}; "
+            f"raise n_max to at least {max(cfg['k_max'] + 4, MIN_OSCILLATOR_LEVELS)}"
+        )
+    return cfg, units
 
 
 def _csv(table: dict):

@@ -11,8 +11,10 @@ way in, and multiplies results, CSV columns and what its checks compare
 by theirs on the way out.  It returns {"results", "checks"}, plus, for a
 table of its own, "table": each header name mapped to a 1-d array or list.
 "results" holds only what the run computed: ``cli`` reports its inputs
-as "params".  A body rejects, with ``ValueError``, only inputs that relate
-two flags or need the physics; ``cli`` maps every failure to its exit code.
+as "params".  A body rejects, with ``ValueError``, only inputs that take
+the physics to judge (a level spacing, a grid, a sampling rate): ``cli``
+answers every rule on the flags alone, those relating two flags included,
+and maps every failure to its exit code.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .clifford import (
 )
 from .dynamics import CONSTANT_AMPLITUDE_TOL, Superposition, dominant_frequency, observable_series
 from .fields import (
-    MIN_OSCILLATOR_LEVELS,
     RadialGrid,
     coulomb_radial_spectrum,
     draw_reduction_uniforms,
@@ -88,11 +89,6 @@ def _count_within(ascending: np.ndarray, targets: np.ndarray, tol: float) -> np.
 
 
 def _cmd_landau(cfg: dict, units: Units) -> dict:
-    if cfg["k_max"] > cfg["n_max"] - 4:
-        raise ValueError(
-            f"k_max = {cfg['k_max']} is not interior for n_max = {cfg['n_max']}; "
-            f"raise n_max to at least {max(cfg['k_max'] + 4, MIN_OSCILLATOR_LEVELS)}"
-        )
     # the field strength lambda = hbar q b / c, in units of (m0 c)^2
     lam = cfg["q"] * cfg["b"] * units.length / units.energy
     pz = cfg["pz"] / units.momentum

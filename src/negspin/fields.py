@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MIN_OSCILLATOR_LEVELS
 from .clifford import I4, PAULI, CheckEntry, dirac_representation, entry
 from .matrix_core import hermitian_eig, matrix_dot, residual_norm, tridiagonal_lowest
 from .spectral import hamiltonian
@@ -51,8 +52,6 @@ __all__ = [
     "reduction_trials",
 ]
 
-# Smallest truncation at which even the k = 0 level is trustworthy.
-MIN_OSCILLATOR_LEVELS = 8
 # Largest truncation accepted; a cold landau run at this size peaks near 45 MB.
 MAX_OSCILLATOR_LEVELS = 10**5
 # Empirical accuracy guard for the radial grid: the spacing in Bohr radii,

@@ -3,6 +3,7 @@ and start-up stays light."""
 
 import ast
 import builtins
+import gc
 import importlib
 import os
 import subprocess
@@ -10,6 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from negspin import __main__ as entry
+from negspin.cli import EXIT_CHECK_FAILED, main
 
 MODULES = ("clifford", "matrix_core", "spectral", "fields", "dynamics")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -172,6 +176,8 @@ START_UP = {
     "reduction-trials": (MAIN.format(argv=["reduction", "--trials", "0"]), 2, []),
     # a lorentz flag of the mode it does not run
     "lorentz-mode": (MAIN.format(argv=["lorentz", "--sweep", "2", "--v", "0.5,0,0"]), 2, []),
+    # a landau level too close to the truncation for its --n-max
+    "landau-kmax": (MAIN.format(argv=["landau", "--n-max", "40", "--k-max", "40"]), 2, []),
     # the controls: a computing command does load numpy, and only numpy (no
     # path loads argparse)
     "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
@@ -193,3 +199,80 @@ def test_start_up_loads_numpy_only_to_compute(tmp_path, case):
     )
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_the_process_entry_freezes_the_collector_at_exit():
+    # run_module raises the entry's SystemExit, so the finally block sees the
+    # collector as the interpreter's teardown will
+    probe = ("import gc, runpy, sys\n"
+             "sys.argv = ['negspin', 'identities']\n"
+             "try:\n"
+             "    runpy.run_module('negspin', run_name='__main__')\n"
+             "finally:\n"
+             "    print(gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
+
+
+def test_only_the_process_entry_freezes(monkeypatch, capsys):
+    # cli.main runs many times in one test or tool process, where a freeze
+    # would pin every live object; entry.run, once per process, freezes once
+    count = gc.get_freeze_count()
+    argv = ["reduction", "--trials", "1", "--wrong-energy"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert gc.get_freeze_count() == count
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(gc.get_freeze_count()))
+    monkeypatch.setattr(sys, "argv", ["negspin", *argv])
+    with pytest.raises(SystemExit) as stop:
+        entry.run()
+    capsys.readouterr()
+    assert stop.value.code == EXIT_CHECK_FAILED
+    assert frozen == [count]
+
+
+# what `python -m negspin` must print exactly as cli.main does: a JSON pass, a
+# CSV table, a failed check, a rejection before numpy and one after it, and a
+# report written to --out
+SAME_BYTES = {
+    "json": ["lorentz", "--v", "0.6,0,0"],
+    "csv": ["dispersion", "--steps", "5", "--format", "csv"],
+    "check-failed": ["reduction", "--trials", "1", "--wrong-energy"],
+    "rejected-before-numpy": ["landau", "--n-max", "40", "--k-max", "40"],
+    "rejected-after-numpy": ["coulomb", "--n-points", "100"],
+    "out-file": ["landau", "--format", "csv", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", SAME_BYTES)
+def test_module_run_prints_what_main_prints(tmp_path, capsys, case):
+    outputs = {}
+    for path in ("main", "module"):
+        out = tmp_path / f"{path}.out"
+        argv = [arg.replace("{out}", str(out)) for arg in SAME_BYTES[case]]
+        if path == "main":
+            code = main(argv)
+            captured = capsys.readouterr()
+            stdout, stderr = captured.out.encode(), captured.err.encode()
+        else:
+            proc = subprocess.run([sys.executable, "-m", "negspin", *argv], capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": str(SRC)})
+            code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+        outputs[path] = (code, stdout, stderr, out.read_bytes() if out.exists() else None)
+    assert outputs["module"] == outputs["main"]
+    assert (outputs["main"][3] is not None) == (case == "out-file")
+
+
+def test_console_script_runs_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["negspin"]
+    # the call under `if __name__ == "__main__":` in negspin/__main__.py
+    tree = ast.parse((SRC / "negspin" / "__main__.py").read_text(encoding="utf-8"))
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = [node.value.func.id for node in guard.body
+              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    assert [f"negspin.__main__:{name}" for name in called] == [target]
