@@ -12,9 +12,13 @@ configuration (defaults < config file < flags), runs its computation
 
 with the configuration less "out" as "params" and one {"name", "residual",
 "tolerance", "pass"} object per check; a command without a table of its
-own writes its checks as that CSV table.  Either is written a block at a
-time, with no timestamps and with floats in 17 significant digits (CSV) or
-Python's shortest repr (JSON): identical configurations give identical bytes.
+own writes its checks as that CSV table.  The checks, a family of them
+(a ``CheckEntry`` with a tuple of names) one per name, are laid out once
+as the four columns of that table, which the JSON report and the exit code
+read too.  A table and the check list are written ``_CSV_BLOCK`` rows at a
+time by one writer (``_blocks``), with no timestamps and with floats in 17
+significant digits (CSV) or Python's shortest repr (JSON): identical
+configurations give identical bytes.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 in one
 ``error:`` line for a ``ValueError`` (a rejected input or unwritable
@@ -35,7 +39,8 @@ import math
 import os
 import sys
 from contextlib import suppress
-from itertools import chain, islice
+from itertools import chain, filterfalse
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,11 +51,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 UNIT_KEYS = ("m0", "c", "hbar", "q")
-# rows per ``%`` call of ``_csv``: enough to amortize the call, few enough
+# rows per ``%`` call of ``_blocks``: enough to amortize the call, few enough
 # that a block's cells as Python objects stay in cache; 256 formats a
 # 300000 x 7 float table a quarter faster than one call over it
 _CSV_BLOCK = 256
-_JSON_BLOCK = 2**16  # encoder chunks per JSON part: ~0.4 MB, ~1300 lorentz sweep momenta
+# one check of the JSON report as ``json.dumps(indent=2)`` lays it out in the
+# "checks" list, led by the comma that parts it from the check before
+_JSON_CHECK = (',\n    {\n      "name": %s,\n      "residual": %r,\n      "tolerance": %r,'
+               '\n      "pass": %s\n    }')
 
 
 class Units(NamedTuple):
@@ -328,46 +336,78 @@ def _resolve(command: str, flags: dict[str, str]) -> tuple[dict, Units | None]:
     return cfg, units
 
 
-def _csv(table: dict):
-    """The CSV text of a table of columns: the header line, then one string
-    per block of ``_CSV_BLOCK`` rows, each formatted only when it is taken.
+def _check_columns(checks: list) -> dict:
+    """The checks as the four columns of the check table: a family (a tuple of
+    names) one row per name, any other check one row, and "pass" "true" or
+    "false" as the report prints it."""
+    columns = {"name": [], "residual": [], "tolerance": [], "pass": []}
+    for e in checks:
+        family = isinstance(e.name, tuple)  # its residual and flags: one element per name
+        columns["name"] += e.name if family else [e.name]
+        columns["residual"] += e.residual.ravel().tolist() if family else [e.residual]
+        columns["tolerance"] += [e.tolerance] * (len(e.name) if family else 1)
+        columns["pass"] += ["true" if flag else "false"
+                            for flag in (e.passed.ravel().tolist() if family else [e.passed])]
+    return columns
 
-    ``table`` maps each header name to a 1-d array or list of one cell type.
-    A column's ``%`` spec comes from its first cell: ``%.17g`` for a float,
-    which prints it as ``format(x, ".17g")`` does, else ``%s``.  A block's
-    cells are taken as Python numbers (``tolist``), which ``%s`` prints as
-    ``%d`` would, and formatted in one ``%`` call: one block is ever held.
+
+def _blocks(line: str, columns: list, first=None):
+    """``line`` filled with each row of ``columns`` (1-d arrays or lists of one
+    length), one string per block of ``_CSV_BLOCK`` rows, each formatted only
+    when it is taken.
+
+    A block's cells are taken as Python numbers (``tolist``), which ``%s``
+    prints as ``%d`` would, those of the first column through ``first`` if it
+    is given, and formatted in one ``%`` call: one block is ever held.
     """
-    columns = list(table.values())
-    yield ",".join(table) + "\n"
-    if len(columns[0]) == 0:
-        return
-    line = ",".join("%.17g" if isinstance(cells[0], float) else "%s" for cells in columns) + "\n"
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         block = [cells[start:start + _CSV_BLOCK] for cells in columns]
         block = [cells.tolist() if hasattr(cells, "tolist") else cells for cells in block]
+        if first:
+            block[0] = [*map(first, block[0])]
         yield line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _render(command: str, cfg: dict, payload: dict):
-    """The output as strings to write, each made when it is taken: a CSV table (a command's
-    own, or its checks) a block of rows at a time, or the JSON report a block of chunks."""
-    checks = payload["checks"]
+def _render(command: str, cfg: dict, payload: dict, checks: dict):
+    """The output as strings to write: a CSV table, or the JSON report, its
+    rows formatted a block of ``_CSV_BLOCK`` at a time (``_blocks``).
+
+    The CSV table is the command's own, or else the check table ``checks``;
+    it maps each header name to a 1-d array or list of one cell type.  A
+    column's ``%`` spec comes from its first cell: ``%.17g`` for a float,
+    which prints it as ``format(x, ".17g")`` does, else ``%s``.
+
+    The JSON report is the text ``json.dumps(report, indent=2,
+    allow_nan=False)`` writes: its head and tail come from it, and each check
+    fills ``_JSON_CHECK``, its name encoded as ``json`` encodes a string and
+    its floats as ``float.__repr__`` prints them.  A non-finite float raises
+    the encoder's ``ValueError``, the first in the report's order, before
+    anything is written.
+    """
     if cfg["format"] == "csv":
-        return _csv(payload["table"] if "table" in payload else {
-            "name": [e.name for e in checks], "residual": [e.residual for e in checks],
-            "tolerance": [e.tolerance for e in checks],
-            "pass": ["true" if e.passed else "false" for e in checks]})
+        table = payload.get("table", checks)
+        line = ",".join("%.17g" if isinstance(next(iter(cells), None), float) else "%s"
+                        for cells in table.values()) + "\n"
+        return chain([",".join(table) + "\n"], _blocks(line, list(table.values())))
     report = {
         "command": command,
         "params": {key: value for key, value in cfg.items() if key != "out"},
         "results": payload["results"],
-        "checks": [{"name": e.name, "residual": e.residual, "tolerance": e.tolerance,
-                    "pass": e.passed} for e in checks],
+        "checks": [],
         "version": __version__,
     }
-    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(report)
-    return chain(map("".join, iter(lambda: list(islice(chunks, _JSON_BLOCK)), [])), ["\n"])
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    if not checks["name"]:
+        return [text]
+    floats = chain.from_iterable(zip(checks["residual"], checks["tolerance"]))
+    bad = next(filterfalse(math.isfinite, floats), None)
+    if bad is not None:
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    # a string holds no raw newline, so only the top-level key follows one and two spaces
+    head, key, tail = text.partition('\n  "checks": [')
+    rows = _blocks(_JSON_CHECK, list(checks.values()), encode_basestring_ascii)
+    # the first check takes no comma
+    return chain([head + key, next(rows)[1:]], rows, ["\n  " + tail])
 
 
 def _write_output(parts, out: str | None) -> None:
@@ -401,8 +441,9 @@ def main(argv=None) -> int:
         from . import commands
 
         payload = commands.run(command, cfg, units)
+        checks = _check_columns(payload["checks"])
         # a report is formatted while it is written, which may also run out of memory
-        _write_output(_render(command, cfg, payload), cfg["out"])
+        _write_output(_render(command, cfg, payload, checks), cfg["out"])
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -413,6 +454,4 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"error: input too large to allocate ({err})", file=sys.stderr)
         return EXIT_USAGE
-    if all(check.passed for check in payload["checks"]):
-        return EXIT_OK
-    return EXIT_CHECK_FAILED
+    return EXIT_CHECK_FAILED if "false" in checks["pass"] else EXIT_OK

@@ -50,9 +50,12 @@ class CheckEntry:
     """One named residual check; ``passed`` is residual <= tolerance, derived,
     so a NaN residual fails.  On stacked inputs the residual is an array of
     the stack's shape and ``passed`` one flag per entry, else a float and a
-    bool.  ``negspin.cli`` alone renders a check."""
+    bool.  A family of checks under one tolerance, such as one per level, is
+    one entry whose name is a tuple: one name per element of the raveled
+    residual, each a check of its own in the report.  ``negspin.cli`` alone
+    renders a check."""
 
-    name: str
+    name: str | tuple[str, ...]
     residual: float | np.ndarray
     tolerance: float
 
@@ -61,7 +64,7 @@ class CheckEntry:
         return self.residual <= self.tolerance
 
 
-def entry(name: str, residual, tolerance: float) -> CheckEntry:
+def entry(name: str | tuple[str, ...], residual, tolerance: float) -> CheckEntry:
     residual = np.asarray(residual, dtype=float)
     return CheckEntry(name, float(residual) if residual.ndim == 0 else residual, float(tolerance))
 

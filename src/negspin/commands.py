@@ -10,6 +10,10 @@ which have no unit system).  It divides each input by its scale on the
 way in, and multiplies results, CSV columns and what its checks compare
 by theirs on the way out.  It returns {"results", "checks"}, plus, for a
 table of its own, "table": each header name mapped to a 1-d array or list.
+"checks" is a list of ``CheckEntry``: a scalar check, or a family of them
+under one tolerance (one per level, or per sweep momentum and branch) as
+one entry with a tuple of names over its residual array, which ``cli``
+lays out as one check per name.
 "results" holds only what the run computed: ``cli`` reports its inputs
 as "params".  A body rejects, with ``ValueError``, only inputs that take
 the physics to judge (a level spacing, a grid, a sampling rate): ``cli``
@@ -23,7 +27,6 @@ import numpy as np
 
 from .cli import Units
 from .clifford import (
-    CheckEntry,
     dirac_representation,
     entry,
     verify_clifford_identities,
@@ -121,11 +124,12 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
     eigenvalues = units.energy * np.sort(np.concatenate([solved[0, [0, -1]], solved[1:].ravel()]))
     near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
     resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
-    checks = []
-    for level, r_plus, r_minus in zip(k, resid_plus, resid_minus):
-        checks.append(entry(f"level_k{level}_plus_residual", r_plus, tol))
-        checks.append(entry(f"level_k{level}_minus_residual", r_minus, tol))
-    checks.append(entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8))
+    checks = [
+        entry(tuple(f"level_k{level}_{branch}_residual" for level in k.tolist()
+                    for branch in ("plus", "minus")),
+              np.stack([resid_plus, resid_minus], axis=-1), tol),
+        entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8),
+    ]
     return {
         "results": {
             "omega_c": abs(lam) / units.time,
@@ -156,7 +160,7 @@ def _cmd_coulomb(cfg: dict, units: Units) -> dict:
     e_closed = 1.0 - binding
     # a relative error: the same number in every unit system
     rel = np.abs(energies - e_closed) / np.maximum(np.abs(e_closed), binding)
-    checks = [entry(f"level_n{level}_relative_error", r, 1e-3) for level, r in zip(n, rel)]
+    checks = [entry(tuple(f"level_n{level}_relative_error" for level in n), rel, 1e-3)]
     e_plus = units.energy * energies
     return {
         "results": {"grid_spacing": units.length * grid.spacing},
@@ -233,12 +237,10 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
         for block in stack_blocks(momenta):
             report = correspondence_check(momenta[block])
             residual[block] = report.residual
-        checks = [
-            CheckEntry(f"p{j:03d}_branch{branch:+d}_correspondence", r, report.tolerance)
-            for j, row in enumerate(residual.tolist(), start=1)
-            for branch, r in zip((-1, 1), row)
-        ]
-        return {"results": {"mode": "correspondence_sweep"}, "checks": checks}
+        names = tuple(f"p{j:03d}_branch{branch:+d}_correspondence"
+                      for j in range(1, len(momenta) + 1) for branch in (-1, 1))
+        return {"results": {"mode": "correspondence_sweep"},
+                "checks": [entry(names, residual, report.tolerance)]}
     v = np.divide(cfg["v"], units.velocity)
     e_out, p_out = lorentz_transform(
         cfg["e_prime"] / units.energy, np.divide(cfg["p_prime"], units.momentum), v)

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from negspin import __version__, commands, spectral
-from negspin.cli import COMMAND_SCHEMA, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, unit_scales
+from negspin.cli import (
+    COMMAND_SCHEMA,
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    _check_columns,
+    main,
+    unit_scales,
+)
 from negspin.clifford import dirac_representation
 from negspin.dynamics import Superposition, dominant_frequency, observable_series
 from negspin.fields import landau_sectors
@@ -128,8 +136,8 @@ def test_landau_blocks_match_one_stack(monkeypatch, sectors, q):
 @pytest.mark.parametrize("count", [STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1,
                                    2 * STACK_BLOCK + 1])
 def test_lorentz_sweep_blocks_match_one_stack(monkeypatch, count):
-    # one correspondence check per block of STACK_BLOCK momenta; the residuals
-    # and the tolerance equal, bit for bit, those of one check over the sweep
+    # one correspondence check per block of STACK_BLOCK momenta; the checks,
+    # one family, equal bit for bit those of one check over the sweep
     def counted(p):
         calls.append(len(p))
         return correspondence_check(p)
@@ -141,9 +149,12 @@ def test_lorentz_sweep_blocks_match_one_stack(monkeypatch, count):
            "sweep": count, "pmax": 7.0}
     payload = commands.run("lorentz", cfg, units)
     whole = correspondence_check(commands._sweep_momenta(count, 7.0 / units.momentum))
-    assert np.array([c.residual for c in payload["checks"]]).tobytes() == \
-        whole.residual.ravel().tobytes()
-    assert {c.tolerance for c in payload["checks"]} == {whole.tolerance}
+    checks = _check_columns(payload["checks"])
+    assert np.array(checks["residual"]).tobytes() == whole.residual.ravel().tobytes()
+    assert set(checks["tolerance"]) == {whole.tolerance}
+    assert checks["name"][:3] == ["p001_branch-1_correspondence", "p001_branch+1_correspondence",
+                                  "p002_branch-1_correspondence"]
+    assert len(checks["name"]) == 2 * count
     full, rest = divmod(count, STACK_BLOCK)
     assert calls == [STACK_BLOCK] * full + ([rest] if rest else [])
 

@@ -1,9 +1,14 @@
-"""The CSV renderer formats a table of columns with one ``%`` spec per column,
-a block of rows at a time; it must write the bytes the per-cell rule
-(``oracles.csv_text``) writes.  A JSON report is written a block of encoder
-chunks at a time; it must write the bytes ``json.dumps`` writes."""
+"""The renderer formats a table of columns with one ``%`` line per row, a
+block of rows at a time.  A CSV table (a command's own, or its checks) must
+write the bytes the per-cell rule (``oracles.csv_text``) writes, and a JSON
+report the bytes ``json.dumps(indent=2)`` writes; the exit code follows the
+"pass" column either prints."""
 
+import contextlib
+import io
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +19,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_text
 
-from negspin import commands
-from negspin.cli import _CSV_BLOCK, COMMAND_SCHEMA, _csv, _parse, _render, _resolve, main
-from negspin.clifford import CheckEntry
+from negspin import __version__, commands
+from negspin.cli import (
+    _CSV_BLOCK,
+    COMMAND_SCHEMA,
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    _check_columns,
+    _parse,
+    _render,
+    _resolve,
+    main,
+)
+from negspin.clifford import CheckEntry, entry
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                1.7976931348623157e308, float("inf"), float("-inf"), float("nan"))
 FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([x for x in EDGE_FLOATS if math.isfinite(x)]))
+# family sizes on each side of a block boundary, and across several blocks
+FAMILY_SIZES = st.sampled_from([0, 1, 2, 3, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                2 * _CSV_BLOCK + 3])
 # one strategy per column type a table may hold
 COLUMNS = {
     "float": FLOATS,
@@ -29,6 +50,11 @@ COLUMNS = {
     "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
     "str": st.text(),
 }
+
+
+def csv_table(table: dict) -> list:
+    """The parts ``_render`` writes for a CSV table of columns."""
+    return list(_render("x", {"format": "csv"}, {"table": table}, _check_columns([])))
 
 
 def columns_of(header, rows) -> dict:
@@ -44,43 +70,134 @@ def tables(draw):
     return header, rows
 
 
+@st.composite
+def check_lists(draw, floats):
+    """Scalar checks and families (a name per residual, a 1-d or 2-d array),
+    with each check as the report lays it out: name, residual, tolerance, pass."""
+    entries, rows = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        tolerance = draw(floats)
+        if draw(st.booleans()):
+            entries.append(CheckEntry(draw(st.text()), draw(floats), tolerance))
+            rows.append((entries[-1].name, entries[-1].residual, tolerance))
+            continue
+        stem, size, width = draw(st.text()), draw(FAMILY_SIZES), draw(st.sampled_from([1, 2]))
+        names = tuple(f"{stem}{i}" for i in range(size))
+        residual = np.resize(draw(st.lists(floats, min_size=1, max_size=5)), size)
+        entries.append(CheckEntry(names, residual.reshape(-1, width) if size % width == 0
+                                  else residual, tolerance))
+        rows += [(name, r, tolerance) for name, r in zip(names, residual.tolist())]
+    return entries, [(name, r, t, r <= t) for name, r, t in rows]
+
+
+def run_main(argv, payload) -> tuple[int, str, str]:
+    """``main(argv)`` with ``payload`` as the command's result: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(commands, "run", return_value=payload), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(table=tables())
 def test_csv_table_matches_the_per_cell_rule(table):
     header, rows = table
-    payload = {"checks": [], "table": columns_of(header, rows)}
-    assert "".join(_render("x", {"format": "csv"}, payload)) == csv_text([header, *rows])
+    assert "".join(csv_table(columns_of(header, rows))) == csv_text([header, *rows])
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(checks=st.lists(st.tuples(st.text(), FLOATS, FLOATS), max_size=20))
+@given(checks=check_lists(FLOATS))
 def test_csv_checks_table_matches_the_per_cell_rule(checks):
-    entries = [CheckEntry(name, residual, tolerance) for name, residual, tolerance in checks]
-    rows = [(e.name, e.residual, e.tolerance, e.passed) for e in entries]
-    text = "".join(_render("x", {"format": "csv"}, {"checks": entries}))
-    assert text == csv_text([("name", "residual", "tolerance", "pass"), *rows])
+    entries, rows = checks
+    code, text, err = run_main(["identities", "--format", "csv"], {"results": {}, "checks": entries})
+    # compared line by line: a failing example reports its first differing row at once
+    expected = csv_text([("name", "residual", "tolerance", "pass"), *rows])
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+    assert (err, code) == ("", EXIT_OK if all(row[3] for row in rows) else EXIT_CHECK_FAILED)
+
+
+RESULTS = st.dictionaries(st.text(), st.one_of(
+    FINITE, st.lists(FINITE, max_size=3),
+    # a value holding the text that leads the "checks" list
+    st.text(), st.just('\n  "checks": [')), max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(checks=check_lists(FINITE), results=RESULTS)
+def test_json_checks_match_the_dump_of_the_report(checks, results):
+    entries, rows = checks
+    code, text, err = run_main(["identities"], {"results": results, "checks": entries})
+    report = {"command": "identities", "params": {"format": "json"}, "results": results,
+              "checks": [dict(zip(("name", "residual", "tolerance", "pass"), row)) for row in rows],
+              "version": __version__}
+    expected = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+    assert (err, code) == ("", EXIT_OK if all(row[3] for row in rows) else EXIT_CHECK_FAILED)
+
+
+def _family(last):
+    """A family over several blocks whose last residual is ``last``."""
+    residual = np.zeros(2 * _CSV_BLOCK + 3)
+    residual[-1] = last
+    return entry(tuple(f"f{i}" for i in range(residual.size)), residual, 1.0)
+
+
+NON_FINITE = {
+    "scalar-nan": ([entry("a", 0.0, 1.0), entry("b", np.nan, 1.0)], "nan"),
+    "family-last-block-inf": ([entry("a", 0.0, 1.0), _family(np.inf)], "inf"),
+    # the first in the report's order names it: a residual before its tolerance,
+    # a family's rows before the checks after it
+    "first-in-order": ([_family(-np.inf), entry("b", 0.0, np.nan)], "-inf"),
+    "tolerance": ([entry("a", 0.0, np.nan), entry("b", np.inf, 1.0)], "nan"),
+}
+
+
+@pytest.mark.parametrize("checks, value", NON_FINITE.values(), ids=NON_FINITE)
+def test_a_non_finite_check_is_rejected_before_json_is_written(tmp_path, checks, value):
+    payload = {"results": {}, "checks": checks}
+    message = f"error: Out of range float values are not JSON compliant: {value}\n"
+    assert run_main(["identities"], payload) == (EXIT_USAGE, "", message)
+    # an output file is not opened: what it held stays
+    out = tmp_path / "report.json"
+    out.write_text("kept\n", encoding="utf-8")
+    assert run_main(["identities", "--out", str(out)], payload) == (EXIT_USAGE, "", message)
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    # CSV prints the value and fails the check
+    code, text, err = run_main(["identities", "--format", "csv"], payload)
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    assert f",{value}," in text
 
 
 @pytest.mark.parametrize("command", COMMAND_SCHEMA)
 def test_every_csv_table_holds_one_type_per_column(command):
-    # the renderer takes each column's spec from its first cell
-    cfg, units = _resolve(*_parse([command, "--format", "csv"]))
-    payload = commands.run(command, cfg, units)
-    if "table" in payload:
-        columns = [list(column) for column in payload["table"].values()]
-        assert len({len(column) for column in columns}) == 1, command
-    else:
-        columns = [[e.residual for e in payload["checks"]],
-                   [e.tolerance for e in payload["checks"]]]
-    for column in columns:
-        assert len({type(cell) for cell in column}) == 1, command
-        assert not isinstance(column[0], (bool, np.bool_)), command
+    # the renderer takes each column's spec from its first cell, and JSON
+    # prints a check's floats by float.__repr__
+    argvs = [[command, "--format", "csv"]]
+    if command == "lorentz":
+        argvs.append(["lorentz", "--sweep", "3", "--format", "csv"])
+    for argv in argvs:
+        cfg, units = _resolve(*_parse(argv))
+        payload = commands.run(command, cfg, units)
+        checks = _check_columns(payload["checks"])
+        assert checks["name"], argv
+        columns = list(checks.values())
+        if "table" in payload:
+            columns += [list(column) for column in payload["table"].values()]
+            assert len({len(column) for column in payload["table"].values()}) == 1, argv
+        assert len({len(column) for column in checks.values()}) == 1, argv
+        for column in columns:
+            assert len({type(cell) for cell in column}) == 1, argv
+            assert not isinstance(column[0], (bool, np.bool_)), argv
+        assert {type(x) for x in checks["residual"] + checks["tolerance"]} == {float}, argv
+        assert set(checks["pass"]) <= {"true", "false"}, argv
 
 
 def test_csv_writes_the_header_of_a_table_without_rows():
     table = {"a": np.empty(0), "b": [], "c": np.empty(0, dtype=np.int64)}
-    assert list(_csv(table)) == ["a,b,c\n"]
-    assert "".join(_render("x", {"format": "csv"}, {"checks": [], "table": table})) == "a,b,c\n"
+    assert csv_table(table) == ["a,b,c\n"]
+    assert list(_render("x", {"format": "csv"}, {}, _check_columns([]))) == [
+        "name,residual,tolerance,pass\n"]
 
 
 def test_csv_formats_an_array_block_by_block():
@@ -94,37 +211,40 @@ def test_csv_formats_an_array_block_by_block():
     header = ["a", "b", "c"]
     expected = "a,b,c\n" + "".join(",".join(format(x, ".17g") for x in row) + "\n"
                                    for row in table.tolist())
-    parts = list(_csv(dict(zip(header, table.T))))
+    parts = csv_table(dict(zip(header, table.T)))
     assert [len(part.splitlines()) for part in parts] == [1, _CSV_BLOCK, _CSV_BLOCK, 3]
     assert "".join(parts) == expected
-    assert "".join(_csv(columns_of(header, list(map(tuple, table))))) == expected
+    assert "".join(csv_table(columns_of(header, list(map(tuple, table))))) == expected
 
 
 def test_csv_formats_a_list_of_mixed_rows_block_by_block():
     rows = [(f"r{i}", i - 300, np.int64(-i), i / 7.0, np.float64(i) ** 0.5)
             for i in range(2 * _CSV_BLOCK + 3)]
     header = ["s", "i", "i64", "f", "f64"]
-    assert "".join(_csv(columns_of(header, rows))) == csv_text([header, *rows])
+    assert "".join(csv_table(columns_of(header, rows))) == csv_text([header, *rows])
     # the same cells as numpy columns
     table = {"s": [row[0] for row in rows], "i": np.array([row[1] for row in rows]),
              "i64": np.array([row[2] for row in rows]), "f": np.array([row[3] for row in rows]),
              "f64": np.array([row[4] for row in rows])}
-    assert "".join(_csv(table)) == csv_text([header, *rows])
+    assert "".join(csv_table(table)) == csv_text([header, *rows])
 
 
 def test_json_report_is_written_in_parts(capsys, tmp_path):
-    # 8000 checks span several blocks of encoder chunks; joined, the parts
-    # are the one indented dump of the report, on stdout and in a file alike
+    # 8000 checks, one family, span several blocks of rows: the head, one
+    # part per block and the tail; joined, the parts are the one indented
+    # dump of the report, on stdout and in a file alike
     argv = ["lorentz", "--sweep", "4000", "--format", "json"]
     cfg, units = _resolve(*_parse(argv))
     payload = commands.run("lorentz", cfg, units)
-    parts = list(_render("lorentz", cfg, payload))
-    assert len(parts) > 2
+    (family,) = payload["checks"]
+    parts = list(_render("lorentz", cfg, payload, _check_columns(payload["checks"])))
+    assert len(parts) == 2 + -(-8000 // _CSV_BLOCK)
     text = "".join(parts)
     report = json.loads(text)
     assert text == json.dumps(report, indent=2, allow_nan=False) + "\n"
-    assert [c["name"] for c in report["checks"]] == [e.name for e in payload["checks"]]
-    assert [c["residual"] for c in report["checks"]] == [e.residual for e in payload["checks"]]
+    assert [c["name"] for c in report["checks"]] == list(family.name)
+    assert [c["residual"] for c in report["checks"]] == family.residual.ravel().tolist()
+    assert {c["tolerance"] for c in report["checks"]} == {family.tolerance}
     assert main(argv) == 0
     assert capsys.readouterr().out == text
     out = tmp_path / "report.json"
