@@ -1,15 +1,18 @@
 """Operator algebra, spectra and dynamics for a spin-1/2 wave equation
 carrying a negative-energy branch.
 
+Each name is imported from the module that defines it: the operator basis
+and checks from ``negspin.clifford``, the eigensolver from
+``negspin.matrix_core``, free Hamiltonians, eigenstates and boosts from
+``negspin.spectral``, fields from ``negspin.fields`` and time evolution
+from ``negspin.dynamics``; ``negspin.cli`` is the command line.  The
+package itself binds only the two constants below, so ``import negspin``
+loads no numpy.
+
 Functions taking momenta broadcast: a momentum of shape (..., 3) gives
 results stacked along the same leading shape, e.g. ``hamiltonian`` returns
 (..., 4, 4).
-
-The exported names load on first access (PEP 562), so ``import negspin``
-and the command-line front load no numpy.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -18,23 +21,4 @@ __version__ = "0.1.0"
 # lives where both reach it without loading numpy.
 MIN_OSCILLATOR_LEVELS = 8
 
-# exported name -> the submodule that defines it
-_EXPORTS = {
-    "CheckEntry": "clifford",
-    "DiracBasis": "clifford",
-    "dirac_representation": "clifford",
-    "correspondence_check": "spectral",
-    "hamiltonian": "spectral",
-    "helicity_eigenstates": "spectral",
-    "lorentz_transform": "spectral",
-}
-
-__all__ = sorted(["__version__", *_EXPORTS])
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
+__all__ = ["MIN_OSCILLATOR_LEVELS", "__version__"]

@@ -107,32 +107,31 @@ def dirac_representation() -> DiracBasis:
     )
 
 
-def verify_clifford_identities(basis: DiracBasis | None = None) -> tuple[CheckEntry, ...]:
+def verify_clifford_identities(basis: DiracBasis) -> tuple[CheckEntry, ...]:
     """Residuals of the anticommutation table.
 
     {alpha_i, alpha_j} = 2 delta_ij I, {beta, alpha_j} = 0, beta^2 = I.
     """
-    b = basis or dirac_representation()
     entries = []
     for i in range(3):
         for j in range(i, 3):
-            anti = b.alpha[i] @ b.alpha[j] + b.alpha[j] @ b.alpha[i]
+            anti = basis.alpha[i] @ basis.alpha[j] + basis.alpha[j] @ basis.alpha[i]
             target = 2.0 * I4 if i == j else np.zeros((4, 4))
             entries.append(
                 entry(f"alpha{i + 1}_alpha{j + 1}_anticommutator",
                       residual_norm(anti, target), IDENTITY_TOL)
             )
     for j in range(3):
-        anti = b.beta @ b.alpha[j] + b.alpha[j] @ b.beta
+        anti = basis.beta @ basis.alpha[j] + basis.alpha[j] @ basis.beta
         entries.append(
             entry(f"beta_alpha{j + 1}_anticommutator",
                   residual_norm(anti, np.zeros((4, 4))), IDENTITY_TOL)
         )
-    entries.append(entry("beta_squared", residual_norm(b.beta @ b.beta, I4), IDENTITY_TOL))
+    entries.append(entry("beta_squared", residual_norm(basis.beta @ basis.beta, I4), IDENTITY_TOL))
     return tuple(entries)
 
 
-def verify_gamma_properties(basis: DiracBasis | None = None) -> tuple[CheckEntry, ...]:
+def verify_gamma_properties(basis: DiracBasis) -> tuple[CheckEntry, ...]:
     """Residuals of the derived-operator identities.
 
     gamma1_proj^2 = 2 gamma1_proj, gamma2_op^2 = 2I,
@@ -141,8 +140,7 @@ def verify_gamma_properties(basis: DiracBasis | None = None) -> tuple[CheckEntry
     (I+beta) beta = I+beta, plus singularity of gamma1_proj and unitarity
     of gamma2_op / sqrt(2).
     """
-    b = basis or dirac_representation()
-    g1, g2, g5 = b.gamma1_proj, b.gamma2_op, b.gamma5
+    g1, g2, g5 = basis.gamma1_proj, basis.gamma2_op, basis.gamma5
     zero = np.zeros((4, 4))
     entries = [
         entry("gamma1_squared_is_twice_gamma1",
@@ -150,20 +148,20 @@ def verify_gamma_properties(basis: DiracBasis | None = None) -> tuple[CheckEntry
         entry("gamma2_squared_is_twice_identity",
               residual_norm(g2 @ g2, 2.0 * I4), IDENTITY_TOL),
         entry("gamma2_gamma1_product",
-              residual_norm(g2 @ g1, (I4 + b.beta) @ (I4 - 1j * g5)), IDENTITY_TOL),
+              residual_norm(g2 @ g1, (I4 + basis.beta) @ (I4 - 1j * g5)), IDENTITY_TOL),
     ]
     for i in range(3):
         entries.append(
             entry(f"alpha{i + 1}_gamma2_anticommutator",
-                  residual_norm(b.alpha[i] @ g2 + g2 @ b.alpha[i], zero), IDENTITY_TOL)
+                  residual_norm(basis.alpha[i] @ g2 + g2 @ basis.alpha[i], zero), IDENTITY_TOL)
         )
     entries.extend([
         entry("chirality_projector_product",
               residual_norm((I4 + 1j * g5) @ (I4 - 1j * g5) / 2.0, I4), IDENTITY_TOL),
         entry("gamma2_beta_product",
-              residual_norm(g2 @ b.beta, I4 + 1j * g5), IDENTITY_TOL),
+              residual_norm(g2 @ basis.beta, I4 + 1j * g5), IDENTITY_TOL),
         entry("beta_shift_product",
-              residual_norm((I4 + b.beta) @ b.beta, I4 + b.beta), IDENTITY_TOL),
+              residual_norm((I4 + basis.beta) @ basis.beta, I4 + basis.beta), IDENTITY_TOL),
         entry("gamma1_smallest_singular_value",
               float(np.min(np.linalg.svd(g1, compute_uv=False))), IDENTITY_TOL),
         entry("gamma2_unitarity",

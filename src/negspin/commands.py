@@ -32,7 +32,7 @@ from .clifford import (
     verify_clifford_identities,
     verify_gamma_properties,
 )
-from .dynamics import CONSTANT_AMPLITUDE_TOL, Superposition, dominant_frequency, observable_series
+from .dynamics import CONSTANT_AMPLITUDE_TOL, dominant_frequency, observable_series, unit_weights
 from .fields import (
     RadialGrid,
     coulomb_radial_spectrum,
@@ -47,6 +47,7 @@ from .spectral import (
     closed_form_energies,
     correspondence_check,
     hamiltonian,
+    helicity_eigenstates,
     lorentz_transform,
 )
 
@@ -177,17 +178,20 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
     observable = dict(zip(("alpha1", "alpha2", "alpha3", "beta", "ibgamma5"),
                           (*basis.alpha, basis.beta, basis.i_beta_gamma5)))[cfg["observable"]]
     p = np.divide(cfg["p"], units.momentum)
-    sup = Superposition.from_weights(p, cfg["weights"])
-    # a component's branch is the sign of its energy; the parts u_- and u_+ of
+    states, weights = helicity_eigenstates(p, "nonrel"), unit_weights(cfg["weights"])
+    # a column's branch is the sign of its energy; the parts u_- and u_+ of
     # the state on the two branches interfere at the gap E_plus - E_minus with
     # amplitude 2 |<u_-|O|u_+>|, so a mixture the observable does not couple has no gap
-    upper = sup.energies > 0.0
-    u_minus, u_plus = (sup.spinors @ np.where(b, sup.coefficients, 0.0) for b in (~upper, upper))
+    upper = states.eigenvalues > 0.0
+    u_minus, u_plus = (states.eigenvectors @ np.where(b, weights, 0.0) for b in (~upper, upper))
     coupled = 2.0 * abs(u_minus.conj() @ observable @ u_plus) > CONSTANT_AMPLITUDE_TOL
+    # a branch is present where a weight as given is nonzero, even one that
+    # scales to zero beside a weight over 2^1074 times larger
+    present = np.asarray(cfg["weights"]) != 0.0
     e_minus, e_plus = closed_form_energies(np.linalg.norm(p), "nonrel")
     gap, t_max = e_plus - e_minus, cfg["t_max"] / units.time
     # observable_series rejects n_samples and t_max out of range
-    times, values = observable_series(sup, observable, t_max, cfg["n_samples"])
+    times, values = observable_series(states, weights, observable, t_max, cfg["n_samples"])
     fit = dominant_frequency(times, values)
     measured, error = (None, None) if fit is None else (fit[0] / units.time, fit[1])
     tol = 0.01
@@ -211,8 +215,8 @@ def _cmd_zitter(cfg: dict, units: Units) -> dict:
             "measured_omega": measured,
             "analytic_omega": analytic,
             "frequency_standard_error": error,
-            "distinct_energies": [units.energy * e for e, present in
-                                  ((e_minus, not upper.all()), (e_plus, upper.any())) if present],
+            "distinct_energies": [units.energy * e for e, branch in
+                                  ((e_minus, ~upper), (e_plus, upper)) if present[branch].any()],
         },
         "checks": checks,
         "table": {"t": units.time * times, "value": values},
@@ -237,8 +241,10 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
         for block in stack_blocks(momenta):
             report = correspondence_check(momenta[block])
             residual[block] = report.residual
-        names = tuple(f"p{j:03d}_branch{branch:+d}_correspondence"
-                      for j in range(1, len(momenta) + 1) for branch in (-1, 1))
+        # the branch signs as literal text: a format spec per name costs the
+        # 2N-name tuple about half again its build time
+        names = tuple(f"p{j:03d}_branch{branch}_correspondence"
+                      for j in range(1, len(momenta) + 1) for branch in ("-1", "+1"))
         return {"results": {"mode": "correspondence_sweep"},
                 "checks": [entry(names, residual, report.tolerance)]}
     v = np.divide(cfg["v"], units.velocity)

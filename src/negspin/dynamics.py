@@ -1,8 +1,10 @@
 """Time evolution of eigenstate superpositions and oscillation detection.
 
-A superposition of energy eigenstates at a shared momentum evolves by pure
-phases, so any observable expectation is a trigonometric polynomial in t
-whose frequencies are energy differences.  The nonrel Hamiltonian has one
+A state is the ``EigenDecomposition`` of one Hamiltonian at one momentum
+(``helicity_eigenstates``) plus one weight per eigenvector column, scaled
+to unit norm by ``unit_weights``.  It evolves by pure phases, so any
+observable expectation is a trigonometric polynomial in t whose
+frequencies are energy differences.  The nonrel Hamiltonian has one
 energy per branch, so a mixture of the two branches gives a constant plus
 one cosine at E_plus - E_minus, which ``dominant_frequency`` fits with its
 standard error, and a single branch gives a constant.  Natural units as in
@@ -11,18 +13,15 @@ standard error, and a single branch gives a constant.  Natural units as in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .matrix_core import expect, residual_norm, stack_blocks
-from .spectral import helicity_eigenstates
+from .matrix_core import EigenDecomposition, expect, residual_norm, stack_blocks
 
 __all__ = [
-    "Superposition",
     "dominant_frequency",
     "evolve",
     "observable_series",
+    "unit_weights",
 ]
 
 NORMALIZATION_TOL = 1e-12
@@ -30,64 +29,37 @@ CONSTANT_AMPLITUDE_TOL = 1e-12
 MIN_SAMPLES = 16
 
 
-@dataclass(frozen=True, eq=False)
-class Superposition:
-    """Weighted eigenstates of one Hamiltonian at one shared momentum.
-
-    Component ``i`` has coefficient ``coefficients[i]``, energy
-    ``energies[i]`` and unit-norm eigenvector ``spinors[:, i]`` (shape
-    (4, k)); the coefficients satisfy sum |c_i|^2 = 1 within 1e-12.
-    """
-
-    coefficients: np.ndarray
-    energies: np.ndarray
-    spinors: np.ndarray
-
-    def __post_init__(self):
-        norms = np.linalg.norm(self.spinors, axis=0)
-        total = float(np.sum(np.abs(self.coefficients) ** 2 * norms**2))
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"superposition norm is {total!r}, expected 1")
-
-    @classmethod
-    def from_weights(cls, p, weights) -> "Superposition":
-        """Weights index the four columns of the nonrel ``helicity_eigenstates``,
-        ordered by (branch, helicity)."""
-        if np.shape(p) != (3,):
-            raise ValueError(f"a superposition has one momentum 3-vector, got shape {np.shape(p)}")
-        w = np.ascontiguousarray(weights, dtype=np.complex128)
-        if w.shape != (4,):
-            raise ValueError(f"need exactly 4 weights, got shape {w.shape}")
-        kept = w != 0.0
-        if not np.any(kept):
-            raise ValueError("at least one weight must be nonzero")
-        # divide out the power of two of the largest weight first: exact, so
-        # ordinary weights keep every bit, and tiny ones no longer underflow
-        _, exponent = np.frexp(np.max(np.abs(w)))
-        w = np.ldexp(w.view(float), -exponent).view(np.complex128)
-        scale = np.linalg.norm(w)
-        states = helicity_eigenstates(p, "nonrel")
-        return cls(
-            coefficients=w[kept] / scale,
-            energies=states.eigenvalues[kept],
-            spinors=states.eigenvectors[:, kept],
-        )
+def unit_weights(weights) -> np.ndarray:
+    """Four weights, one per column of the nonrel ``helicity_eigenstates``
+    (ordered by (branch, helicity)), scaled to unit norm."""
+    w = np.ascontiguousarray(weights, dtype=np.complex128)
+    if w.shape != (4,):
+        raise ValueError(f"need exactly 4 weights, got shape {w.shape}")
+    if not np.any(w != 0.0):
+        raise ValueError("at least one weight must be nonzero")
+    # divide out the power of two of the largest weight first: exact, so
+    # ordinary weights keep every bit, and tiny ones no longer underflow
+    _, exponent = np.frexp(np.max(np.abs(w)))
+    w = np.ldexp(w.view(float), -exponent).view(np.complex128)
+    return w / np.linalg.norm(w)
 
 
-def evolve(sup: Superposition, t) -> np.ndarray:
-    """Phase evolution: sum of c_i psi_i exp(-i E_i t).
+def evolve(states: EigenDecomposition, weights: np.ndarray, t) -> np.ndarray:
+    """Phase evolution: sum of w_i psi_i exp(-i E_i t) over the nonzero weights.
 
+    ``states`` is one momentum's decomposition, ``psi_i`` its column i.
     ``t`` may be an array of times; the states come back stacked, (..., 4).
     """
     t = np.asarray(t, dtype=float)[..., None]
     return sum(
-        c * psi * np.exp(-1j * e * t)
-        for c, e, psi in zip(sup.coefficients, sup.energies, sup.spinors.T)
+        weights[i] * states.eigenvectors[:, i] * np.exp(-1j * states.eigenvalues[i] * t)
+        for i in np.flatnonzero(weights)
     )
 
 
 def observable_series(
-    sup: Superposition,
+    states: EigenDecomposition,
+    weights: np.ndarray,
     observable: np.ndarray,
     t_max: float,
     n_samples: int,
@@ -96,23 +68,32 @@ def observable_series(
 
     Samples sit at t_k = k t_max / n_samples, k = 0..n_samples-1 (endpoint
     excluded), so an integer number of oscillation periods averages exactly.
+    The state is ``states``, the decomposition at one momentum, weighted by
+    ``weights`` of unit norm (``unit_weights``); a stacked decomposition or
+    weights whose norm misses 1 by more than 1e-12 raise ValueError.
     The expectation of a Hermitian operator is real; imaginary leakage beyond
     1e-12 would mean a broken observable and raises (see ``expect``).
 
     The states are evolved and measured in blocks of times (``stack_blocks``),
     so beyond the two returned arrays (16 bytes a sample) the series takes the
     same memory at any ``n_samples``; each value equals, bit for bit, that
-    of one stacked ``expect(evolve(sup, times), observable)``.
+    of one stacked ``expect(evolve(states, weights, times), observable)``.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     if not t_max > 0.0:
         raise ValueError("t_max must be positive")
+    if states.eigenvectors.shape != (4, 4):
+        raise ValueError(f"a series evolves one momentum's eigenstates, got eigenvectors of "
+                         f"shape {states.eigenvectors.shape}")
+    total = float(np.sum(np.abs(weights * np.linalg.norm(states.eigenvectors, axis=0)) ** 2))
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"state norm is {total!r}, expected 1")
     observable = np.asarray(observable, dtype=np.complex128)
     if residual_norm(observable, observable.conj().T) > 1e-12:
         raise ValueError("observable must be Hermitian")
     times = np.arange(n_samples) * (t_max / n_samples)
-    return times, stack_blocks(times, lambda t: expect(evolve(sup, t), observable),
+    return times, stack_blocks(times, lambda t: expect(evolve(states, weights, t), observable),
                                np.empty(n_samples))
 
 

@@ -16,7 +16,7 @@ from negspin.clifford import (
     verify_clifford_identities,
     verify_gamma_properties,
 )
-from negspin.dynamics import Superposition, dominant_frequency, observable_series
+from negspin.dynamics import dominant_frequency, observable_series, unit_weights
 from negspin.fields import (
     RadialGrid,
     coulomb_radial_spectrum,
@@ -49,8 +49,8 @@ def verdict(label: str, ok: bool, detail: str = ""):
 
 def test_operator_identities_hold_exactly():
     """All representation identities, including the singular projector, at 1e-14."""
-    gamma = verify_gamma_properties()
-    entries = (*verify_clifford_identities(), *gamma)
+    gamma = verify_gamma_properties(BASIS)
+    entries = (*verify_clifford_identities(BASIS), *gamma)
     worst = max(e.residual for e in entries if e.name != "gamma1_smallest_singular_value")
     singular = entry_named(gamma, "gamma1_smallest_singular_value").residual
     ok = (
@@ -211,12 +211,11 @@ def test_interference_frequency_tracks_energy_gap():
     1e-12 relative gates."""
     basis = dirac_representation()
     obs = basis.alpha[2]
-    sup = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0))
-    fit_unit = dominant_frequency(*observable_series(sup, obs, 20.0, 512))
-    sup_small = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0))
-    fit_small = dominant_frequency(*observable_series(sup_small, obs, 40.0, 512))
-    sup_single = Superposition.from_weights((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0))
-    omega_none = dominant_frequency(*observable_series(sup_single, obs, 20.0, 512))
+    unit, small = (helicity_eigenstates(p, "nonrel") for p in ((0.0, 0.0, 1.0), (0.0, 0.0, 0.01)))
+    mixed, single = unit_weights((0.0, 1.0, 0.0, 1.0)), unit_weights((0.0, 0.0, 0.0, 1.0))
+    fit_unit = dominant_frequency(*observable_series(unit, mixed, obs, 20.0, 512))
+    fit_small = dominant_frequency(*observable_series(small, mixed, obs, 40.0, 512))
+    omega_none = dominant_frequency(*observable_series(unit, single, obs, 20.0, 512))
     # a fit is (omega, relative standard error)
     rel_unit = abs(fit_unit[0] - 3.0) / 3.0 if fit_unit else np.inf
     rel_small = abs(fit_small[0] - 2.0001) / 2.0001 if fit_small else np.inf

@@ -22,10 +22,15 @@ from negspin.cli import (
     unit_scales,
 )
 from negspin.clifford import dirac_representation
-from negspin.dynamics import Superposition, dominant_frequency, observable_series
+from negspin.dynamics import dominant_frequency, observable_series, unit_weights
 from negspin.fields import landau_sectors
 from negspin.matrix_core import STACK_BLOCK, hermitian_eig
-from negspin.spectral import closed_form_energies, correspondence_check, hamiltonian
+from negspin.spectral import (
+    closed_form_energies,
+    correspondence_check,
+    hamiltonian,
+    helicity_eigenstates,
+)
 
 
 def reject_constant(token):
@@ -346,9 +351,9 @@ def test_zitter_rule_over_random_draws(capsys):
         name = names[rng.integers(len(names))]
         step = float(np.exp(rng.uniform(np.log(1e-7), np.log(2.5))))
         n = int(rng.choice([16, 64, 512, 4096]))
-        sup = Superposition.from_weights(p, weights)
-        upper = sup.energies > 0.0
-        u_minus, u_plus = (sup.spinors @ np.where(b, sup.coefficients, 0.0) for b in (~upper, upper))
+        states, unit = helicity_eigenstates(p, "nonrel"), unit_weights(weights)
+        upper = states.eigenvalues > 0.0
+        u_minus, u_plus = (states.eigenvectors @ np.where(b, unit, 0.0) for b in (~upper, upper))
         amplitude = 2.0 * abs(u_minus.conj() @ operators[name] @ u_plus)
         e_minus, e_plus = closed_form_energies(np.linalg.norm(p), "nonrel")
         gap = float(e_plus - e_minus)
@@ -359,7 +364,7 @@ def test_zitter_rule_over_random_draws(capsys):
         out, err = capsys.readouterr()
         if amplitude <= 1e-12:
             continue
-        fit = dominant_frequency(*observable_series(sup, operators[name], t_max, n))
+        fit = dominant_frequency(*observable_series(states, unit, operators[name], t_max, n))
         if fit is not None and fit[1] > 1e-6:
             assert abs(fit[0] - gap) / gap <= fit[1]
         old = step >= (np.finfo(float).eps / (1e-5 * amplitude)) ** (1.0 / 3.0)
@@ -1024,12 +1029,22 @@ def test_rejection_names_its_reason(capsys, argv, reason):
 @pytest.mark.parametrize("tiny", ["1e-160", "1e-320"])
 def test_tiny_zitter_weights_match_unit_weights(capsys, tiny):
     # normalizing divides out the largest weight's power of two first, so
-    # weights whose squares underflow give the unit weights' superposition
+    # weights whose squares underflow give the unit weights' state
     code, report = run_json(capsys, ["zitter", f"--weights={tiny},0,0,0"])
     _, unit = run_json(capsys, ["zitter", "--weights=1,0,0,0"])
     assert code == EXIT_OK
     assert report["results"] == unit["results"]
     assert report["checks"] == unit["checks"]
+
+
+def test_a_weight_that_scales_to_zero_still_names_its_branch(capsys):
+    # 5e-324 beside 1 scales to zero and adds nothing to the series, but the
+    # weights as given put the state on both branches
+    code, report = run_json(capsys, ["zitter", "--weights=5e-324,0,0,1"])
+    _, single = run_json(capsys, ["zitter", "--weights=0,0,0,1"])
+    assert code == EXIT_OK
+    assert report["results"]["distinct_energies"] == [-1.5, 1.5]
+    assert report["checks"] == single["checks"]
 
 
 def test_non_finite_config_value_rejected(tmp_path, capsys):

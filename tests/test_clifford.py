@@ -123,7 +123,7 @@ def test_perturbed_basis_is_detected():
 
 
 def test_verify_clifford_identities_all_pass():
-    report = verify_clifford_identities()
+    report = verify_clifford_identities(dirac_representation())
     assert len(report) == 10
     assert all_passed(report)
     for e in report:
@@ -131,13 +131,13 @@ def test_verify_clifford_identities_all_pass():
 
 
 def test_verify_gamma_properties_all_pass():
-    report = verify_gamma_properties()
+    report = verify_gamma_properties(dirac_representation())
     assert len(report) == 11
     assert all_passed(report)
 
 
 def test_report_lookup_by_name():
-    report = verify_clifford_identities()
+    report = verify_clifford_identities(dirac_representation())
     e = entry_named(report, "beta_squared")
     assert e.passed
     with pytest.raises(KeyError):

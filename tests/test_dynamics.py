@@ -6,10 +6,10 @@ import pytest
 from negspin import dynamics
 from negspin.clifford import dirac_representation
 from negspin.dynamics import (
-    Superposition,
     dominant_frequency,
     evolve,
     observable_series,
+    unit_weights,
 )
 from negspin.matrix_core import STACK_BLOCK, expect
 from negspin.spectral import closed_form_energies, helicity_eigenstates
@@ -18,56 +18,69 @@ BASIS = dirac_representation()
 P_UNIT = (0.0, 0.0, 1.0)
 
 
-def test_from_weights_requires_four_entries():
-    with pytest.raises(ValueError):
-        Superposition.from_weights(P_UNIT, (1.0, 0.0))
+def state(p, weights):
+    """The nonrel eigenstates at ``p`` and the unit weights on them."""
+    return helicity_eigenstates(p, "nonrel"), unit_weights(weights)
 
 
-def test_from_weights_rejects_all_zero():
-    with pytest.raises(ValueError):
-        Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 0.0))
+def test_unit_weights_requires_four_entries():
+    with pytest.raises(ValueError, match="exactly 4 weights"):
+        unit_weights((1.0, 0.0))
 
 
-def test_from_weights_normalizes():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 3.0, 0.0, 4.0))
-    total = np.sum(np.abs(sup.coefficients) ** 2)
-    assert abs(total - 1.0) < 1e-12
-    assert len(sup.coefficients) == 2
+def test_unit_weights_rejects_all_zero():
+    with pytest.raises(ValueError, match="nonzero"):
+        unit_weights((0.0, 0.0, 0.0, 0.0))
 
 
-def test_superposition_rejects_unnormalized_components():
+def test_unit_weights_normalizes():
+    weights = unit_weights((0.0, 3.0, 0.0, 4.0))
+    assert abs(np.sum(np.abs(weights) ** 2) - 1.0) < 1e-12
+    np.testing.assert_allclose(weights, [0.0, 0.6, 0.0, 0.8], rtol=1e-15)
+    assert weights.dtype == np.complex128
+
+
+def test_observable_series_rejects_unnormalized_weights():
     states = helicity_eigenstates(P_UNIT, "nonrel")
-    with pytest.raises(ValueError):
-        Superposition(np.array([2.0]), states.eigenvalues[:1], states.eigenvectors[:, :1])
+    with pytest.raises(ValueError, match="norm"):
+        observable_series(states, np.array([2.0, 0.0, 0.0, 0.0]), BASIS.alpha[2], 8.0, 16)
+
+
+def test_observable_series_rejects_a_stacked_decomposition():
+    # a state has one momentum; a stack of them is no one state
+    states, weights = state(np.array([P_UNIT, (0.0, 0.0, 2.0)]), (0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="one momentum"):
+        observable_series(states, weights, BASIS.alpha[2], 8.0, 16)
 
 
 def test_distinct_energies_collapses_degenerate_pairs():
     # the nonrel Hamiltonian has one energy per branch, so the sign of a
-    # component's energy names its level: the two members of each degenerate
+    # column's energy names its level: the two members of each degenerate
     # pair sit at the closed-form -E or E
-    sup = Superposition.from_weights(P_UNIT, (1.0, 1.0, 1.0, 1.0))
-    assert np.sign(sup.energies).tolist() == [-1.0, -1.0, 1.0, 1.0]
+    states = helicity_eigenstates(P_UNIT, "nonrel")
+    assert np.sign(states.eigenvalues).tolist() == [-1.0, -1.0, 1.0, 1.0]
     e_minus, e_plus = closed_form_energies(1.0, "nonrel")
-    np.testing.assert_allclose(sup.energies, [e_minus, e_minus, e_plus, e_plus], rtol=1e-15)
+    np.testing.assert_allclose(states.eigenvalues, [e_minus, e_minus, e_plus, e_plus],
+                               rtol=1e-15)
 
 
 def test_evolve_matches_single_state_phase():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0))
+    states, weights = state(P_UNIT, (0.0, 0.0, 0.0, 1.0))
     t = 0.8
-    expected = sup.coefficients[0] * np.exp(-1j * sup.energies[0] * t) * sup.spinors[:, 0]
-    np.testing.assert_allclose(evolve(sup, t), expected, atol=1e-15)
+    expected = weights[3] * np.exp(-1j * states.eigenvalues[3] * t) * states.eigenvectors[:, 3]
+    np.testing.assert_allclose(evolve(states, weights, t), expected, atol=1e-15)
 
 
 def test_evolve_preserves_norm():
-    sup = Superposition.from_weights(P_UNIT, (0.5, -1.0, 0.25, 2.0))
+    states, weights = state(P_UNIT, (0.5, -1.0, 0.25, 2.0))
     for t in np.linspace(0.0, 12.0, 7):
-        psi = evolve(sup, float(t))
+        psi = evolve(states, weights, float(t))
         assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
 
 def test_observable_series_grid_and_reality():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
-    times, values = observable_series(sup, BASIS.alpha[2], 8.0, 16)
+    mix = state(P_UNIT, (0.0, 1.0, 0.0, 1.0))
+    times, values = observable_series(*mix, BASIS.alpha[2], 8.0, 16)
     assert times.shape == values.shape == (16,)
     assert times[0] == 0.0
     # endpoint excluded: t_k = k t_max / n
@@ -76,15 +89,15 @@ def test_observable_series_grid_and_reality():
 
 
 def test_observable_series_validation():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
+    mix = state(P_UNIT, (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        observable_series(sup, BASIS.alpha[2], 8.0, 8)
+        observable_series(*mix, BASIS.alpha[2], 8.0, 8)
     with pytest.raises(ValueError):
-        observable_series(sup, BASIS.alpha[2], 0.0, 16)
+        observable_series(*mix, BASIS.alpha[2], 0.0, 16)
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
-        observable_series(sup, skew, 8.0, 16)
+        observable_series(*mix, skew, 8.0, 16)
 
 
 @pytest.mark.parametrize("n_samples", [STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1,
@@ -92,15 +105,15 @@ def test_observable_series_validation():
 def test_observable_series_blocks_match_one_stack(monkeypatch, n_samples):
     # the series is evolved STACK_BLOCK times at a time, and each value is
     # bit for bit that of one stacked evolve and expect over all times
-    def counted(sup, t):
+    def counted(states, weights, t):
         calls.append(len(t))
-        return evolve(sup, t)
+        return evolve(states, weights, t)
 
     calls = []
     monkeypatch.setattr(dynamics, "evolve", counted)
-    sup = Superposition.from_weights((0.3, -0.2, 1.1), (0.4, 1.0, -0.7, 1.2))
-    times, values = observable_series(sup, BASIS.alpha[0], 37.0, n_samples)
-    whole = expect(evolve(sup, np.arange(n_samples) * (37.0 / n_samples)), BASIS.alpha[0])
+    states, weights = state((0.3, -0.2, 1.1), (0.4, 1.0, -0.7, 1.2))
+    times, values = observable_series(states, weights, BASIS.alpha[0], 37.0, n_samples)
+    whole = expect(evolve(states, weights, np.arange(n_samples) * (37.0 / n_samples)), BASIS.alpha[0])
     assert values.tobytes() == whole.tobytes()
     assert times.tobytes() == (np.arange(n_samples) * (37.0 / n_samples)).tobytes()
     full, rest = divmod(n_samples, STACK_BLOCK)
@@ -108,24 +121,24 @@ def test_observable_series_blocks_match_one_stack(monkeypatch, n_samples):
 
 
 def test_identity_observable_gives_unit_series():
-    sup = Superposition.from_weights(P_UNIT, (0.5, 1.0, -0.5, 1.0))
-    _, values = observable_series(sup, np.eye(4), 5.0, 16)
+    mix = state(P_UNIT, (0.5, 1.0, -0.5, 1.0))
+    _, values = observable_series(*mix, np.eye(4), 5.0, 16)
     assert np.max(np.abs(values - 1.0)) < 1e-12
 
 
 def test_single_eigenstate_series_is_stationary_mean():
     # stationary state: series pinned at the eigenstate expectation p3/E
-    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0))
-    _, values = observable_series(sup, BASIS.alpha[2], 10.0, 32)
+    mix = state(P_UNIT, (0.0, 0.0, 0.0, 1.0))
+    _, values = observable_series(*mix, BASIS.alpha[2], 10.0, 32)
     assert np.max(np.abs(values - 2.0 / 3.0)) < 1e-12
 
 
 def test_equal_mix_time_average_over_whole_periods():
     # sampled over exactly three periods the cross term sums to zero, so the
     # mean is the weight-average of the two stationary expectations (here 0)
-    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
+    mix = state(P_UNIT, (0.0, 1.0, 0.0, 1.0))
     t_max = 3.0 * 2.0 * np.pi / 3.0
-    _, values = observable_series(sup, BASIS.alpha[2], t_max, 128)
+    _, values = observable_series(*mix, BASIS.alpha[2], t_max, 128)
     mean = float(np.mean(values))
     assert abs(mean) < 1e-12
 
@@ -141,13 +154,13 @@ def test_series_matches_two_level_closed_form():
         weights = (0.0, w[0], 0.0, w[1])
         if abs(w[0]) < 1e-6 or abs(w[1]) < 1e-6:
             continue
-        sup = Superposition.from_weights(P_UNIT, weights)
+        unit = unit_weights(weights)
+        c1, c2 = unit[[1, 3]]
         obs = BASIS.alpha[2]
-        c1, c2 = sup.coefficients
         o11 = np.vdot(psi_lo, obs @ psi_lo).real
         o22 = np.vdot(psi_hi, obs @ psi_hi).real
         o12 = np.vdot(psi_lo, obs @ psi_hi)
-        times, values = observable_series(sup, obs, 10.0, 64)
+        times, values = observable_series(states, unit, obs, 10.0, 64)
         for t, value in zip(times, values):
             phase = np.exp(1j * (e_lo - e_hi) * t)
             want = (
@@ -230,8 +243,8 @@ def test_dominant_frequency_input_validation():
 
 def test_branch_mixture_oscillates_at_energy_gap():
     # p = (0,0,1): gap between branches is 2 (1 + 1/2) = 3
-    sup = Superposition.from_weights(P_UNIT, (0.0, 1.0, 0.0, 1.0))
-    times, values = observable_series(sup, BASIS.alpha[2], 20.0, 512)
+    mix = state(P_UNIT, (0.0, 1.0, 0.0, 1.0))
+    times, values = observable_series(*mix, BASIS.alpha[2], 20.0, 512)
     omega, error = dominant_frequency(times, values)
     assert abs(omega - 3.0) / 3.0 < 1e-12
     assert error < 1e-12
@@ -244,12 +257,12 @@ def test_branch_mixture_oscillates_at_energy_gap():
 
 def test_gap_approaches_twice_rest_energy_at_small_momentum():
     # gap 2 + p^2 = 2.0001, near the limit 2 m0 c^2 of p -> 0
-    sup = Superposition.from_weights((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0))
-    omega, error = dominant_frequency(*observable_series(sup, BASIS.alpha[2], 40.0, 512))
+    mix = state((0.0, 0.0, 0.01), (0.0, 1.0, 0.0, 1.0))
+    omega, error = dominant_frequency(*observable_series(*mix, BASIS.alpha[2], 40.0, 512))
     assert abs(omega - 2.0001) / 2.0001 < 1e-12
     assert error < 1e-12
 
 
 def test_single_eigenstate_shows_no_oscillation():
-    sup = Superposition.from_weights(P_UNIT, (0.0, 0.0, 0.0, 1.0))
-    assert dominant_frequency(*observable_series(sup, BASIS.alpha[2], 20.0, 512)) is None
+    mix = state(P_UNIT, (0.0, 0.0, 0.0, 1.0))
+    assert dominant_frequency(*observable_series(*mix, BASIS.alpha[2], 20.0, 512)) is None

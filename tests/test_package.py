@@ -40,6 +40,22 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def test_the_package_binds_no_library_name():
+    # each library name is imported from the module that defines it: the
+    # package binds only its two constants, answers no other name, and its
+    # import loads no numpy
+    probe = ("import sys, negspin\n"
+             "print(sorted(name for name in vars(negspin) if not name.startswith('__')))\n"
+             "try:\n"
+             "    negspin.hamiltonian\n"
+             "except AttributeError:\n"
+             "    print('AttributeError', 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['MIN_OSCILLATOR_LEVELS']", "AttributeError False"]
+
+
 def _library_example() -> str:
     """The code block of the README's "Library example" section."""
     section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
@@ -95,23 +111,18 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_every_raise_is_one_that_main_reports():
     # cli.main turns exactly these three families into one error line and
-    # exit 2, so any other exception would escape it as a traceback; the
-    # import protocol alone asks __getattr__ for an AttributeError
+    # exit 2, so any other exception would escape it as a traceback
     families = (ValueError, ArithmeticError, MemoryError)
     stray = []
     for path in sorted((SRC / "negspin").glob("*.py")):
         module = importlib.import_module(
             "negspin" if path.stem == "__init__" else f"negspin.{path.stem}")
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        protocol = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
-                    and f.name == "__getattr__" for node in ast.walk(f)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Raise):
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             cls = getattr(module, exc.id, None) or getattr(builtins, exc.id)
-            allowed = (AttributeError,) if id(node) in protocol else families
-            if not issubclass(cls, allowed):
+            if not issubclass(cls, families):
                 stray.append(f"{path.name}:{node.lineno}: {exc.id}")
     assert stray == []
 
