@@ -20,5 +20,3 @@ __version__ = "0.1.0"
 # ``fields`` enforces it and the front's truncation hint quotes it, so it
 # lives where both reach it without loading numpy.
 MIN_OSCILLATOR_LEVELS = 8
-
-__all__ = ["MIN_OSCILLATOR_LEVELS", "__version__"]

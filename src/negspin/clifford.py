@@ -23,15 +23,6 @@ import numpy as np
 
 from .matrix_core import residual_norm
 
-__all__ = [
-    "CheckEntry",
-    "DiracBasis",
-    "IDENTITY_TOL",
-    "dirac_representation",
-    "verify_clifford_identities",
-    "verify_gamma_properties",
-]
-
 IDENTITY_TOL = 1e-14
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)

@@ -17,13 +17,6 @@ import numpy as np
 
 from .matrix_core import EigenDecomposition, expect, residual_norm, stack_blocks
 
-__all__ = [
-    "dominant_frequency",
-    "evolve",
-    "observable_series",
-    "unit_weights",
-]
-
 NORMALIZATION_TOL = 1e-12
 CONSTANT_AMPLITUDE_TOL = 1e-12
 MIN_SAMPLES = 16

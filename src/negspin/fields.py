@@ -23,6 +23,8 @@ Three problem families:
   chain broadcasts over stacks of any length.  Its seeded uniforms come from
   Python's ``random`` (MT19937) as 53-bit doubles, so numpy.random is never
   loaded, and ``reduction_trials`` turns any rows of them into trials.
+  ``pauli_reduction_check`` alone normalizes a trial's spinor, and rejects
+  a zero one.
 
 Truncated-basis assertions are made on interior oscillator levels only; edge
 levels are reported, never tested.  A rejection quotes only ratios that read
@@ -41,16 +43,6 @@ from . import MIN_OSCILLATOR_LEVELS
 from .clifford import I4, PAULI, CheckEntry, dirac_representation, entry
 from .matrix_core import hermitian_eig, matrix_dot, residual_norm, tridiagonal_lowest
 from .spectral import hamiltonian
-
-__all__ = [
-    "RadialGrid",
-    "coulomb_radial_spectrum",
-    "draw_reduction_uniforms",
-    "landau_levels_analytic",
-    "landau_sectors",
-    "pauli_reduction_check",
-    "reduction_trials",
-]
 
 # Largest truncation accepted; a cold landau run at this size peaks near 45 MB.
 MAX_OSCILLATOR_LEVELS = 10**5
@@ -175,20 +167,6 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
     return energies
 
 
-def _disc_spinor(u: np.ndarray) -> np.ndarray:
-    """Normalized spinors from uniforms u[..., k, :] = (radius^2, angle / 2 pi) of component k.
-
-    Each component is uniform on the complex unit disc before the vector is
-    normalized.
-    """
-    comps = np.sqrt(u[..., 0]) * np.exp(1j * (2.0 * np.pi * u[..., 1]))
-    norm = np.linalg.norm(comps, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):  # pragma: no cover - measure-zero draw
-        comps = np.where(norm == 0.0, np.eye(comps.shape[-1])[0], comps)
-        norm = np.where(norm == 0.0, 1.0, norm)
-    return comps / norm
-
-
 def draw_reduction_uniforms(seed: int, trials: int) -> np.ndarray:
     """The (trials, 8) uniforms of ``reduction_trials``, seeded.
 
@@ -208,9 +186,12 @@ def draw_reduction_uniforms(seed: int, trials: int) -> np.ndarray:
 
 def reduction_trials(u: np.ndarray):
     """(momenta (n, 3), potentials (n,), spinors (n, 2)) from the rows of u (n, 8):
-    the momentum (3 uniforms on [-2, 2]), the potential (1 on [-1, 1]), then a
-    ``_disc_spinor`` of two components (radius^2 then angle, per component)."""
-    return -2.0 + 4.0 * u[:, :3], -1.0 + 2.0 * u[:, 3], _disc_spinor(u[:, 4:].reshape(-1, 2, 2))
+    the momentum (3 uniforms on [-2, 2]), the potential (1 on [-1, 1]), then
+    two spinor components, each uniform on the complex unit disc from its
+    radius^2 and then its angle / 2 pi.  The spinors are not normalized:
+    ``pauli_reduction_check`` normalizes them and rejects a zero one."""
+    return (-2.0 + 4.0 * u[:, :3], -1.0 + 2.0 * u[:, 3],
+            np.sqrt(u[:, 4::2]) * np.exp(1j * (2.0 * np.pi * u[:, 5::2])))
 
 
 def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
@@ -239,11 +220,11 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
       (E - v0 - 1 - p^2/2) phi = 0; its reported residual equals the
       trial-energy error for a normalized phi.
 
-    ``phi`` is the upper 2-spinor, normalized here.  Broadcasts over
-    stacked momenta (..., 3), v0, e_trial and phi (..., 2); each residual
-    then has the broadcast stack shape.  With an empty nullspace,
-    ``nullspace_maps_back`` is measured on the least-singular right vector,
-    so it stays finite and fails.
+    ``phi`` is the upper 2-spinor, normalized here; a zero one raises
+    ValueError.  Broadcasts over stacked momenta (..., 3), v0, e_trial and
+    phi (..., 2); each residual then has the broadcast stack shape.  With an
+    empty nullspace, ``nullspace_maps_back`` is measured on the
+    least-singular right vector, so it stays finite and fails.
     """
     v0 = np.asarray(v0, dtype=float)[..., None, None]
     e_trial = np.asarray(e_trial, dtype=float)[..., None, None]

@@ -21,17 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ConvergenceError",
-    "EigenDecomposition",
-    "expect",
-    "hermitian_eig",
-    "matrix_dot",
-    "residual_norm",
-    "stack_blocks",
-    "tridiagonal_lowest",
-]
-
 # Max-abs bound for accepting input as Hermitian, and for the
 # orthonormality residual of a returned decomposition.  The reconstruction
 # residual HV - VΛ carries the units of H, so its bound is this one scaled

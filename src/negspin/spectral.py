@@ -29,14 +29,6 @@ from .clifford import (
 )
 from .matrix_core import ConvergenceError, EigenDecomposition, expect, hermitian_eig, matrix_dot
 
-__all__ = [
-    "closed_form_energies",
-    "correspondence_check",
-    "hamiltonian",
-    "helicity_eigenstates",
-    "lorentz_transform",
-]
-
 HAMILTONIANS = ("dirac", "nonrel")
 
 

@@ -24,7 +24,6 @@ from negspin.clifford import CheckEntry, dirac_representation, entry
 from negspin.fields import (
     RadialGrid,
     _check_truncation,
-    _disc_spinor,
     _landau_lambda,
     landau_sectors,
 )
@@ -50,7 +49,9 @@ def disc_spinor(rng: np.random.Generator, size: int) -> np.ndarray:
     Draw order per component: radius^2 then angle, both U[0, 1); the vector
     is normalized afterwards.  The fixed spinors of the single-draw tests.
     """
-    return _disc_spinor(rng.uniform(size=(size, 2)))
+    u = rng.uniform(size=(size, 2))
+    comps = np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+    return comps / np.linalg.norm(comps)
 
 
 def _ladder_down(dim: int) -> np.ndarray:

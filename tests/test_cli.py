@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negspin import __version__, commands, spectral
+from negspin import __version__, commands, dynamics, spectral
 from negspin.cli import (
     COMMAND_SCHEMA,
     EXIT_CHECK_FAILED,
@@ -431,6 +431,33 @@ def test_zitter_uncoupled_branches_have_no_oscillation(capsys, weights):
     assert abs(report["results"]["measured_omega"] - 3.0) < 3e-12
 
 
+@pytest.mark.parametrize("observable", ["alpha1", "alpha2", "alpha3", "beta", "ibgamma5"])
+def test_zitter_passes_at_the_coupling_threshold(capsys, observable):
+    # a third weight near 6.6e-13 puts alpha3's amplitude just under the
+    # 1e-12 gate, yet moves the series enough for the fit to find the gap
+    codes = set()
+    for w in np.geomspace(1e-13, 1e-11, 400):
+        codes.add(main(["zitter", f"--weights=1,0,{float(w)!r},0", "--observable", observable]))
+        capsys.readouterr()
+    assert codes == {EXIT_OK}
+
+
+def test_zitter_uncoupled_run_fails_on_a_real_oscillation(capsys, monkeypatch):
+    # a single eigenstate has no gap, so a cosine of 1e-6 at the default
+    # p's gap 3.0 that the evolution adds must fail the check
+    evolve = dynamics.evolve
+
+    def with_cosine(states, weights, t):
+        return (1.0 + 1e-6 * np.cos(3.0 * np.asarray(t)))[..., None] * evolve(states, weights, t)
+
+    monkeypatch.setattr(dynamics, "evolve", with_cosine)
+    code, report = run_json(capsys, ["zitter", "--weights", "0,0,0,1", "--observable", "beta"])
+    assert code == EXIT_CHECK_FAILED
+    check = report["checks"][0]
+    assert check["name"] == "no_oscillation_expected"
+    assert check["residual"] == 1.0 and check["pass"] is False
+
+
 def test_zitter_rejects_zero_weights(capsys):
     assert main(["zitter", "--weights", "0,0,0,0"]) == EXIT_USAGE
 
@@ -476,16 +503,23 @@ def test_reduction_wrong_energy_control(capsys):
     assert not report["checks"][2]["pass"] or not report["checks"][7]["pass"]
 
 
-def test_reduction_memory_does_not_grow_with_the_chain(capsys):
-    # 20000 trials hold only their draws; the chain runs in fixed blocks
-    main(["reduction", "--trials", "1"])  # imports outside the traced window
+def peak_memory(capsys, warm_up, argv) -> int:
+    """Peak bytes traced while ``main(argv)`` runs, which must exit 0; runs
+    ``main(warm_up)`` first, so the imports fall outside the traced window."""
+    main(warm_up)
     tracemalloc.start()
     try:
-        assert main(["reduction", "--trials", "20000"]) == EXIT_OK
+        assert main(argv) == EXIT_OK
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     capsys.readouterr()
+    return peak
+
+
+def test_reduction_memory_does_not_grow_with_the_chain(capsys):
+    # 20000 trials hold only their draws; the chain runs in fixed blocks
+    peak = peak_memory(capsys, ["reduction", "--trials", "1"], ["reduction", "--trials", "20000"])
     assert peak < 8e6
 
 
@@ -494,14 +528,8 @@ def test_reduction_holds_only_its_uniforms(capsys):
     # are derived per block, so the rest is one draw chunk of 1.6 MB or one
     # block of the chain, whichever is larger
     trials = 50000
-    main(["reduction", "--trials", "1"])  # imports outside the traced window
-    tracemalloc.start()
-    try:
-        assert main(["reduction", "--trials", str(trials)]) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+    peak = peak_memory(capsys, ["reduction", "--trials", "1"],
+                       ["reduction", "--trials", str(trials)])
     assert peak < 64 * trials + 2.5e6
 
 
@@ -511,15 +539,8 @@ def test_dispersion_holds_only_its_columns(capsys, tmp_path, fmt):
     # deviation of one column at a time; the eigensolves run in fixed blocks
     # of momenta, and a CSV table is formatted and written a block at a time
     steps, out = 50000, tmp_path / "table"
-    main(["dispersion", "--steps", "3"])  # imports outside the traced window
-    tracemalloc.start()
-    try:
-        argv = ["dispersion", "--steps", str(steps), "--format", fmt, "--out", str(out)]
-        assert main(argv) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+    argv = ["dispersion", "--steps", str(steps), "--format", fmt, "--out", str(out)]
+    peak = peak_memory(capsys, ["dispersion", "--steps", "3"], argv)
     if fmt == "csv":
         assert len(out.read_text().splitlines()) == steps + 1
     assert peak < 96 * steps + 1e6
@@ -532,15 +553,9 @@ def test_lorentz_sweep_holds_only_its_checks(capsys, tmp_path, fmt):
     # in CSV; the report's text is encoded and written a block at a time,
     # where a JSON report encoded whole held 2800 B a momentum
     sweep, out = 20000, tmp_path / "report"
-    main(["lorentz", "--sweep", "10", "--format", fmt, "--out", str(out)])  # imports outside
-    tracemalloc.start()
-    try:
-        argv = ["lorentz", "--sweep", str(sweep), "--format", fmt, "--out", str(out)]
-        assert main(argv) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+    argv = ["lorentz", "--sweep", str(sweep), "--format", fmt, "--out", str(out)]
+    peak = peak_memory(capsys, ["lorentz", "--sweep", "10", "--format", fmt, "--out", str(out)],
+                       argv)
     assert peak < 1500 * sweep + 1e6
 
 
@@ -548,14 +563,7 @@ def test_landau_holds_only_its_eigenvalues(capsys):
     # 20000 sectors hold their momenta, their eigenvalues and the sorted
     # levels, 120 bytes a sector; the sectors are solved in fixed blocks
     n_max = 20000
-    main(["landau"])  # imports outside the traced window
-    tracemalloc.start()
-    try:
-        assert main(["landau", "--n-max", str(n_max)]) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+    peak = peak_memory(capsys, ["landau"], ["landau", "--n-max", str(n_max)])
     assert peak < 128 * n_max + 1e6
 
 
@@ -563,14 +571,8 @@ def test_zitter_holds_only_its_series(capsys):
     # 100000 samples hold the times, the values, the scaled times of the
     # table and the fit's differences; the states are evolved in fixed blocks of times
     samples = 100000
-    main(["zitter"])  # imports outside the traced window
-    tracemalloc.start()
-    try:
-        assert main(["zitter", "--n-samples", str(samples), "--t-max", "1000"]) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+    peak = peak_memory(capsys, ["zitter"],
+                       ["zitter", "--n-samples", str(samples), "--t-max", "1000"])
     assert peak < 48 * samples + 1e6
 
 

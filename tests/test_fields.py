@@ -385,8 +385,9 @@ def test_reduction_stack_equals_each_draw():
 
 
 def test_reduction_draws_follow_documented_order():
-    # per trial: momentum (3 uniforms), potential (1), then the disc spinor,
-    # each uniform a 53-bit double from one 64-bit MT19937 word
+    # per trial: momentum (3 uniforms), potential (1), then the two spinor
+    # components, not normalized; each uniform a 53-bit double from one
+    # 64-bit MT19937 word
     trials = 40
     p, v0, phi = reduction_trials(draw_reduction_uniforms(4, trials))
     rng = random.Random(4)
@@ -401,8 +402,7 @@ def test_reduction_draws_follow_documented_order():
         for _ in range(2):
             radius2, turn = uniform(), uniform()
             comps.append(cmath.rect(math.sqrt(radius2), 2.0 * math.pi * turn))
-        norm = math.hypot(*map(abs, comps))
-        assert max(abs(a - b / norm) for a, b in zip(phi[i], comps)) <= 1e-15
+        assert max(abs(a - b) for a, b in zip(phi[i], comps)) <= 1e-15
 
 
 def test_reduction_draws_do_not_depend_on_chunking(monkeypatch):
@@ -453,6 +453,19 @@ def test_reduction_blocks_carry_a_nan_residual(monkeypatch, capsys):
     assert calls == [STACK_BLOCK, STACK_BLOCK, 1]
     assert code == 1
     assert "rearrange_operator_plus,nan,9.9999999999999998e-13,false" in capsys.readouterr().out
+
+
+def test_reduction_zero_spinor_is_rejected_by_the_chain(monkeypatch, capsys):
+    # a row whose two radius^2 uniforms are 0 draws phi = 0, which only
+    # pauli_reduction_check normalizes, so it is rejected by name
+    def zero_spinor_draw(seed, trials):
+        u = draw_reduction_uniforms(seed, trials)
+        u[1, [4, 6]] = 0.0
+        return u
+
+    monkeypatch.setattr(commands, "draw_reduction_uniforms", zero_spinor_draw)
+    assert main(["reduction", "--trials", "3"]) == 2
+    assert "phi must be nonzero" in capsys.readouterr().err
 
 
 def test_reduction_phi_validation():

@@ -1,5 +1,5 @@
-"""Package surface: exported names resolve, every public definition is used,
-and start-up stays light."""
+"""Package surface: every public definition is used, no module imports a
+private name of another, and start-up stays light."""
 
 import ast
 import builtins
@@ -31,13 +31,6 @@ finally:
                  .intersection(sys.modules)))
 """
 MAIN = "from negspin.cli import main; sys.exit(main({argv!r}))"
-
-
-@pytest.mark.parametrize("module", ["negspin", *(f"negspin.{m}" for m in MODULES)])
-def test_every_exported_name_resolves(module):
-    mod = importlib.import_module(module)
-    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
-    assert missing == []
 
 
 def test_the_package_binds_no_library_name():
