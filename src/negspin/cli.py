@@ -12,11 +12,13 @@ configuration (defaults < config file < flags), runs its computation
 
 with the configuration less "out" as "params" and one {"name", "residual",
 "tolerance", "pass"} object per check; a command without a table of its
-own writes its checks as that CSV table.  The checks, a family of them
-(a ``CheckEntry`` with a tuple of names) one per name, are laid out once
-as the four columns of that table, which the JSON report and the exit code
-read too.  A table and the check list are written ``_CSV_BLOCK`` rows at a
-time by one writer (``_blocks``), with no timestamps and with floats in 17
+own writes its checks as that CSV table.  Every ``CheckEntry`` is a family
+of checks: a name pattern over its residual array, one label sequence per
+axis, a single check having none.  The exit code and the JSON rejection of
+a non-finite value read the families' arrays; a check's name, Python float
+and flag text are made only as its block of rows is written
+(``_check_blocks``).  A table and the check list are written
+``_CSV_BLOCK`` rows at a time, with no timestamps and with floats in 17
 significant digits (CSV) or Python's shortest repr (JSON): identical
 configurations give identical bytes.
 
@@ -39,7 +41,7 @@ import math
 import os
 import sys
 from contextlib import suppress
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, islice, product, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -51,9 +53,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 UNIT_KEYS = ("m0", "c", "hbar", "q")
-# rows per ``%`` call of ``_blocks``: enough to amortize the call, few enough
-# that a block's cells as Python objects stay in cache; 256 formats a
-# 300000 x 7 float table a quarter faster than one call over it
+# rows per ``%`` call of ``_blocks`` and ``_check_blocks``: enough to
+# amortize the call, few enough that a block's cells as Python objects stay
+# in cache; 256 formats a 300000 x 7 float table a quarter faster than one
+# call over it
 _CSV_BLOCK = 256
 # one check of the JSON report as ``json.dumps(indent=2)`` lays it out in the
 # "checks" list, led by the comma that parts it from the check before
@@ -336,46 +339,54 @@ def _resolve(command: str, flags: dict[str, str]) -> tuple[dict, Units | None]:
     return cfg, units
 
 
-def _check_columns(checks: list) -> dict:
-    """The checks as the four columns of the check table: a family (a tuple of
-    names) one row per name, any other check one row, and "pass" "true" or
-    "false" as the report prints it."""
-    columns = {"name": [], "residual": [], "tolerance": [], "pass": []}
-    for e in checks:
-        family = isinstance(e.name, tuple)  # its residual and flags: one element per name
-        columns["name"] += e.name if family else [e.name]
-        columns["residual"] += e.residual.ravel().tolist() if family else [e.residual]
-        columns["tolerance"] += [e.tolerance] * (len(e.name) if family else 1)
-        columns["pass"] += ["true" if flag else "false"
-                            for flag in (e.passed.ravel().tolist() if family else [e.passed])]
-    return columns
+def _check_columns(checks: list) -> list:
+    """Each check family with its residuals and pass flags as 1-d arrays in C
+    order, the rows of the check table; nothing is formatted or listed here."""
+    import numpy as np  # loaded with the commands that made the checks
+
+    return [(e, np.ravel(e.residual), np.ravel(e.passed)) for e in checks]
 
 
-def _blocks(line: str, columns: list, first=None):
+def _blocks(line: str, columns: list):
     """``line`` filled with each row of ``columns`` (1-d arrays or lists of one
     length), one string per block of ``_CSV_BLOCK`` rows, each formatted only
     when it is taken.
 
     A block's cells are taken as Python numbers (``tolist``), which ``%s``
-    prints as ``%d`` would, those of the first column through ``first`` if it
-    is given, and formatted in one ``%`` call: one block is ever held.
+    prints as ``%d`` would, and formatted in one ``%`` call: one block is
+    ever held.
     """
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         block = [cells[start:start + _CSV_BLOCK] for cells in columns]
         block = [cells.tolist() if hasattr(cells, "tolist") else cells for cells in block]
-        if first:
-            block[0] = [*map(first, block[0])]
         yield line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _render(command: str, cfg: dict, payload: dict, checks: dict):
-    """The output as strings to write: a CSV table, or the JSON report, its
-    rows formatted a block of ``_CSV_BLOCK`` at a time (``_blocks``).
+def _check_blocks(line: str, checks: list, name=str):
+    """``line`` filled with each row of the check table, one string per block
+    of ``_CSV_BLOCK`` rows of one family, as ``_blocks`` fills it: a row's
+    name is its pattern filled with its labels and passed through ``name``,
+    and its flag "true" or "false" as the report prints it.  A family's
+    names and flags exist only while their block is formatted."""
+    for e, residual, passed in checks:
+        names = map(name, starmap(e.name.format, product(*e.labels)))  # in C order
+        for start in range(0, len(residual), _CSV_BLOCK):
+            cells = residual[start:start + _CSV_BLOCK].tolist()
+            flags = ["true" if f else "false" for f in passed[start:start + _CSV_BLOCK].tolist()]
+            rows = zip(islice(names, len(cells)), cells, repeat(e.tolerance), flags)
+            yield line * len(cells) % tuple(chain.from_iterable(rows))
 
-    The CSV table is the command's own, or else the check table ``checks``;
-    it maps each header name to a 1-d array or list of one cell type.  A
-    column's ``%`` spec comes from its first cell: ``%.17g`` for a float,
-    which prints it as ``format(x, ".17g")`` does, else ``%s``.
+
+def _render(command: str, cfg: dict, payload: dict, checks: list):
+    """The output as strings to write: a CSV table, or the JSON report, its
+    rows formatted a block of ``_CSV_BLOCK`` at a time (``_blocks``,
+    ``_check_blocks``).
+
+    The CSV table is the command's own, or else the check table of
+    ``checks`` (``_check_columns``).  A table maps each header name to a
+    1-d array or list of one cell type; a column's ``%`` spec comes from its
+    first cell: ``%.17g`` for a float, which prints it as ``format(x,
+    ".17g")`` does, else ``%s``.
 
     The JSON report is the text ``json.dumps(report, indent=2,
     allow_nan=False)`` writes: its head and tail come from it, and each check
@@ -385,10 +396,13 @@ def _render(command: str, cfg: dict, payload: dict, checks: dict):
     anything is written.
     """
     if cfg["format"] == "csv":
-        table = payload.get("table", checks)
+        if "table" not in payload:
+            return chain(["name,residual,tolerance,pass\n"],
+                         _check_blocks("%s,%.17g,%.17g,%s\n", checks))
+        table = payload["table"]
         line = ",".join("%.17g" if isinstance(next(iter(cells), None), float) else "%s"
                         for cells in table.values()) + "\n"
-        return chain([",".join(table) + "\n"], _blocks(line, list(table.values())))
+        return chain([",".join(table) + "\n"], _blocks(line, [*table.values()]))
     report = {
         "command": command,
         "params": {key: value for key, value in cfg.items() if key != "out"},
@@ -397,15 +411,18 @@ def _render(command: str, cfg: dict, payload: dict, checks: dict):
         "version": __version__,
     }
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    if not checks["name"]:
+    # of each family with rows, in the report's order: its first residual, its
+    # tolerance, then its first residual that is not finite (NaN is not below inf)
+    firsts = [[*r[:1].tolist(), e.tolerance, *r[~(abs(r) < math.inf)][:1].tolist()]
+              for e, r, _ in checks if len(r)]
+    if not firsts:
         return [text]
-    floats = chain.from_iterable(zip(checks["residual"], checks["tolerance"]))
-    bad = next(filterfalse(math.isfinite, floats), None)
+    bad = next(filterfalse(math.isfinite, chain.from_iterable(firsts)), None)
     if bad is not None:
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
     # a string holds no raw newline, so only the top-level key follows one and two spaces
     head, key, tail = text.partition('\n  "checks": [')
-    rows = _blocks(_JSON_CHECK, list(checks.values()), encode_basestring_ascii)
+    rows = _check_blocks(_JSON_CHECK, checks, encode_basestring_ascii)
     # the first check takes no comma
     return chain([head + key, next(rows)[1:]], rows, ["\n  " + tail])
 
@@ -454,4 +471,4 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"error: input too large to allocate ({err})", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_CHECK_FAILED if "false" in checks["pass"] else EXIT_OK
+    return EXIT_OK if all(passed.all() for *_, passed in checks) else EXIT_CHECK_FAILED

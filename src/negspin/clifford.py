@@ -38,26 +38,32 @@ for _m in (*PAULI, I2, I4):
 
 @dataclass(frozen=True, eq=False)
 class CheckEntry:
-    """One named residual check; ``passed`` is residual <= tolerance, derived,
-    so a NaN residual fails.  On stacked inputs the residual is an array of
-    the stack's shape and ``passed`` one flag per entry, else a float and a
-    bool.  A family of checks under one tolerance, such as one per level, is
-    one entry whose name is a tuple: one name per element of the raveled
-    residual, each a check of its own in the report.  ``negspin.cli`` alone
-    renders a check."""
+    """One named residual check, or a family of them under one tolerance;
+    ``passed`` is residual <= tolerance, derived, so a NaN residual fails.
 
-    name: str | tuple[str, ...]
+    ``name`` is a ``str.format`` pattern with one field per residual axis,
+    and ``labels`` holds one label sequence per axis: the check at index
+    (i, j, ...) is named ``name.format(labels[0][i], labels[1][j], ...)``,
+    and the family's checks follow in C order.  A single check has no
+    labels, a float residual and a bool flag; its name is ``name.format()``.
+    A library check on stacked inputs has no labels either: its residual is
+    an array of the stack's shape and ``passed`` one flag per entry.
+    ``negspin.cli`` alone renders a check."""
+
+    name: str
     residual: float | np.ndarray
     tolerance: float
+    labels: tuple = ()
 
     @property
     def passed(self) -> bool | np.ndarray:
         return self.residual <= self.tolerance
 
 
-def entry(name: str | tuple[str, ...], residual, tolerance: float) -> CheckEntry:
+def entry(name: str, residual, tolerance: float, labels: tuple = ()) -> CheckEntry:
     residual = np.asarray(residual, dtype=float)
-    return CheckEntry(name, float(residual) if residual.ndim == 0 else residual, float(tolerance))
+    return CheckEntry(name, float(residual) if residual.ndim == 0 else residual,
+                      float(tolerance), labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,9 @@ by theirs on the way out.  It returns {"results", "checks"}, plus, for a
 table of its own, "table": each header name mapped to a 1-d array or list.
 "checks" is a list of ``CheckEntry``: a scalar check, or a family of them
 under one tolerance (one per level, or per sweep momentum and branch) as
-one entry with a tuple of names over its residual array, which ``cli``
-lays out as one check per name.
+one entry whose name is a pattern over its residual array, with one label
+sequence per axis; ``cli`` names each check of a family only as it writes
+that check.
 "results" holds only what the run computed: ``cli`` reports its inputs
 as "params".  A body rejects, with ``ValueError``, only inputs that take
 the physics to judge (a level spacing, a grid, a sampling rate): ``cli``
@@ -70,10 +71,9 @@ def _cmd_dispersion(cfg: dict, units: Units) -> dict:
     # one column at a time; np.max, unlike max, carries a NaN deviation through
     worst = np.max([np.max(np.abs(column - closed) / np.maximum(1.0, np.abs(closed)))
                     for column, closed in zip(eigenvalues.T, (e_minus, e_minus, e_plus, e_plus))])
-    checks = [entry("max_relative_deviation", worst, 1e-12)]
     return {
         "results": {},
-        "checks": checks,
+        "checks": [entry("max_relative_deviation", worst, 1e-12)],
         "table": {"p": p_mag, **dict(zip(("E1", "E2", "E3", "E4"), eigenvalues.T)),
                   "E_minus_closed": e_minus, "E_plus_closed": e_plus},
     }
@@ -125,12 +125,6 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
     eigenvalues = units.energy * np.sort(np.concatenate([solved[0, [0, -1]], solved[1:].ravel()]))
     near_plus, near_minus = _nearest(eigenvalues, e_plus), _nearest(eigenvalues, e_minus)
     resid_plus, resid_minus = np.abs(near_plus - e_plus), np.abs(near_minus - e_minus)
-    checks = [
-        entry(tuple(f"level_k{level}_{branch}_residual" for level in k.tolist()
-                    for branch in ("plus", "minus")),
-              np.stack([resid_plus, resid_minus], axis=-1), tol),
-        entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8),
-    ]
     return {
         "results": {
             "omega_c": abs(lam) / units.time,
@@ -140,7 +134,11 @@ def _cmd_landau(cfg: dict, units: Units) -> dict:
             "counted_multiplicity_plus": _count_within(eigenvalues, e_plus, tol).tolist(),
             "counted_multiplicity_minus": _count_within(eigenvalues, e_minus, tol).tolist(),
         },
-        "checks": checks,
+        "checks": [
+            entry("level_k{}_{}_residual", np.stack([resid_plus, resid_minus], axis=-1), tol,
+                  (range(cfg["k_max"] + 1), ("plus", "minus"))),
+            entry("pairing_max_residual", np.max(np.abs(near_plus + near_minus)), 1e-8),
+        ],
         "table": {
             "k": k,
             "E_plus_analytic": e_plus, "E_plus_numeric": near_plus, "residual_plus": resid_plus,
@@ -161,11 +159,10 @@ def _cmd_coulomb(cfg: dict, units: Units) -> dict:
     e_closed = 1.0 - binding
     # a relative error: the same number in every unit system
     rel = np.abs(energies - e_closed) / np.maximum(np.abs(e_closed), binding)
-    checks = [entry(tuple(f"level_n{level}_relative_error" for level in n), rel, 1e-3)]
     e_plus = units.energy * energies
     return {
         "results": {"grid_spacing": units.length * grid.spacing},
-        "checks": checks,
+        "checks": [entry("level_n{}_relative_error", rel, 1e-3, (n,))],
         # E_minus_numeric is the sign-flipped copy of E_plus_numeric, not a
         # computed level: no negative-branch operator is solved
         "table": {"n": n, "E_plus_numeric": e_plus, "E_plus_closed": units.energy * e_closed,
@@ -246,12 +243,9 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
         for block in stack_blocks(momenta):
             report = correspondence_check(momenta[block])
             residual[block] = report.residual
-        # the branch signs as literal text: a format spec per name costs the
-        # 2N-name tuple about half again its build time
-        names = tuple(f"p{j:03d}_branch{branch}_correspondence"
-                      for j in range(1, len(momenta) + 1) for branch in ("-1", "+1"))
         return {"results": {"mode": "correspondence_sweep"},
-                "checks": [entry(names, residual, report.tolerance)]}
+                "checks": [entry("p{:03d}_branch{}_correspondence", residual, report.tolerance,
+                                 (range(1, len(momenta) + 1), ("-1", "+1")))]}
     v = np.divide(cfg["v"], units.velocity)
     e_out, p_out = lorentz_transform(
         cfg["e_prime"] / units.energy, np.divide(cfg["p_prime"], units.momentum), v)
@@ -261,10 +255,9 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
         abs(units.energy * e_back - cfg["e_prime"]),
         float(np.max(np.abs(units.momentum * p_back - np.asarray(cfg["p_prime"])))),
     )
-    checks = [entry("roundtrip_residual", roundtrip, 1e-12)]
     return {
         "results": {"mode": "transform", "e": e_out, "p": [float(x) for x in p_out]},
-        "checks": checks,
+        "checks": [entry("roundtrip_residual", roundtrip, 1e-12)],
         "table": {"E": [e_out], **{f"p{axis}": [float(x)] for axis, x in zip("xyz", p_out)},
                   "roundtrip_residual": [roundtrip]},
     }

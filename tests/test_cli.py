@@ -18,6 +18,7 @@ from negspin.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _check_columns,
+    _render,
     main,
     unit_scales,
 )
@@ -154,12 +155,14 @@ def test_lorentz_sweep_blocks_match_one_stack(monkeypatch, count):
            "sweep": count, "pmax": 7.0}
     payload = commands.run("lorentz", cfg, units)
     whole = correspondence_check(commands._sweep_momenta(count, 7.0 / units.momentum))
-    checks = _check_columns(payload["checks"])
-    assert np.array(checks["residual"]).tobytes() == whole.residual.ravel().tobytes()
-    assert set(checks["tolerance"]) == {whole.tolerance}
-    assert checks["name"][:3] == ["p001_branch-1_correspondence", "p001_branch+1_correspondence",
-                                  "p002_branch-1_correspondence"]
-    assert len(checks["name"]) == 2 * count
+    (family,) = payload["checks"]
+    assert family.residual.tobytes() == whole.residual.tobytes()
+    assert family.tolerance == whole.tolerance
+    csv = _render("lorentz", {"format": "csv"}, {}, _check_columns([family]))
+    names = [row.split(",")[0] for row in "".join(csv).splitlines()[1:]]
+    assert names[:3] == ["p001_branch-1_correspondence", "p001_branch+1_correspondence",
+                         "p002_branch-1_correspondence"]
+    assert len(names) == 2 * count
     full, rest = divmod(count, STACK_BLOCK)
     assert calls == [STACK_BLOCK] * full + ([rest] if rest else [])
 
@@ -548,15 +551,17 @@ def test_dispersion_holds_only_its_columns(capsys, tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_lorentz_sweep_holds_only_its_checks(capsys, tmp_path, fmt):
-    # 20000 momenta hold their residuals and 40000 check entries, about
-    # 950 B a momentum in JSON (with the report's check objects) and 530 B
-    # in CSV; the report's text is encoded and written a block at a time,
-    # where a JSON report encoded whole held 2800 B a momentum
+    # 20000 momenta hold their residuals, 16 B a momentum, and the check
+    # family only its name pattern and labels; the peak, about 92 B a
+    # momentum in JSON and in CSV, is the spiral's construction.  A name, a
+    # flag or a Python float exists only while its block of the report is
+    # written; spelt out as 40000 names and listed as columns, the checks
+    # held 318 B a momentum, and a JSON report encoded whole held 2800 B
     sweep, out = 20000, tmp_path / "report"
     argv = ["lorentz", "--sweep", str(sweep), "--format", fmt, "--out", str(out)]
     peak = peak_memory(capsys, ["lorentz", "--sweep", "10", "--format", fmt, "--out", str(out)],
                        argv)
-    assert peak < 1500 * sweep + 1e6
+    assert peak < 150 * sweep + 1e6
 
 
 def test_landau_holds_only_its_eigenvalues(capsys):

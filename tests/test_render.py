@@ -70,22 +70,35 @@ def tables(draw):
     return header, rows
 
 
+def pattern(text: str) -> str:
+    """``text`` as a ``str.format`` pattern without fields, which names ``text``."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
 @st.composite
 def check_lists(draw, floats):
-    """Scalar checks and families (a name per residual, a 1-d or 2-d array),
-    with each check as the report lays it out: name, residual, tolerance, pass."""
+    """Scalar checks and families (a name pattern over a 1-d or 2-d residual,
+    the second axis labelled by text), with each check as the report lays it
+    out: name, residual, tolerance, pass."""
     entries, rows = [], []
     for _ in range(draw(st.integers(0, 4))):
         tolerance = draw(floats)
         if draw(st.booleans()):
-            entries.append(CheckEntry(draw(st.text()), draw(floats), tolerance))
-            rows.append((entries[-1].name, entries[-1].residual, tolerance))
+            name = draw(st.text())
+            entries.append(CheckEntry(pattern(name), draw(floats), tolerance))
+            rows.append((name, entries[-1].residual, tolerance))
             continue
         stem, size, width = draw(st.text()), draw(FAMILY_SIZES), draw(st.sampled_from([1, 2]))
-        names = tuple(f"{stem}{i}" for i in range(size))
         residual = np.resize(draw(st.lists(floats, min_size=1, max_size=5)), size)
-        entries.append(CheckEntry(names, residual.reshape(-1, width) if size % width == 0
-                                  else residual, tolerance))
+        if size % width == 0 and width == 2:
+            ends = draw(st.lists(st.text(), min_size=2, max_size=2))
+            labels, names = (range(size // 2), ends), [
+                f"{stem}{i}_{end}" for i in range(size // 2) for end in ends]
+        else:
+            labels, names = (range(size),), [f"{stem}{i}_" for i in range(size)]
+        entries.append(CheckEntry(pattern(stem) + "{}_" + "{}" * (len(labels) - 1),
+                                  residual.reshape([len(axis) for axis in labels]), tolerance,
+                                  labels))
         rows += [(name, r, tolerance) for name, r in zip(names, residual.tolist())]
     return entries, [(name, r, t, r <= t) for name, r, t in rows]
 
@@ -140,7 +153,7 @@ def _family(last):
     """A family over several blocks whose last residual is ``last``."""
     residual = np.zeros(2 * _CSV_BLOCK + 3)
     residual[-1] = last
-    return entry(tuple(f"f{i}" for i in range(residual.size)), residual, 1.0)
+    return entry("f{}", residual, 1.0, (range(residual.size),))
 
 
 NON_FINITE = {
@@ -179,18 +192,22 @@ def test_every_csv_table_holds_one_type_per_column(command):
     for argv in argvs:
         cfg, units = _resolve(*_parse(argv))
         payload = commands.run(command, cfg, units)
-        checks = _check_columns(payload["checks"])
-        assert checks["name"], argv
-        columns = list(checks.values())
         if "table" in payload:
-            columns += [list(column) for column in payload["table"].values()]
-            assert len({len(column) for column in payload["table"].values()}) == 1, argv
-        assert len({len(column) for column in checks.values()}) == 1, argv
-        for column in columns:
-            assert len({type(cell) for cell in column}) == 1, argv
-            assert not isinstance(column[0], (bool, np.bool_)), argv
-        assert {type(x) for x in checks["residual"] + checks["tolerance"]} == {float}, argv
-        assert set(checks["pass"]) <= {"true", "false"}, argv
+            columns = [list(column) for column in payload["table"].values()]
+            assert len({len(column) for column in columns}) == 1, argv
+            for column in columns:
+                assert len({type(cell) for cell in column}) == 1, argv
+                assert not isinstance(column[0], (bool, np.bool_)), argv
+        # the check table's cells exist only as they are formatted: as the
+        # JSON report prints them, a name is a string, a residual and a
+        # tolerance Python floats (an np.float64 would print its type) and
+        # a flag a JSON boolean
+        report = "".join(_render(command, {**cfg, "format": "json"}, payload,
+                                 _check_columns(payload["checks"])))
+        checks = json.loads(report)["checks"]
+        assert checks, argv
+        assert {tuple(map(type, check.values())) for check in checks} == {
+            (str, float, float, bool)}, argv
 
 
 def test_csv_writes_the_header_of_a_table_without_rows():
@@ -242,7 +259,9 @@ def test_json_report_is_written_in_parts(capsys, tmp_path):
     text = "".join(parts)
     report = json.loads(text)
     assert text == json.dumps(report, indent=2, allow_nan=False) + "\n"
-    assert [c["name"] for c in report["checks"]] == list(family.name)
+    assert [c["name"] for c in report["checks"]] == [
+        f"p{j:03d}_branch{branch}_correspondence" for j in range(1, 4001)
+        for branch in ("-1", "+1")]
     assert [c["residual"] for c in report["checks"]] == family.residual.ravel().tolist()
     assert {c["tolerance"] for c in report["checks"]} == {family.tolerance}
     assert main(argv) == 0
