@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matrix_core import residual_norm
+from .matrix_core import hermitian_eig, residual_norm
 
 IDENTITY_TOL = 1e-14
 
@@ -61,7 +61,12 @@ class CheckEntry:
 
 
 def entry(name: str, residual, tolerance: float, labels: tuple = ()) -> CheckEntry:
+    """A check; ``labels``, if given, must have the residual's shape."""
     residual = np.asarray(residual, dtype=float)
+    shape = tuple(map(len, labels))
+    if labels and shape != residual.shape:
+        raise ValueError(f"labels of shape {shape} do not match the residual's shape "
+                         f"{residual.shape}")
     return CheckEntry(name, float(residual) if residual.ndim == 0 else residual,
                       float(tolerance), labels)
 
@@ -160,7 +165,7 @@ def verify_gamma_properties(basis: DiracBasis) -> tuple[CheckEntry, ...]:
         entry("beta_shift_product",
               residual_norm((I4 + basis.beta) @ basis.beta, I4 + basis.beta), IDENTITY_TOL),
         entry("gamma1_smallest_singular_value",
-              float(np.min(np.linalg.svd(g1, compute_uv=False))), IDENTITY_TOL),
+              float(np.min(np.abs(hermitian_eig(g1).eigenvalues))), IDENTITY_TOL),
         entry("gamma2_unitarity",
               residual_norm(g2.conj().T @ g2 / 2.0, I4), IDENTITY_TOL),
     ])

@@ -247,14 +247,17 @@ def _cmd_lorentz(cfg: dict, units: Units) -> dict:
                 "checks": [entry("p{:03d}_branch{}_correspondence", residual, report.tolerance,
                                  (range(1, len(momenta) + 1), ("-1", "+1")))]}
     v = np.divide(cfg["v"], units.velocity)
-    e_out, p_out = lorentz_transform(
-        cfg["e_prime"] / units.energy, np.divide(cfg["p_prime"], units.momentum), v)
+    e_prime, p_prime = cfg["e_prime"] / units.energy, np.divide(cfg["p_prime"], units.momentum)
+    e_out, p_out = lorentz_transform(e_prime, p_prime, v)
     e_back, p_back = lorentz_transform(e_out, p_out, -v)
+    # dimensionless: the round trip's error over the pair's size times the
+    # boost's 2-norm condition number (1 + |v|) / (1 - |v|), its singular
+    # values being e^(+-rapidity); written (1 + |v|)^2 / (1 - |v|^2), it is
+    # finite wherever the transform accepted |v|^2 < 1
+    v2 = float(v @ v)
+    scale = (1.0 + np.sqrt(v2)) ** 2 / (1.0 - v2) * max(1.0, abs(e_prime), np.max(np.abs(p_prime)))
+    roundtrip = float(max(abs(e_back - e_prime), np.max(np.abs(p_back - p_prime))) / scale)
     e_out, p_out = units.energy * e_out, units.momentum * p_out
-    roundtrip = max(
-        abs(units.energy * e_back - cfg["e_prime"]),
-        float(np.max(np.abs(units.momentum * p_back - np.asarray(cfg["p_prime"])))),
-    )
     return {
         "results": {"mode": "transform", "e": e_out, "p": [float(x) for x in p_out]},
         "checks": [entry("roundtrip_residual", roundtrip, 1e-12)],

@@ -223,8 +223,9 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
     ``phi`` is the upper 2-spinor, normalized here; a zero one raises
     ValueError.  Broadcasts over stacked momenta (..., 3), v0, e_trial and
     phi (..., 2); each residual then has the broadcast stack shape.  With an
-    empty nullspace, ``nullspace_maps_back`` is measured on the
-    least-singular right vector, so it stays finite and fails.
+    empty nullspace, ``nullspace_maps_back`` is measured on the eigenvector
+    of the least |eigenvalue| of the rearranged operator (Hermitian, so that
+    is its least singular value), so it stays finite and fails.
     """
     v0 = np.asarray(v0, dtype=float)[..., None, None]
     e_trial = np.asarray(e_trial, dtype=float)[..., None, None]
@@ -260,12 +261,14 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
               1e-12)
     )
 
-    _, svals, vh = np.linalg.svd(op)
-    null_dim = np.sum(svals < 1e-8, axis=-1)
-    entries.append(entry("nullspace_dimension", np.abs(null_dim - 2), 0.5))
-    # right vectors of the null_dim smallest singular values, at least one
-    kept = np.arange(4) >= 4 - np.maximum(null_dim, 1)[..., None]
-    vecs = np.swapaxes(vh, -1, -2).conj()
+    # op is Hermitian, so its singular values are the |eigenvalues|
+    null = hermitian_eig(op)
+    size = np.abs(null.eigenvalues)
+    zero = size < 1e-8
+    entries.append(entry("nullspace_dimension", np.abs(np.sum(zero, axis=-1) - 2), 0.5))
+    # the columns of |eigenvalue| below 1e-8, or the least one where none is
+    kept = zero | (np.arange(4) == np.argmin(size, axis=-1)[..., None])
+    vecs = null.eigenvectors
     maps_back = np.abs(h_full @ vecs - e_trial * vecs)
     entries.append(
         entry("nullspace_maps_back",

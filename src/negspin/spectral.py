@@ -93,9 +93,9 @@ def helicity_eigenstates(p, which: str = "nonrel") -> EigenDecomposition:
     for lo, hi in ((0, 2), (2, 4)):
         block = sol.eigenvectors[..., lo:hi]
         proj = np.swapaxes(block, -1, -2).conj() @ spin_op @ block
-        block_labels, rot = np.linalg.eigh(proj)
-        labels.append(block_labels)
-        rotated.append(block @ rot)
+        spin = hermitian_eig(proj)
+        labels.append(spin.eigenvalues)
+        rotated.append(block @ spin.eigenvectors)
     labels = np.concatenate(labels, axis=-1)
     if np.any(np.abs(labels - (-1.0, 1.0, -1.0, 1.0)) > 1e-9):
         raise ConvergenceError(f"spin labels did not quantize to -1, +1 per pair: {labels!r}")

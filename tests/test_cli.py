@@ -476,6 +476,29 @@ def test_lorentz_transform_mode(capsys):
     assert report["checks"][0]["name"] == "roundtrip_residual"
 
 
+@pytest.mark.parametrize("argv, absolute", [
+    # one ulp of E' = 1e4 left an absolute residual of 1.82e-12
+    (["--v", "0.5,0.3,0.2", "--e-prime", "1e4", "--p-prime", "3e3,1e3,2e3"], 1.82e-12),
+    # near c the boost's condition number, about 2e6, left 5.82e-11
+    (["--v", "0.999999,0,0", "--e-prime", "1", "--p-prime", "0,0,0"], 5.82e-11),
+])
+def test_lorentz_roundtrip_is_relative_to_the_pair_and_the_boost(capsys, argv, absolute):
+    # the round trip's error over max(1, |E'|, max|p'|) times (1 + |v|) / (1 - |v|)
+    v = np.array(argv[1].split(","), dtype=float)
+    e_prime, p_prime = float(argv[3]), np.array(argv[5].split(","), dtype=float)
+    e_out, p_out = spectral.lorentz_transform(e_prime, p_prime, v)
+    e_back, p_back = spectral.lorentz_transform(e_out, p_out, -v)
+    error = max(abs(e_back - e_prime), np.max(np.abs(p_back - p_prime)))
+    assert error == pytest.approx(absolute, rel=0.01)
+    speed = np.linalg.norm(v)
+    scale = (1.0 + speed) / (1.0 - speed) * max(1.0, abs(e_prime), np.max(np.abs(p_prime)))
+    code, report = run_json(capsys, ["lorentz", *argv])
+    (check,) = report["checks"]
+    assert check["residual"] == pytest.approx(error / scale, rel=1e-6)
+    assert check["residual"] < 1e-16 and check["tolerance"] == 1e-12
+    assert code == EXIT_OK
+
+
 def test_lorentz_sweep_mode(capsys):
     code, report = run_json(capsys, ["lorentz", "--sweep", "10"])
     assert code == EXIT_OK

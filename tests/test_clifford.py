@@ -149,6 +149,16 @@ def test_entry_pass_boundary():
     assert not entry("x", 1.0000001e-14, 1e-14).passed
 
 
+def test_entry_takes_labels_only_of_the_residual_shape():
+    family = entry("p{}_branch{}", np.zeros((3, 2)), 1.0, (range(1, 4), ("-1", "+1")))
+    assert family.labels == (range(1, 4), ("-1", "+1"))
+    assert entry("x", 0.0, 1.0).labels == ()
+    with pytest.raises(ValueError, match=r"labels of shape \(3, 1\) .* shape \(3, 2\)"):
+        entry("p{}_branch{}", np.zeros((3, 2)), 1.0, (range(1, 4), ("+1",)))
+    with pytest.raises(ValueError, match=r"labels of shape \(2,\) .* shape \(\)"):
+        entry("n{}", 0.5, 1.0, (range(2),))
+
+
 def test_nan_residual_never_passes():
     # passed is derived from the residual, so a NaN residual reads as failed,
     # alone and inside a stack

@@ -120,6 +120,33 @@ def test_every_raise_is_one_that_main_reports():
     assert stray == []
 
 
+DENSE_SOLVERS = {"svd", "eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def test_only_hermitian_eig_calls_a_dense_solver():
+    # one eigensolver: every decomposition in the package goes through
+    # matrix_core.hermitian_eig, which vets its input and bounds the
+    # residuals of what it returns
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            if (isinstance(child, ast.Attribute) and child.attr in DENSE_SOLVERS
+                    and ast.unparse(child.value).endswith("linalg")):
+                found.append(f"{module}{inner}: {ast.unparse(child)}")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+                found.extend(f"{module}{inner}: imports {a.name}" for a in child.names
+                             if a.name in DENSE_SOLVERS)
+            visit(child, module, inner)
+
+    for path in sorted((SRC / "negspin").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    assert found == ["matrix_core.hermitian_eig: np.linalg.eigh"]
+
+
 UNIT_NAMES = {"params", "m0", "c", "hbar", "q"}
 
 
