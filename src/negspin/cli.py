@@ -402,7 +402,7 @@ def _render(command: str, cfg: dict, payload: dict, checks: list):
         table = payload["table"]
         line = ",".join("%.17g" if isinstance(next(iter(cells), None), float) else "%s"
                         for cells in table.values()) + "\n"
-        return chain([",".join(table) + "\n"], _blocks(line, [*table.values()]))
+        return chain([",".join(table) + "\n"], _blocks(line, list(table.values())))
     report = {
         "command": command,
         "params": {key: value for key, value in cfg.items() if key != "out"},
