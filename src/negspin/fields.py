@@ -160,8 +160,15 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
         )
     r = grid.nodes
     kin = 1.0 / (2.0 * h * h)
-    diagonal = 2.0 * kin + 1.0 + l * (l + 1) / (2.0 * r * r) - z / r
-    del r  # the solver needs only the diagonal: the nodes are not held through it
+    # 2 kin + 1 + l(l+1)/(2 r r) - z/r, in that order, built in place: only
+    # the nodes and the diagonal are held, and the nodes are not held
+    # through the solve
+    diagonal = np.multiply(2.0, r)
+    np.multiply(diagonal, r, out=diagonal)
+    np.divide(l * (l + 1), diagonal, out=diagonal)
+    np.add(2.0 * kin + 1.0, diagonal, out=diagonal)
+    np.subtract(diagonal, np.divide(z, r, out=r), out=diagonal)
+    del r
     energies = tridiagonal_lowest(diagonal, -kin, n_levels)
     energies.setflags(write=False)
     return energies

@@ -161,7 +161,7 @@ def hermitian_eig(h) -> EigenDecomposition:
 
 
 class _SturmCounter:
-    """Sturm counts of tridiag(1, diagonal, 1) - x by odd-even cyclic reduction.
+    """Sturm counts of tridiag(1, diagonal / scale, 1) - x by odd-even cyclic reduction.
 
     The even-indexed rows are not coupled to each other, so their diagonal
     entries are pivots, and eliminating them leaves a tridiagonal Schur
@@ -171,18 +171,24 @@ class _SturmCounter:
     off-diagonals enter, so their sign does not matter.  A pivot with
     |d| < ``pivmin`` is set to -``pivmin``; a row's input diagonal entry
     enters no other row's Schur complement before that row pivots, so this
-    perturbs that one input entry.  The work buffers are allocated once and
-    reused by every batch.
+    perturbs that one input entry.
+
+    The caller's diagonal is only read: each batch divides its even and
+    then its odd entries by ``scale`` into one row of a free buffer, so no
+    scaled copy and no full-length row is held.  A batch works in four
+    (shifts, ceil(n/2)) buffers, allocated here: three rotate over the
+    levels between the pivots, their reciprocals and the left/right
+    products, and the reduced rows; the fourth holds the squared
+    off-diagonals.
     """
 
-    def __init__(self, diagonal: np.ndarray, pivmin: float, max_shifts: int):
+    def __init__(self, diagonal: np.ndarray, scale: float, pivmin: float, max_shifts: int):
         n = diagonal.shape[0]
-        self.diagonal, self.pivmin = diagonal, pivmin
+        self.diagonal, self.scale, self.pivmin = diagonal, scale, pivmin
         self.batch = max(1, min(max_shifts, STURM_BATCH_ELEMENTS // n))
         half = (self.batch, (n + 1) // 2)
-        self.rows = np.empty((self.batch, n))
-        self.half_rows, self.e2 = np.empty(half), np.empty(half)
-        self.r, self.left, self.right = np.empty(half), np.empty(half), np.empty(half)
+        self.buffers = np.empty(half), np.empty(half), np.empty(half)
+        self.e2 = np.empty(half)
         self.negative = np.empty(half, dtype=bool)
 
     def __call__(self, shifts: np.ndarray, logdet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,21 +200,25 @@ class _SturmCounter:
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     def _batch(self, shifts: np.ndarray, with_logdet: bool) -> tuple[np.ndarray, np.ndarray]:
-        s, pivmin = len(shifts), self.pivmin
-        a = np.subtract(self.diagonal, shifts[:, None], out=self.rows[:s])
-        spare = self.half_rows
-        e2 = None  # squared off-diagonals: all 1 before the first reduction
+        s, pivmin, d, x = len(shifts), self.pivmin, self.diagonal, shifts[:, None]
+        # the level's rows, its reciprocal pivots, and its reduced rows
+        work, recip, spare = self.buffers
+        rows = None  # level 0 forms its rows d / scale - x from the diagonal
         count = np.zeros(s, dtype=np.intp)
         logdet = np.zeros(s) if with_logdet else np.full(s, np.nan)
         # a flat count is several times faster than one along an axis
         axis = 1 if s > 1 else None
+        m = d.shape[0]
         while True:
-            m = a.shape[1]
             h, q = (m + 1) // 2, m // 2
-            pivots = a[:, 0::2]
-            r = np.abs(pivots, out=self.r[:s, :h])
+            if rows is None:
+                pivots = np.subtract(np.divide(d[0::2], self.scale, out=recip[0, :h]), x,
+                                     out=work[:s, :h])
+            else:
+                pivots = rows[:, 0::2]
+            r = np.abs(pivots, out=recip[:s, :h])
             if r.min() < pivmin:
-                pivots = np.where(r < pivmin, -pivmin, pivots)
+                np.copyto(pivots, -pivmin, where=np.less(r, pivmin, out=self.negative[:s, :h]))
                 np.abs(pivots, out=r)
             if with_logdet:
                 logdet += np.log(r, out=r).sum(axis=1)
@@ -217,16 +227,18 @@ class _SturmCounter:
             if q == 0:
                 return count, logdet
             below = q if m % 2 else q - 1  # odd rows with a pivot row below them
-            if e2 is None:
+            if rows is None:  # the squared off-diagonals are all 1; the pivots are spent
                 left, right = r[:, :q], r[:, 1:below + 1]
+                odd = np.subtract(np.divide(d[1::2], self.scale, out=work[0, :q]), x,
+                                  out=spare[:s, :q])
             else:
-                left = np.multiply(e2[:, 0::2], r[:, :q], out=self.left[:s, :q])
-                right = np.multiply(e2[:, 1::2], r[:, 1:below + 1], out=self.right[:s, :below])
-            reduced = np.subtract(a[:, 1::2], left, out=spare[:s, :q])
-            reduced[:, :below] -= right
+                left = np.multiply(e2[:, 0::2], r[:, :q], out=spare[:s, :q])
+                right = np.multiply(e2[:, 1::2], r[:, 1:below + 1], out=r[:, 1:below + 1])
+                odd = rows[:, 1::2]
             e2 = np.multiply(right[:, :q - 1], left[:, 1:q], out=self.e2[:s, :q - 1])
-            spare = self.rows if spare is self.half_rows else self.half_rows
-            a = reduced
+            rows = np.subtract(odd, left, out=spare[:s, :q])
+            rows[:, :below] -= right
+            work, recip, spare, m = spare, work, recip, q
 
 
 def _log_model_point(t, logdet_lo, logdet_hi, logdet_third):
@@ -280,9 +292,10 @@ def tridiagonal_lowest(diagonal, off: float, n_levels: int) -> np.ndarray:
     """Lowest ``n_levels`` eigenvalues, ascending, of a symmetric tridiagonal matrix.
 
     The matrix T has the given ``diagonal`` and every off-diagonal entry
-    equal to ``off``.  It is divided by |off| first, so its squared
-    off-diagonals are 1 and cannot overflow, and the eigenvalues are scaled
-    back at the end.  Each level is bracketed by Sturm counts (see
+    equal to ``off``.  It is divided by |off|, so its squared off-diagonals
+    are 1 and cannot overflow, and the eigenvalues are scaled back at the
+    end; the division is made as each batch of counts reads the diagonal,
+    which is neither copied nor written.  Each level is bracketed by Sturm counts (see
     ``_SturmCounter``), starting from the Gershgorin interval, until its
     bracket is narrower than 2 eps ||T||, ||T|| the larger Gershgorin bound,
     as in LAPACK's stebz; the midpoint is returned.  All levels are refined
@@ -324,13 +337,15 @@ def tridiagonal_lowest(diagonal, off: float, n_levels: int) -> np.ndarray:
     scale = abs(float(off))
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"off-diagonal must be nonzero and finite, got {off}")
-    c = c / scale
-    if not np.all(np.isfinite(c)):
+    # division by scale > 0 is monotone, so these are the scaled diagonal's
+    # ends, and a NaN, an inf or an overflow anywhere shows in one of them
+    ends = np.array([c.min(), c.max()]) / scale
+    if not np.all(np.isfinite(ends)):
         raise ValueError("diagonal has non-finite entries")
-    lower, upper = float(c.min()) - 2.0, float(c.max()) + 2.0
+    lower, upper = float(ends[0]) - 2.0, float(ends[1]) + 2.0
     norm = max(-lower, upper)
     tol = 2.0 * _EPS * norm
-    count_below = _SturmCounter(c, _EPS * norm, n_levels)
+    count_below = _SturmCounter(c, scale, _EPS * norm, n_levels)
     # a count of one shift at a time pays a third more for log|det|; batched,
     # it costs little, and an isolated bracket that lacks it is bisected
     logdet_max = LOGDET_MAX_EIGENVALUES if c.shape[0] > STURM_BATCH_ELEMENTS // 2 else c.shape[0]

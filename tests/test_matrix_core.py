@@ -252,7 +252,7 @@ def test_sturm_count_at_a_zero_pivot_matches_dense_count():
     # exactly zero and is replaced by -pivmin
     diagonal = np.array([0.5, -1.0, 0.5, 2.0, 0.5, -0.3, 1.7])
     eigenvalues = np.linalg.eigvalsh(_dense_tridiagonal(diagonal, -1.0))
-    counter = _SturmCounter(diagonal, 1e-15, len(diagonal))
+    counter = _SturmCounter(diagonal, 1.0, 1e-15, len(diagonal))
     counts, _ = counter(diagonal.copy(), np.ones(len(diagonal), dtype=bool))
     assert counts.tolist() == [int(np.sum(eigenvalues < x)) for x in diagonal]
 
