@@ -160,9 +160,9 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
         )
     r = grid.nodes
     kin = 1.0 / (2.0 * h * h)
-    # 2 kin + 1 + l(l+1)/(2 r r) - z/r, in that order, built in place: only
-    # the nodes and the diagonal are held, and the nodes are not held
-    # through the solve
+    # ((2 kin + 1) + l(l+1)/((2 r) r)) - z/r, built in place in that order:
+    # only the nodes and the diagonal are held, and the nodes are dropped
+    # before the solve
     diagonal = np.multiply(2.0, r)
     np.multiply(diagonal, r, out=diagonal)
     np.divide(l * (l + 1), diagonal, out=diagonal)
@@ -229,10 +229,13 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
 
     ``phi`` is the upper 2-spinor, normalized here; a zero one raises
     ValueError.  Broadcasts over stacked momenta (..., 3), v0, e_trial and
-    phi (..., 2); each residual then has the broadcast stack shape.  With an
-    empty nullspace, ``nullspace_maps_back`` is measured on the eigenvector
-    of the least |eigenvalue| of the rearranged operator (Hermitian, so that
-    is its least singular value), so it stays finite and fails.
+    phi (..., 2); each residual then has the broadcast stack shape.
+    ``nullspace_maps_back`` is the Frobenius norm of (H - E) V over the
+    eigenvectors V of the rearranged operator whose |eigenvalue| lies within
+    1e-8 of the least (Hermitian, so these are its least singular values):
+    the nullspace, or with an empty one the least |eigenvalue|'s whole
+    eigenspace, so it stays finite and fails.  The norm does not change
+    with the basis of that eigenspace, and is never below the max-abs entry.
     """
     v0 = np.asarray(v0, dtype=float)[..., None, None]
     e_trial = np.asarray(e_trial, dtype=float)[..., None, None]
@@ -273,14 +276,13 @@ def pauli_reduction_check(p, v0, e_trial, *, phi) -> tuple[CheckEntry, ...]:
     size = np.abs(null.eigenvalues)
     zero = size < 1e-8
     entries.append(entry("nullspace_dimension", np.abs(np.sum(zero, axis=-1) - 2), 0.5))
-    # the columns of |eigenvalue| below 1e-8, or the least one where none is
-    kept = zero | (np.arange(4) == np.argmin(size, axis=-1)[..., None])
+    # the whole eigenspace within 1e-8 of the least |eigenvalue|: the
+    # nullspace, or the least |eigenvalue|'s where it is empty, so the
+    # Frobenius norm does not depend on the basis the solver picks in it
+    kept = size - np.min(size, axis=-1, keepdims=True) < 1e-8
     vecs = null.eigenvectors
-    maps_back = np.abs(h_full @ vecs - e_trial * vecs)
-    entries.append(
-        entry("nullspace_maps_back",
-              np.max(np.where(kept[..., None, :], maps_back, 0.0), axis=(-2, -1)), 1e-10)
-    )
+    maps_back = np.where(kept[..., None, :], h_full @ vecs - e_trial * vecs, 0.0)
+    entries.append(entry("nullspace_maps_back", np.linalg.norm(maps_back, axis=(-2, -1)), 1e-10))
 
     transported = (e_trial - v0) * (I4 + basis.beta) + ap - g2
     entries.append(entry("transport_by_gamma2", residual_norm(transported @ g2, g2 @ op), 1e-12))

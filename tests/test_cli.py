@@ -595,6 +595,16 @@ def test_landau_holds_only_its_eigenvalues(capsys):
     assert peak < 128 * n_max + 1e6
 
 
+def test_coulomb_holds_only_its_diagonal(capsys):
+    # 200000 grid points hold the diagonal, 8 B a point, and the Sturm
+    # counts' four half-length buffers, 16 B a point; the diagonal is built
+    # in place and never copied.  With a scaled copy, a full-length work row
+    # and five half-length buffers, the solve held about 45 B a point
+    n_points = 200000
+    peak = peak_memory(capsys, ["coulomb"], ["coulomb", "--n-points", str(n_points)])
+    assert peak < 28 * n_points + 1e6
+
+
 def test_zitter_holds_only_its_series(capsys):
     # 100000 samples hold the times, the values, the scaled times of the
     # table and the fit's differences; the states are evolved in fixed blocks of times

@@ -24,7 +24,7 @@ from negspin.fields import (
     pauli_reduction_check,
     reduction_trials,
 )
-from negspin.matrix_core import STACK_BLOCK, hermitian_eig, residual_norm
+from negspin.matrix_core import STACK_BLOCK, EigenDecomposition, hermitian_eig, residual_norm
 from negspin.spectral import hamiltonian
 from oracles import (
     all_passed,
@@ -348,13 +348,44 @@ def test_reduction_chain_flags_wrong_energy():
     assert abs(entry_named(report, "kinetic_energy_relation").residual - 0.2) < 1e-12
     assert not entry_named(report, "eigenvector_satisfies_rearranged").passed
     assert not entry_named(report, "nullspace_dimension").passed
-    # an empty nullspace is measured on the least-singular vector: finite, failing
+    # an empty nullspace is measured on the least-singular eigenspace: finite, failing
     maps_back = entry_named(report, "nullspace_maps_back")
     assert np.isfinite(maps_back.residual) and not maps_back.passed
     # operator rearrangements hold for any trial energy
     assert entry_named(report, "rearrange_operator_plus").passed
     assert entry_named(report, "transport_by_gamma2").passed
     assert entry_named(report, "lower_row_elimination").passed
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.2])
+def test_nullspace_maps_back_does_not_depend_on_the_eigenbasis(monkeypatch, offset):
+    # the rearranged operator's eigenvalues come in degenerate pairs, so a
+    # solver may return any orthonormal basis of each pair; mixing every
+    # pair by one unitary moves the residual only in roundoff, in the
+    # nullspace (offset 0) and in the least-singular pair (offset 0.2)
+    p, v0, phi = reduction_trials(draw_reduction_uniforms(0, 3))
+    e_trial = v0 + 1.0 + np.sum(p * p, axis=-1) / 2.0 + offset
+    mix = np.array([[3.0, 4.0j], [4.0j, 3.0]]) / 5.0
+    solves = []
+
+    def mixed(h):
+        solved = hermitian_eig(h)
+        solves.append(solved)
+        if len(solves) == 1:  # the full Hamiltonian
+            return solved
+        pairs = solved.eigenvalues.reshape(*solved.eigenvalues.shape[:-1], 2, 2)
+        assert np.all(np.abs(pairs[..., 0] - pairs[..., 1]) < 1e-12)
+        vecs = solved.eigenvectors.copy()
+        for pair in (slice(0, 2), slice(2, 4)):
+            vecs[..., pair] = vecs[..., pair] @ mix
+        return EigenDecomposition(solved.eigenvalues, vecs)
+
+    expected = entry_named(pauli_reduction_check(p, v0, e_trial, phi=phi), "nullspace_maps_back")
+    monkeypatch.setattr(fields, "hermitian_eig", mixed)
+    got = entry_named(pauli_reduction_check(p, v0, e_trial, phi=phi), "nullspace_maps_back")
+    assert len(solves) == 2
+    np.testing.assert_allclose(got.residual, expected.residual, rtol=1e-12, atol=1e-14)
+    assert got.passed.tolist() == [offset == 0.0] * 3
 
 
 def test_reduction_chain_at_rest():

@@ -257,6 +257,40 @@ def test_sturm_count_at_a_zero_pivot_matches_dense_count():
     assert counts.tolist() == [int(np.sum(eigenvalues < x)) for x in diagonal]
 
 
+@pytest.mark.parametrize("max_shifts", [1, 3, 8])
+def test_sturm_counts_match_dense_counts_at_every_length(max_shifts):
+    # odd and even lengths end the reduction on either parity of the
+    # rotating buffers; several shifts a batch run them as (shifts, rows)
+    rng = np.random.default_rng(5)
+    scale = 2.5
+    for n in range(1, 41):
+        diagonal = rng.uniform(-3.0, 3.0, n) * scale
+        dense = _dense_tridiagonal(diagonal / scale, 1.0)
+        eigenvalues = np.linalg.eigvalsh(dense)
+        shifts = np.sort(rng.uniform(-5.0, 5.0, 7))
+        counter = _SturmCounter(diagonal, scale, 1e-300, max_shifts)
+        counts, logdets = counter(shifts, np.ones(len(shifts), dtype=bool))
+        assert counts.tolist() == [int(np.sum(eigenvalues < x)) for x in shifts], n
+        expected = [np.linalg.slogdet(dense - x * np.eye(n))[1] for x in shifts]
+        np.testing.assert_allclose(logdets, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("diagonal", [[1e300, 1.0], [1.0, -1e300]])
+def test_tridiagonal_lowest_rejects_a_diagonal_that_overflows_once_scaled(diagonal):
+    # finite as given, but not once divided by |off|
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        tridiagonal_lowest(diagonal, 1e-10, 1)
+
+
+def test_tridiagonal_lowest_reads_a_read_only_diagonal():
+    diagonal, off = _coulomb_grid(1001, 60.0)
+    frozen = diagonal.copy()
+    frozen.setflags(write=False)
+    got = tridiagonal_lowest(frozen, off, 3)
+    np.testing.assert_array_equal(frozen, diagonal)
+    np.testing.assert_array_equal(got, tridiagonal_lowest(diagonal, off, 3))
+
+
 def test_tridiagonal_lowest_validation():
     with pytest.raises(ValueError, match="nonzero"):
         tridiagonal_lowest([1.0, 2.0], 0.0, 1)
