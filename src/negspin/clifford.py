@@ -12,6 +12,9 @@ Two derived operators drive the wave-equation rearrangements downstream:
 
 * ``gamma1_proj = I - i beta gamma5``   (Hermitian, singular; half of it is a projector)
 * ``gamma2_op   = (I + i gamma5) beta`` (Hermitian and unitary up to sqrt(2))
+
+``verify_identities`` checks the whole algebra from one table of
+(name, left side, right side) rows at ``IDENTITY_TOL``.
 """
 
 from __future__ import annotations
@@ -109,64 +112,37 @@ def dirac_representation() -> DiracBasis:
     )
 
 
-def verify_clifford_identities(basis: DiracBasis) -> tuple[CheckEntry, ...]:
-    """Residuals of the anticommutation table.
+def verify_identities(basis: DiracBasis) -> tuple[CheckEntry, ...]:
+    """Residuals of the identity table, in the order the CLI reports them.
 
-    {alpha_i, alpha_j} = 2 delta_ij I, {beta, alpha_j} = 0, beta^2 = I.
-    """
-    entries = []
-    for i in range(3):
-        for j in range(i, 3):
-            anti = basis.alpha[i] @ basis.alpha[j] + basis.alpha[j] @ basis.alpha[i]
-            target = 2.0 * I4 if i == j else np.zeros((4, 4))
-            entries.append(
-                entry(f"alpha{i + 1}_alpha{j + 1}_anticommutator",
-                      residual_norm(anti, target), IDENTITY_TOL)
-            )
-    for j in range(3):
-        anti = basis.beta @ basis.alpha[j] + basis.alpha[j] @ basis.beta
-        entries.append(
-            entry(f"beta_alpha{j + 1}_anticommutator",
-                  residual_norm(anti, np.zeros((4, 4))), IDENTITY_TOL)
-        )
-    entries.append(entry("beta_squared", residual_norm(basis.beta @ basis.beta, I4), IDENTITY_TOL))
-    return tuple(entries)
-
-
-def verify_gamma_properties(basis: DiracBasis) -> tuple[CheckEntry, ...]:
-    """Residuals of the derived-operator identities.
-
+    The anticommutation table {alpha_i, alpha_j} = 2 delta_ij I,
+    {beta, alpha_j} = 0, beta^2 = I; then the derived-operator identities
     gamma1_proj^2 = 2 gamma1_proj, gamma2_op^2 = 2I,
     gamma2_op gamma1_proj = (I+beta)(I-i gamma5), {alpha_i, gamma2_op} = 0,
     (I+i gamma5)(I-i gamma5)/2 = I, gamma2_op beta = I+i gamma5,
-    (I+beta) beta = I+beta, plus singularity of gamma1_proj and unitarity
-    of gamma2_op / sqrt(2).
+    (I+beta) beta = I+beta, the singularity of gamma1_proj and the
+    unitarity of gamma2_op / sqrt(2).
     """
+    a, b = basis.alpha, basis.beta
     g1, g2, g5 = basis.gamma1_proj, basis.gamma2_op, basis.gamma5
     zero = np.zeros((4, 4))
-    entries = [
-        entry("gamma1_squared_is_twice_gamma1",
-              residual_norm(g1 @ g1, 2.0 * g1), IDENTITY_TOL),
-        entry("gamma2_squared_is_twice_identity",
-              residual_norm(g2 @ g2, 2.0 * I4), IDENTITY_TOL),
-        entry("gamma2_gamma1_product",
-              residual_norm(g2 @ g1, (I4 + basis.beta) @ (I4 - 1j * g5)), IDENTITY_TOL),
+    rows = [
+        *((f"alpha{i + 1}_alpha{j + 1}_anticommutator", a[i] @ a[j] + a[j] @ a[i],
+           2.0 * I4 if i == j else zero) for i in range(3) for j in range(i, 3)),
+        *((f"beta_alpha{j + 1}_anticommutator", b @ a[j] + a[j] @ b, zero) for j in range(3)),
+        ("beta_squared", b @ b, I4),
+        ("gamma1_squared_is_twice_gamma1", g1 @ g1, 2.0 * g1),
+        ("gamma2_squared_is_twice_identity", g2 @ g2, 2.0 * I4),
+        ("gamma2_gamma1_product", g2 @ g1, (I4 + b) @ (I4 - 1j * g5)),
+        *((f"alpha{i + 1}_gamma2_anticommutator", a[i] @ g2 + g2 @ a[i], zero) for i in range(3)),
+        ("chirality_projector_product", (I4 + 1j * g5) @ (I4 - 1j * g5) / 2.0, I4),
+        ("gamma2_beta_product", g2 @ b, I4 + 1j * g5),
+        ("beta_shift_product", (I4 + b) @ b, I4 + b),
+        ("gamma2_unitarity", g2.conj().T @ g2 / 2.0, I4),
     ]
-    for i in range(3):
-        entries.append(
-            entry(f"alpha{i + 1}_gamma2_anticommutator",
-                  residual_norm(basis.alpha[i] @ g2 + g2 @ basis.alpha[i], zero), IDENTITY_TOL)
-        )
-    entries.extend([
-        entry("chirality_projector_product",
-              residual_norm((I4 + 1j * g5) @ (I4 - 1j * g5) / 2.0, I4), IDENTITY_TOL),
-        entry("gamma2_beta_product",
-              residual_norm(g2 @ basis.beta, I4 + 1j * g5), IDENTITY_TOL),
-        entry("beta_shift_product",
-              residual_norm((I4 + basis.beta) @ basis.beta, I4 + basis.beta), IDENTITY_TOL),
-        entry("gamma1_smallest_singular_value",
-              float(np.min(np.abs(hermitian_eig(g1).eigenvalues))), IDENTITY_TOL),
-        entry("gamma2_unitarity",
-              residual_norm(g2.conj().T @ g2 / 2.0, I4), IDENTITY_TOL),
-    ])
-    return tuple(entries)
+    checks = [entry(name, residual_norm(lhs, rhs), IDENTITY_TOL) for name, lhs, rhs in rows]
+    # gamma1_proj is singular: its smallest singular value, the smallest
+    # eigenvalue modulus, is reported just before the unitarity row
+    checks.insert(-1, entry("gamma1_smallest_singular_value",
+                            np.min(np.abs(hermitian_eig(g1).eigenvalues)), IDENTITY_TOL))
+    return tuple(checks)

@@ -27,12 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cli import Units
-from .clifford import (
-    dirac_representation,
-    entry,
-    verify_clifford_identities,
-    verify_gamma_properties,
-)
+from .clifford import dirac_representation, entry, verify_identities
 from .dynamics import CONSTANT_AMPLITUDE_TOL, dominant_frequency, observable_series, unit_weights
 from .fields import (
     RadialGrid,
@@ -54,8 +49,7 @@ from .spectral import (
 
 
 def _cmd_identities(cfg: dict, units: None) -> dict:
-    basis = dirac_representation()
-    checks = [*verify_clifford_identities(basis), *verify_gamma_properties(basis)]
+    checks = verify_identities(dirac_representation())
     return {"results": {"total_checks": len(checks)}, "checks": checks}
 
 

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from negspin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from negspin.clifford import (
-    dirac_representation,
-    verify_clifford_identities,
-    verify_gamma_properties,
-)
+from negspin.clifford import dirac_representation, verify_identities
 from negspin.dynamics import dominant_frequency, observable_series, unit_weights
 from negspin.fields import (
     RadialGrid,
@@ -49,10 +45,9 @@ def verdict(label: str, ok: bool, detail: str = ""):
 
 def test_operator_identities_hold_exactly():
     """All representation identities, including the singular projector, at 1e-14."""
-    gamma = verify_gamma_properties(BASIS)
-    entries = (*verify_clifford_identities(BASIS), *gamma)
+    entries = verify_identities(BASIS)
     worst = max(e.residual for e in entries if e.name != "gamma1_smallest_singular_value")
-    singular = entry_named(gamma, "gamma1_smallest_singular_value").residual
+    singular = entry_named(entries, "gamma1_smallest_singular_value").residual
     ok = (
         len(entries) == 21
         and all(e.passed for e in entries)

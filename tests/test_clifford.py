@@ -13,8 +13,7 @@ from negspin.clifford import (
     PAULI,
     dirac_representation,
     entry,
-    verify_clifford_identities,
-    verify_gamma_properties,
+    verify_identities,
 )
 from negspin.matrix_core import residual_norm
 from oracles import all_passed, entry_named
@@ -119,25 +118,52 @@ def test_perturbed_basis_is_detected():
     b = dirac_representation()
     broken_alpha = (b.alpha[0] + 1e-3, b.alpha[1], b.alpha[2])
     broken = dataclasses.replace(b, alpha=broken_alpha)
-    assert not all_passed(verify_clifford_identities(broken))
+    assert not all_passed(verify_identities(broken)[:10])
 
 
-def test_verify_clifford_identities_all_pass():
-    report = verify_clifford_identities(dirac_representation())
-    assert len(report) == 10
+def test_perturbed_gamma2_fails_exactly_the_rows_that_read_it():
+    import dataclasses
+
+    b = dirac_representation()
+    broken = dataclasses.replace(b, gamma2_op=b.gamma2_op + 1e-3 * I4)
+    failed = [e.name for e in verify_identities(broken) if not e.passed]
+    assert failed == [
+        "gamma2_squared_is_twice_identity",
+        "gamma2_gamma1_product",
+        "alpha1_gamma2_anticommutator",
+        "alpha2_gamma2_anticommutator",
+        "alpha3_gamma2_anticommutator",
+        "gamma2_beta_product",
+        "gamma2_unitarity",
+    ]
+    # the alpha/beta rows read no derived operator
+    assert all_passed(verify_identities(broken)[:10])
+
+
+def test_anticommutation_rows_all_pass():
+    report = verify_identities(dirac_representation())[:10]
+    assert [e.name for e in report] == [
+        "alpha1_alpha1_anticommutator", "alpha1_alpha2_anticommutator",
+        "alpha1_alpha3_anticommutator", "alpha2_alpha2_anticommutator",
+        "alpha2_alpha3_anticommutator", "alpha3_alpha3_anticommutator",
+        "beta_alpha1_anticommutator", "beta_alpha2_anticommutator",
+        "beta_alpha3_anticommutator", "beta_squared",
+    ]
     assert all_passed(report)
     for e in report:
         assert e.residual <= 1e-14
 
 
-def test_verify_gamma_properties_all_pass():
-    report = verify_gamma_properties(dirac_representation())
-    assert len(report) == 11
-    assert all_passed(report)
+def test_derived_operator_rows_all_pass():
+    report = verify_identities(dirac_representation())
+    assert len(report) == 21
+    assert [e.name for e in report[-2:]] == ["gamma1_smallest_singular_value",
+                                             "gamma2_unitarity"]
+    assert all_passed(report[10:])
 
 
 def test_report_lookup_by_name():
-    report = verify_clifford_identities(dirac_representation())
+    report = verify_identities(dirac_representation())
     e = entry_named(report, "beta_squared")
     assert e.passed
     with pytest.raises(KeyError):
