@@ -284,7 +284,7 @@ def _parse(argv: list[str]) -> tuple[str, dict[str, str]] | str:
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ValueError(f"cannot read config file {path}: {err}") from err
     values = {}
     first_line = {}

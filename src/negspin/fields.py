@@ -139,7 +139,8 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
     by ``tridiagonal_lowest`` to a few eps ||T||, as LAPACK's stebz.
     Returns the ``n_levels`` ascending positive-branch energies, read-only;
     no negative-branch level is computed.  Rejects grids whose spacing
-    reaches 0.05 Bohr radii, where the stencil error is no longer trusted.
+    reaches 0.05 Bohr radii, where the stencil error is no longer trusted,
+    and grids so fine that the diagonal at the first node overflows float64.
     """
     if not z > 0.0:
         raise ValueError("z must be positive")
@@ -152,14 +153,22 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
     h = grid.spacing
     if not h * z < GRID_GUARD:
         needed = grid.r_max * z / GRID_GUARD
-        hint = (f"use n_points >= {math.ceil(needed)}" if math.isfinite(needed)
+        hint = (f"use n_points >= {math.ceil(needed)}" if needed <= 2.0**53
                 else "no float64 grid resolves it")
         raise ValueError(
             f"grid too coarse: spacing*m0*Z/hbar^2 = {h * z:.4g} >= {GRID_GUARD}; "
             f"{hint} at r_max = {grid.r_max * z:.6g} Bohr radii"
         )
+    two_h2 = 2.0 * h * h
+    # the diagonal's largest entry, 2 kin + 1 + l(l+1)/(2 h^2) at the first node
+    # r = h, in the order it is built below
+    if not (two_h2 > 0.0 and math.isfinite(2.0 * (1.0 / two_h2) + 1.0 + l * (l + 1) / two_h2)):
+        raise ValueError(
+            f"grid too fine: spacing*m0*c/hbar = {h:.4g}, so the first node's kinetic and "
+            "centrifugal terms, in units of m0 c^2, overflow float64"
+        )
     r = grid.nodes
-    kin = 1.0 / (2.0 * h * h)
+    kin = 1.0 / two_h2
     # ((2 kin + 1) + l(l+1)/((2 r) r)) - z/r, built in place in that order:
     # only the nodes and the diagonal are held, and the nodes are dropped
     # before the solve

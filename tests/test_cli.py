@@ -719,6 +719,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "voltage" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    err = one_line_usage_error(capsys, ["coulomb", "--config", str(cfg)])
+    assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode "
+                          "byte 0xff in position 0")
+
+
 def test_malformed_config_line_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("just a bare line\n")
@@ -1061,6 +1069,27 @@ def test_huge_finite_input_is_usage_error(capsys, argv):
     # whatever the value: a flag at its default is still one the run never reads
     (["lorentz", "--sweep", "5", "--v", "0,0,0"], "--v is read only with --sweep 0"),
     (["lorentz", "--pmax", "2"], "--pmax is read only with --sweep > 0"),
+    # a coulomb grid too fine for float64 is one rejection, whichever term
+    # overflows first: the kinetic scale 1/(2 h^2), 2 h^2 itself (to 0), the
+    # centrifugal term at the first node, 2 kin + 1 with kin finite, and the
+    # centrifugal term alone (kin is 5e299 at --l 100000)
+    (["coulomb", "--r-max", "1e-155"], "error: grid too fine: spacing*m0*c/hbar = 1.666e-159, "
+     "so the first node's kinetic and centrifugal terms, in units of m0 c^2, overflow float64"),
+    (["coulomb", "--r-max", "1e-160"], "grid too fine: spacing*m0*c/hbar = 1.666e-164,"),
+    (["coulomb", "--l", "1", "--r-max", "1e-155"],
+     "grid too fine: spacing*m0*c/hbar = 1.666e-159,"),
+    (["coulomb", "--r-max", "4e-151"], "grid too fine: spacing*m0*c/hbar = 6.666e-155,"),
+    (["coulomb", "--l", "1", "--r-max", "4.5e-151"],
+     "grid too fine: spacing*m0*c/hbar = 7.499e-155,"),
+    (["coulomb", "--l", "100000", "--r-max", "6.001e-147"],
+     "grid too fine: spacing*m0*c/hbar = 1e-150,"),
+    # the spacing is quoted in hbar/(m0 c): the same number in every unit system
+    (["coulomb", "--units", "custom", "--hbar", "2", "--r-max", "2e-155"],
+     "grid too fine: spacing*m0*c/hbar = 1.666e-159,"),
+    # a coarse grid that would need more than 2^53 points suggests none
+    (["coulomb", "--r-max", "1e300"], "; no float64 grid resolves it at r_max = 1e+300 Bohr radii"),
+    (["coulomb", "--r-max", "4.5e14"], "; use n_points >= 9000000000000000 at r_max = 4.5e+14 "),
+    (["coulomb", "--r-max", "4.6e14"], "; no float64 grid resolves it at r_max = 4.6e+14 "),
 ])
 def test_rejection_names_its_reason(capsys, argv, reason):
     assert reason in one_line_usage_error(capsys, argv)

@@ -276,6 +276,12 @@ def test_coulomb_coarse_grid_rejected_with_guidance():
         coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 100), 1)
 
 
+def test_coulomb_too_fine_grid_rejected_before_any_array():
+    # 10^14 nodes would not fit in memory: the guard answers first
+    with pytest.raises(ValueError, match=r"^grid too fine: spacing\*m0\*c/hbar = 1e-164,"):
+        coulomb_radial_spectrum(1.0, 0, RadialGrid(1e-150, 10**14 - 1), 1)
+
+
 # (z, l, r_max, n_points, n_levels, m0, c, hbar): natural and custom units,
 # every grid inside the Bohr-radius guard (spacing * m0 Z / hbar^2 < 0.05)
 COULOMB_ORACLE_CASES = [
