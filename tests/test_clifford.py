@@ -136,8 +136,6 @@ def test_perturbed_gamma2_fails_exactly_the_rows_that_read_it():
         "gamma2_beta_product",
         "gamma2_unitarity",
     ]
-    # the alpha/beta rows read no derived operator
-    assert all_passed(verify_identities(broken)[:10])
 
 
 def test_anticommutation_rows_all_pass():
