@@ -27,22 +27,21 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 in one
 output), an ``ArithmeticError`` (a computation out of float64 range) or a
 ``MemoryError`` (an input too large to allocate), wherever it is raised.
 
-This module loads no numpy: flags, config files, flag ranges (checked as
-each value is cast), the lorentz mode of each flag, the units check and
-landau's truncation (``--k-max`` interior for ``--n-max``) are answered
-before ``main`` imports the commands.  It also computes the scales of the
-unit system (``unit_scales``), which ``negspin.commands`` applies.
+This module loads no numpy, and json only to write a JSON report: flags,
+config files, flag ranges (checked as each value is cast), the lorentz
+mode of each flag, the units check and landau's truncation (``--k-max``
+interior for ``--n-max``) are answered before ``main`` imports the
+commands.  It also computes the scales of the unit system
+(``unit_scales``), which ``negspin.commands`` applies.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
 from contextlib import suppress
 from itertools import chain, filterfalse, islice, product, repeat, starmap
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -403,6 +402,9 @@ def _render(command: str, cfg: dict, payload: dict, checks: list):
         line = ",".join("%.17g" if isinstance(next(iter(cells), None), float) else "%s"
                         for cells in table.values()) + "\n"
         return chain([",".join(table) + "\n"], _blocks(line, list(table.values())))
+    import json  # only a JSON report loads the encoder
+    from json.encoder import encode_basestring_ascii
+
     report = {
         "command": command,
         "params": {key: value for key, value in cfg.items() if key != "out"},

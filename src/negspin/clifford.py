@@ -19,8 +19,8 @@ Two derived operators drive the wave-equation rearrangements downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ for _m in (*PAULI, I2, I4):
     _m.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     """One named residual check, or a family of them under one tolerance;
     ``passed`` is residual <= tolerance, derived, so a NaN residual fails.
 
@@ -74,8 +73,7 @@ def entry(name: str, residual, tolerance: float, labels: tuple = ()) -> CheckEnt
                       float(tolerance), labels)
 
 
-@dataclass(frozen=True, eq=False)
-class DiracBasis:
+class DiracBasis(NamedTuple):
     """The 4x4 matrices of the block convention, plus derived operators."""
 
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray]

@@ -15,8 +15,9 @@ Three problem families:
 * an attractive -Z/r potential on a radial grid (3-point finite differences,
   Dirichlet ends), cross-checked against the closed-form -Z^2/2n^2 ladder.
   Its lowest levels come from Sturm counts of the tridiagonal matrix, O(n)
-  each (``matrix_core.tridiagonal_lowest``), so no scipy is loaded.  Only
-  the positive branch is solved; no negative-branch level is computed;
+  each (``tridiagonal.tridiagonal_lowest``, imported only when a spectrum
+  is solved), so no scipy is loaded.  Only the positive branch is solved;
+  no negative-branch level is computed;
 * the momentum-space rearrangement chain that eliminates the lower spinor
   and leaves the two-component kinetic-energy relation, verified as exact
   matrix identities at a trial energy.  Each trial is independent, so the
@@ -35,13 +36,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import MIN_OSCILLATOR_LEVELS
 from .clifford import I4, PAULI, CheckEntry, dirac_representation, entry
-from .matrix_core import hermitian_eig, matrix_dot, residual_norm, tridiagonal_lowest
+from .matrix_core import hermitian_eig, matrix_dot, residual_norm
 from .spectral import hamiltonian
 
 # Largest truncation accepted; a cold landau run at this size peaks near 45 MB.
@@ -54,18 +55,13 @@ GRID_GUARD = 0.05
 _DRAW_WORDS = 2**16
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform Dirichlet grid: nodes r_i = i h, i = 1..n_points, h = r_max/(n_points+1)."""
+class RadialGrid(NamedTuple):
+    """Uniform Dirichlet grid: nodes r_i = i h, i = 1..n_points, h = r_max/(n_points+1).
+
+    ``coulomb_radial_spectrum`` rejects r_max <= 0 and n_points < 50."""
 
     r_max: float
     n_points: int
-
-    def __post_init__(self):
-        if not self.r_max > 0.0:
-            raise ValueError("r_max must be positive")
-        if self.n_points < 50:
-            raise ValueError("n_points must be at least 50")
 
     @property
     def spacing(self) -> float:
@@ -138,10 +134,15 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
     3-point finite differences for u = r phi on the Dirichlet grid, solved
     by ``tridiagonal_lowest`` to a few eps ||T||, as LAPACK's stebz.
     Returns the ``n_levels`` ascending positive-branch energies, read-only;
-    no negative-branch level is computed.  Rejects grids whose spacing
-    reaches 0.05 Bohr radii, where the stencil error is no longer trusted,
-    and grids so fine that the diagonal at the first node overflows float64.
+    no negative-branch level is computed.  Rejects a grid with r_max <= 0
+    or fewer than 50 points, grids whose spacing reaches 0.05 Bohr radii,
+    where the stencil error is no longer trusted, and grids so fine that
+    the diagonal at the first node overflows float64.
     """
+    if not grid.r_max > 0.0:
+        raise ValueError("r_max must be positive")
+    if grid.n_points < 50:
+        raise ValueError("n_points must be at least 50")
     if not z > 0.0:
         raise ValueError("z must be positive")
     if l < 0:
@@ -178,6 +179,8 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
     np.add(2.0 * kin + 1.0, diagonal, out=diagonal)
     np.subtract(diagonal, np.divide(z, r, out=r), out=diagonal)
     del r
+    from .tridiagonal import tridiagonal_lowest  # only coulomb loads the solver
+
     energies = tridiagonal_lowest(diagonal, -kin, n_levels)
     energies.setflags(write=False)
     return energies

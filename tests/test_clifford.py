@@ -113,19 +113,15 @@ def test_gamma5_commutation_pattern():
 
 
 def test_perturbed_basis_is_detected():
-    import dataclasses
-
     b = dirac_representation()
     broken_alpha = (b.alpha[0] + 1e-3, b.alpha[1], b.alpha[2])
-    broken = dataclasses.replace(b, alpha=broken_alpha)
+    broken = b._replace(alpha=broken_alpha)
     assert not all_passed(verify_identities(broken)[:10])
 
 
 def test_perturbed_gamma2_fails_exactly_the_rows_that_read_it():
-    import dataclasses
-
     b = dirac_representation()
-    broken = dataclasses.replace(b, gamma2_op=b.gamma2_op + 1e-3 * I4)
+    broken = b._replace(gamma2_op=b.gamma2_op + 1e-3 * I4)
     failed = [e.name for e in verify_identities(broken) if not e.passed]
     assert failed == [
         "gamma2_squared_is_twice_identity",

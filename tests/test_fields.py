@@ -70,10 +70,11 @@ def test_radial_grid_spacing_and_nodes():
 
 
 def test_radial_grid_validation():
-    with pytest.raises(ValueError):
-        RadialGrid(r_max=0.0, n_points=6000)
-    with pytest.raises(ValueError):
-        RadialGrid(r_max=60.0, n_points=10)
+    # the grid's rules fire first, r_max before n_points, before z is read
+    with pytest.raises(ValueError, match="^r_max must be positive$"):
+        coulomb_radial_spectrum(0.0, 0, RadialGrid(r_max=0.0, n_points=10), 1)
+    with pytest.raises(ValueError, match="^n_points must be at least 50$"):
+        coulomb_radial_spectrum(0.0, 0, RadialGrid(r_max=60.0, n_points=10), 1)
 
 
 def test_landau_matrix_is_hermitian_and_sized():

@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from negspin import matrix_core
-from negspin.matrix_core import (
-    EigenDecomposition,
-    _SturmCounter,
-    expect,
-    hermitian_eig,
-    matrix_dot,
-    residual_norm,
-    tridiagonal_lowest,
-)
+from negspin import tridiagonal
+from negspin.matrix_core import EigenDecomposition, expect, hermitian_eig, matrix_dot, residual_norm
+from negspin.tridiagonal import _SturmCounter, tridiagonal_lowest
 
 
 def test_residual_norm_is_max_abs_difference():
@@ -228,9 +221,9 @@ def test_tridiagonal_lowest_bisects_a_stalled_bracket(monkeypatch):
     def stalled(a, b, *rest):
         return a + 0.5 * rest[-1]  # rest[-1] is tol
 
-    monkeypatch.setattr(matrix_core, "_interpolated_point", midpoint)
+    monkeypatch.setattr(tridiagonal, "_interpolated_point", midpoint)
     bisected, _ = _shifts_counted(monkeypatch, diagonal, off, n_levels)
-    monkeypatch.setattr(matrix_core, "_interpolated_point", stalled)
+    monkeypatch.setattr(tridiagonal, "_interpolated_point", stalled)
     _, got = _shifts_counted(monkeypatch, diagonal, off, n_levels, most=3 * bisected)
     assert np.max(np.abs(got - expected)) <= _stebz_bound(diagonal, off)
 

@@ -15,20 +15,21 @@ import pytest
 from negspin import __main__ as entry
 from negspin.cli import EXIT_CHECK_FAILED, main
 
-MODULES = ("clifford", "matrix_core", "spectral", "fields", "dynamics")
+MODULES = ("clifford", "matrix_core", "tridiagonal", "spectral", "fields", "dynamics")
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
 
 # Runs one start-up path in a fresh interpreter, then prints which of argparse,
-# numpy, numpy.fft, numpy.ma (which np.unique and np.median import on their
-# first call), numpy.random and scipy it loaded.
+# dataclasses, json, the Coulomb solver, numpy, numpy.fft, numpy.ma (which
+# np.unique and np.median import on their first call), numpy.random and scipy
+# it loaded.
 PROBE = """\
 import sys
 try:
     {body}
 finally:
-    print(sorted({{"argparse", "numpy", "numpy.fft", "numpy.ma", "numpy.random", "scipy"}}
-                 .intersection(sys.modules)))
+    print(sorted({{"argparse", "dataclasses", "json", "negspin.tridiagonal", "numpy",
+                  "numpy.fft", "numpy.ma", "numpy.random", "scipy"}}.intersection(sys.modules)))
 """
 MAIN = "from negspin.cli import main; sys.exit(main({argv!r}))"
 
@@ -152,7 +153,7 @@ UNIT_NAMES = {"params", "m0", "c", "hbar", "q"}
 
 def test_core_takes_no_unit_and_does_not_import_cli():
     # the core computes in m0 = c = hbar = 1; negspin.commands alone applies
-    # a unit system, so no core function takes a unit (a dataclass field is
+    # a unit system, so no core function takes a unit (a record field is
     # an __init__ parameter too) and no core module reaches the front
     found = []
     for module in MODULES:
@@ -190,7 +191,7 @@ def test_library_example_prints_what_it_documents():
     assert lines[2] == "(5, 4, 4)"
 
 
-# start-up path -> (code run in a fresh interpreter, exit code, heavy modules loaded)
+# start-up path -> (code run in a fresh interpreter, exit code, probed modules loaded)
 START_UP = {
     "import": ("import negspin.cli", 0, []),
     "help": ("import runpy; sys.argv = ['negspin', '--help']; "
@@ -209,12 +210,16 @@ START_UP = {
     "lorentz-mode": (MAIN.format(argv=["lorentz", "--sweep", "2", "--v", "0.5,0,0"]), 2, []),
     # a landau level too close to the truncation for its --n-max
     "landau-kmax": (MAIN.format(argv=["landau", "--n-max", "40", "--k-max", "40"]), 2, []),
-    # the controls: a computing command does load numpy, and only numpy (no
-    # path loads argparse)
-    "identities": (MAIN.format(argv=["identities"]), 0, ["numpy"]),
-    "coulomb": (MAIN.format(argv=["coulomb"]), 0, ["numpy"]),
+    # a grid the library rejects loads numpy, but neither the Coulomb solver
+    # nor json
+    "coulomb-coarse": (MAIN.format(argv=["coulomb", "--n-points", "100"]), 2, ["numpy"]),
+    # the controls: a computing command does load numpy, a JSON report json,
+    # and only coulomb the Coulomb solver (no path loads argparse, and no
+    # record is a dataclass)
+    "identities": (MAIN.format(argv=["identities"]), 0, ["json", "numpy"]),
+    "coulomb": (MAIN.format(argv=["coulomb"]), 0, ["json", "negspin.tridiagonal", "numpy"]),
     "zitter": (MAIN.format(argv=["zitter", "--format", "csv"]), 0, ["numpy"]),
-    "reduction": (MAIN.format(argv=["reduction", "--trials", "300"]), 0, ["numpy"]),
+    "reduction": (MAIN.format(argv=["reduction", "--trials", "300"]), 0, ["json", "numpy"]),
 }
 
 
