@@ -135,9 +135,10 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
     by ``tridiagonal_lowest`` to a few eps ||T||, as LAPACK's stebz.
     Returns the ``n_levels`` ascending positive-branch energies, read-only;
     no negative-branch level is computed.  Rejects a grid with r_max <= 0
-    or fewer than 50 points, grids whose spacing reaches 0.05 Bohr radii,
-    where the stencil error is no longer trusted, and grids so fine that
-    the diagonal at the first node overflows float64.
+    or fewer than 50 points, l + n_levels above 2^53, where the level
+    numbers are no longer exact float64 integers, grids whose spacing
+    reaches 0.05 Bohr radii, where the stencil error is no longer trusted,
+    and grids so fine that the diagonal at the first node overflows float64.
     """
     if not grid.r_max > 0.0:
         raise ValueError("r_max must be positive")
@@ -147,6 +148,9 @@ def coulomb_radial_spectrum(z: float, l: int, grid: RadialGrid, n_levels: int) -
         raise ValueError("z must be positive")
     if l < 0:
         raise ValueError("l must be nonnegative")
+    if l + n_levels > 2**53:  # before any term forms l(l+1)
+        raise ValueError("l + n_levels exceeds 2^53: the level numbers l + 1, l + 2, ... "
+                         "are no longer exact float64 integers")
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
     if n_levels > grid.n_points:

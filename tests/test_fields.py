@@ -272,6 +272,15 @@ def test_coulomb_validation():
         coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 6000), 0)
 
 
+def test_coulomb_level_numbers_stay_exact_float64_integers():
+    # the highest level number, l + n_levels, may be 2^53, which float64
+    # holds exactly; 2^53 + 1 it does not, so that is rejected
+    grid = RadialGrid(60.0, 6000)
+    assert len(coulomb_radial_spectrum(1.0, 2**53 - 3, grid, 3)) == 3
+    with pytest.raises(ValueError, match=r"^l \+ n_levels exceeds 2\^53:"):
+        coulomb_radial_spectrum(1.0, 2**53 - 2, grid, 3)
+
+
 def test_coulomb_coarse_grid_rejected_with_guidance():
     with pytest.raises(ValueError, match="n_points"):
         coulomb_radial_spectrum(1.0, 0, RadialGrid(60.0, 100), 1)
