@@ -3,7 +3,8 @@ carrying a negative-energy branch.
 
 Each name is imported from the module that defines it: the operator basis
 and checks from ``negspin.clifford``, the eigensolver from
-``negspin.matrix_core``, free Hamiltonians, eigenstates and boosts from
+``negspin.matrix_core``, the Coulomb grid's tridiagonal solver from
+``negspin.tridiagonal``, free Hamiltonians, eigenstates and boosts from
 ``negspin.spectral``, fields from ``negspin.fields`` and time evolution
 from ``negspin.dynamics``; ``negspin.cli`` is the command line.  The
 package itself binds only the two constants below, so ``import negspin``

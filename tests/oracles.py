@@ -11,9 +11,10 @@ and is what the blocks are checked against; ``sector_rows`` says where
 each block state sits in it.
 
 The package finds the Coulomb grid levels from its own Sturm counts
-(``negspin.matrix_core.tridiagonal_lowest``).  Here the same finite-difference
-matrix goes to scipy's ``eigh_tridiagonal`` (LAPACK stebz), the solver the
-package used before; scipy is needed by the tests only.
+(``negspin.tridiagonal.tridiagonal_lowest``).  Here the same
+finite-difference matrix goes to scipy's ``eigh_tridiagonal`` (LAPACK
+stebz), the solver the package used before; scipy is needed by the tests
+only.
 """
 
 import numbers
